@@ -14,11 +14,11 @@
 // One implementation is shared by the production profiler, the verify
 // oracle, and both merge paths (materialized and streaming): the
 // recording and fold order is part of the serialization contract, so a
-// single definition is what keeps profiles byte-identical across the
-// det/threads/sockets backends and the fast/de-optimized/oracle
-// three-way differential checks. Tables are per-thread single-writer —
-// the owning thread records during (possibly deferred) attribution and
-// results are only read at quiescent points.
+// single definition is what keeps profiles byte-identical under the
+// fast/de-optimized/oracle three-way differential checks. Tables are
+// per-thread single-writer: each thread's samples are recorded in
+// sample order at attribution time, and results are only read after
+// measurement ends.
 //
 // Transient recording state (per-line last-access indices, the previous
 // sampled address) lives inside the table but is NOT serialized and does

@@ -66,16 +66,6 @@ const HeapBlock* HeapVarMap::find(sim::Addr addr) const {
   return nullptr;
 }
 
-const HeapBlock* HeapVarMap::find_no_mru(sim::Addr addr) const {
-  tm_.tree_probes.inc();
-  auto it = blocks_.upper_bound(addr);
-  if (it == blocks_.begin()) return nullptr;
-  --it;
-  const HeapBlock& b = it->second;
-  if (addr >= b.base && addr < b.base + b.size) return &b;
-  return nullptr;
-}
-
 HeapVarMap::Telemetry::Telemetry() {
   obs::Registry& reg = obs::Registry::global();
   mru_hits = reg.counter("varmap.lookups", {{"outcome", "mru_hit"}});

@@ -88,13 +88,6 @@ class HeapVarMap {
   /// The live block covering `addr`, if any.
   const HeapBlock* find(sim::Addr addr) const;
 
-  /// find() without touching the MRU ways: same result, tree probe only.
-  /// For concurrent classifiers (the epoch-sharded backend's workers
-  /// classify in parallel between barriers) — find()'s move-to-front
-  /// mutates the shared cache, which would race; the tree itself only
-  /// changes at quiescent points, so read-only probes are safe.
-  const HeapBlock* find_no_mru(sim::Addr addr) const;
-
   std::size_t size() const { return blocks_.size(); }
 
   /// Disabling flushes the cache; every find probes the tree (ablation

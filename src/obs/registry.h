@@ -8,9 +8,7 @@
 //    ordering). Each handle still owns a private cache-line-padded cell,
 //    so the RMW is uncontended unless a handle is deliberately shared;
 //    threads wanting a hot same-series counter should each create their
-//    own handle (snapshots sum across cells) — the profiler's deferred
-//    ingest goes further and tallies per-thread in plain memory, folding
-//    into its cells at quiescent points.
+//    own handle (snapshots sum across cells).
 //  * Gauge handles may be shared across threads: `add`/`set` use real
 //    atomic RMW (they sit on cold or per-batch paths, e.g. pipeline
 //    queue occupancy), and each cell tracks its high-water mark.

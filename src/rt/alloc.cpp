@@ -3,26 +3,12 @@
 #include <algorithm>
 #include <limits>
 #include <new>
-#include <stdexcept>
 
 namespace dcprof::rt {
 
 namespace {
 // Bookkeeping cost of one allocator call (free-list search etc.).
 constexpr std::uint64_t kAllocatorInstrs = 60;
-
-// The allocator moves page-table policy state (set_policy, release_range,
-// the interleave cursor) — shared, order-dependent structures the
-// epoch-sharded backend only mutates at its barriers. Workloads therefore
-// must not allocate inside a sharded parallel construct; they allocate in
-// setup() / Team::single() instead, where no defer sink is installed.
-void require_quiescent(const sim::Machine& machine) {
-  if (machine.deferring()) {
-    throw std::logic_error(
-        "rt::Allocator: allocation inside an epoch-sharded parallel "
-        "construct (allocate in setup or Team::single instead)");
-  }
-}
 }  // namespace
 
 sim::PlacementPolicy Allocator::resolve(AllocPolicy policy) const {
@@ -53,7 +39,6 @@ void Allocator::touch_pages(ThreadCtx& ctx, sim::Addr base,
 
 sim::Addr Allocator::malloc(ThreadCtx& ctx, std::uint64_t size, sim::Addr ip,
                             AllocPolicy policy, sim::NodeId node) {
-  require_quiescent(*machine_);
   ctx.compute(kAllocatorInstrs, ip);
   const sim::Addr base = machine_->aspace().heap_alloc(size);
   machine_->memory().page_table().set_policy(base, size, resolve(policy),
@@ -92,7 +77,6 @@ sim::Addr Allocator::realloc(ThreadCtx& ctx, sim::Addr old_addr,
 
 void Allocator::free(ThreadCtx& ctx, sim::Addr addr) {
   if (addr == 0) return;
-  require_quiescent(*machine_);
   ctx.compute(kAllocatorInstrs, 0);
   const auto size = machine_->aspace().block_size(addr);
   if (hooks_.on_free && size) hooks_.on_free(ctx, addr, *size);

@@ -10,9 +10,9 @@
 namespace dcprof::rt {
 
 Rank::Rank(Cluster& cluster, int rank, const sim::MachineConfig& cfg,
-           int threads, ExecConfig exec)
+           int threads)
     : cluster_(&cluster), rank_(rank), machine_(cfg),
-      team_(machine_, threads, exec), alloc_(machine_) {}
+      team_(machine_, threads), alloc_(machine_) {}
 
 int Rank::nranks() const { return cluster_->nranks(); }
 
@@ -60,7 +60,7 @@ void Cluster::Completion::operator()() noexcept {
 }
 
 Cluster::Cluster(int nranks, const sim::MachineConfig& cfg,
-                 int threads_per_rank, ExecConfig exec) {
+                 int threads_per_rank) {
   if (nranks <= 0) throw std::invalid_argument("cluster needs >= 1 rank");
   clock_slot_.assign(static_cast<std::size_t>(nranks), 0);
   value_slot_.assign(static_cast<std::size_t>(nranks), 0.0);
@@ -68,7 +68,7 @@ Cluster::Cluster(int nranks, const sim::MachineConfig& cfg,
       nranks, Completion{this});
   for (int r = 0; r < nranks; ++r) {
     ranks_.push_back(
-        std::make_unique<Rank>(*this, r, cfg, threads_per_rank, exec));
+        std::make_unique<Rank>(*this, r, cfg, threads_per_rank));
   }
 }
 

@@ -39,7 +39,7 @@ class Cluster;
 class Rank {
  public:
   Rank(Cluster& cluster, int rank, const sim::MachineConfig& cfg,
-       int threads, ExecConfig exec = {});
+       int threads);
 
   int id() const { return rank_; }
   int nranks() const;
@@ -69,10 +69,9 @@ class Rank {
 
 class Cluster {
  public:
-  /// `exec` selects each rank team's execution backend (ranks already run
-  /// on real host threads; this additionally threads the per-rank teams).
-  Cluster(int nranks, const sim::MachineConfig& cfg, int threads_per_rank,
-          ExecConfig exec = {});
+  /// Each rank gets its own machine and team; run() drives every rank on
+  /// its own host thread, which is the one host thread that machine sees.
+  Cluster(int nranks, const sim::MachineConfig& cfg, int threads_per_rank);
   ~Cluster();
 
   int nranks() const { return static_cast<int>(ranks_.size()); }

@@ -1,12 +1,9 @@
-// An OpenMP-like team of virtual threads. Parallel constructs execute
-// through a pluggable ExecBackend (rt/exec.h): the default deterministic
-// backend interleaves one chunk per thread per round on the calling host
-// thread — which is what lets the simulation reproduce shared-L3 and
-// DRAM-controller contention between worker threads — while the threaded
-// backend runs each team thread on a real std::thread, turn-serialized
-// into the identical global chunk order (so both backends produce
-// identical simulation results; the deterministic one is the threaded
-// one's verification twin).
+// An OpenMP-like team of virtual threads. Parallel constructs run on the
+// calling host thread in one deterministic round-robin schedule: one
+// chunk per thread per round, threads in tid order. That interleaving is
+// what lets the simulation reproduce shared-L3 and DRAM-controller
+// contention between worker threads, and because it is a pure function
+// of the construct, simulated cycles and profiles are bit-reproducible.
 #pragma once
 
 #include <cstdint>
@@ -14,34 +11,38 @@
 #include <type_traits>
 #include <vector>
 
-#include "rt/exec.h"
 #include "rt/thread.h"
 #include "sim/machine.h"
 
 namespace dcprof::rt {
 
+/// Non-owning type-erased loop body: `fn(obj, ctx, i)` runs iteration i.
+/// (A function-ref, not std::function — no allocation, the body outlives
+/// the call by construction.)
+struct ForBodyRef {
+  void* obj = nullptr;
+  void (*fn)(void*, ThreadCtx&, std::int64_t) = nullptr;
+  void operator()(ThreadCtx& ctx, std::int64_t i) const { fn(obj, ctx, i); }
+};
+
+/// Non-owning type-erased parallel-region body: `fn(obj, ctx)`.
+struct RegionBodyRef {
+  void* obj = nullptr;
+  void (*fn)(void*, ThreadCtx&) = nullptr;
+  void operator()(ThreadCtx& ctx) const { fn(obj, ctx); }
+};
+
 class Team {
  public:
   /// Creates `nthreads` virtual threads on `machine`, assigned to cores
   /// round-robin (SMT-style oversubscription allowed, as on POWER7).
-  /// `exec` picks the execution backend (deterministic by default).
-  Team(sim::Machine& machine, int nthreads, ExecConfig exec = {});
-  ~Team();
+  Team(sim::Machine& machine, int nthreads);
   Team(const Team&) = delete;
   Team& operator=(const Team&) = delete;
 
   int size() const { return static_cast<int>(threads_.size()); }
   ThreadCtx& thread(int t) { return *threads_[static_cast<std::size_t>(t)]; }
   ThreadCtx& master() { return *threads_[0]; }
-
-  const ExecConfig& exec_config() const { return exec_cfg_; }
-  /// True when team threads run on real host threads.
-  bool concurrent() const { return exec_->concurrent(); }
-
-  /// At most one observer (the profiler's deferred-ingest hooks); only
-  /// consulted by concurrent backends. Set before running constructs.
-  void set_exec_observer(ExecObserver* observer) { observer_ = observer; }
-  ExecObserver* exec_observer() const { return observer_; }
 
   /// Synchronizes all thread clocks to the team maximum (a barrier).
   void barrier();
@@ -61,7 +62,7 @@ class Team {
                    [](void* obj, ThreadCtx& ctx, std::int64_t i) {
                      (*static_cast<B*>(obj))(ctx, i);
                    }};
-    exec_->run_for(*this, begin, end, chunk, ref);
+    run_for(begin, end, chunk, ref);
   }
 
   /// Runs `body(ThreadCtx&)` once per thread (like an OpenMP parallel
@@ -74,34 +75,24 @@ class Team {
                       [](void* obj, ThreadCtx& ctx) {
                         (*static_cast<B*>(obj))(ctx);
                       }};
-    exec_->run_region(*this, ref);
+    run_region(ref);
   }
 
   /// Runs `body` on the master thread only (like `#pragma omp master`
-  /// followed by a barrier). An epoch boundary for deferred ingest: the
-  /// observer's quiescent hook fires so master-side samples flush.
+  /// followed by a barrier).
   template <typename Body>
   void single(Body&& body) {
     barrier();
     body(master());
-    quiesce();
     barrier();
   }
 
-  /// Fires the observer's quiescent hook when a concurrent backend is
-  /// active (workers are parked between constructs, so the calling
-  /// thread may flush every per-thread buffer). No-op otherwise.
-  void quiesce() {
-    if (observer_ != nullptr && exec_->concurrent()) {
-      observer_->on_quiescent(*this);
-    }
-  }
-
  private:
+  void run_for(std::int64_t begin, std::int64_t end, std::int64_t chunk,
+               ForBodyRef body);
+  void run_region(RegionBodyRef body);
+
   std::vector<std::unique_ptr<ThreadCtx>> threads_;
-  ExecConfig exec_cfg_;
-  std::unique_ptr<ExecBackend> exec_;
-  ExecObserver* observer_ = nullptr;
 };
 
 /// RAII frame pushed on *every* team thread: models workers executing an

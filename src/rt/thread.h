@@ -43,12 +43,8 @@ class ThreadCtx {
     machine_->compute(tid_, core_, instrs, ip, clock_);
   }
 
-  /// Shadow call stack of call-site IPs, outermost first. During a
-  /// stack replay (epoch resolution of a deferred access) this is the
-  /// snapshot taken at issue time, not the live stack.
-  std::span<const Addr> call_stack() const {
-    return replaying_ ? replay_ : std::span<const Addr>(stack_);
-  }
+  /// Shadow call stack of call-site IPs, outermost first.
+  std::span<const Addr> call_stack() const { return stack_; }
   void push_frame(Addr call_site_ip) { stack_.push_back(call_site_ip); }
   void pop_frame() {
     stack_.pop_back();
@@ -62,23 +58,10 @@ class ThreadCtx {
   /// in between — pushes alone never lower it). Calling it re-arms the
   /// watermark at the current depth.
   std::size_t take_stack_watermark() {
-    if (replaying_) return 0;  // snapshot stack: no memoizable prefix
     const std::size_t w = stack_low_water_;
     stack_low_water_ = stack_.size();
     return w;
   }
-
-  /// Epoch-sharded resolution: presents `frames` (the shadow stack
-  /// snapshotted when a deferred access issued) as this thread's call
-  /// stack while the resolver replays the access. The live stack and its
-  /// memoization watermark are untouched — take_stack_watermark() reports
-  /// 0 during a replay so nothing about the snapshot gets memoized.
-  void begin_stack_replay(std::span<const Addr> frames) {
-    replay_ = frames;
-    replaying_ = true;
-  }
-  void end_stack_replay() { replaying_ = false; }
-  bool stack_replay_active() const { return replaying_; }
 
   /// Reserves `bytes` of this thread's stack segment (a frame-local
   /// buffer); 64-byte aligned, bump-allocated, released with
@@ -102,8 +85,6 @@ class ThreadCtx {
   std::uint64_t stack_cursor_ = 0;
   std::size_t stack_low_water_ = 0;
   std::vector<Addr> stack_;
-  std::span<const Addr> replay_;
-  bool replaying_ = false;
 };
 
 /// RAII frame: constructing pushes a call site onto the shadow stack.

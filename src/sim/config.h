@@ -56,9 +56,6 @@ struct MachineConfig {
   int num_cores() const { return sockets * cores_per_socket; }
   int num_nodes() const { return sockets * numa_nodes_per_socket; }
   int socket_of(CoreId core) const { return core / cores_per_socket; }
-  /// Socket whose package hosts NUMA node `node` (its memory controller
-  /// is socket-private state in the epoch-sharded backend).
-  int socket_of_node(NodeId node) const { return node / numa_nodes_per_socket; }
   /// NUMA node directly attached to `core`.
   NodeId node_of(CoreId core) const {
     const int within = core % cores_per_socket;

@@ -2,32 +2,15 @@
 // publishes every executed instruction / memory access to an observer
 // (the PMU attaches here).
 //
-// Concurrency contract (the threaded rt backend): core-private state —
-// L1/L2/TLB/prefetcher and the per-core instruction/access shards below —
-// is safe for concurrent callers on *distinct* cores. Shared structures
-// (per-socket L3 content, DRAM controller queues, the first-touch page
-// table) are deliberately left unsynchronized: their *results* depend on
-// access order, so callers must serialize accesses into a deterministic
-// global order anyway (rt's turn token does this, with release/acquire
-// hand-off providing the happens-before chain). Shared telemetry counters
-// (LLC/DRAM level counts, DRAM queue totals) are atomic, so they stay
-// exact even across that hand-off.
-//
-// Epoch-sharded contract (rt's sharded backend): while a DeferSink is
-// installed, sockets run concurrently against socket-private state and
-// every access that would touch cross-socket shared state is routed to
-// the sink instead of being served; the backend replays the queued
-// accesses through resolve_deferred() at its epoch barriers, in one
-// canonical order, with every worker parked. Allocation (which moves
-// page-table policy state) is forbidden while a sink is installed —
-// rt::Allocator enforces this.
+// Concurrency contract: one host thread drives a Machine. Its results
+// (shared L3 content, DRAM controller queues, first-touch page homes)
+// depend on access order, and rt::Team issues every access in one
+// deterministic order on the calling thread, so nothing here is
+// synchronized. Host parallelism comes from running independent
+// machines: rt::Cluster gives each rank its own Machine and host thread.
 #pragma once
 
-#include <atomic>
-#include <cassert>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "sim/address_space.h"
 #include "sim/config.h"
@@ -47,15 +30,6 @@ class AccessObserver {
   /// identifies the code region (representative instruction pointer).
   virtual void on_compute(ThreadId tid, CoreId core, std::uint64_t instrs,
                           Addr ip, Cycles now) = 0;
-};
-
-/// Hook the epoch-sharded execution backend implements: receives every
-/// access whose DRAM resolution was postponed to an epoch barrier.
-/// Called on the issuing thread's host thread, mid-slice.
-class DeferSink {
- public:
-  virtual ~DeferSink() = default;
-  virtual void on_deferred(const DeferredAccess& d) = 0;
 };
 
 class Machine {
@@ -89,61 +63,17 @@ class Machine {
   void compute(ThreadId tid, CoreId core, std::uint64_t instrs, Addr ip,
                Cycles& clock);
 
-  /// Flips the machine into epoch-sharded mode (sink != nullptr): every
-  /// cross-socket access is routed to `sink` instead of being served, and
-  /// socket shards may call access() concurrently (distinct sockets
-  /// only). Install/remove at quiescent points — rt's sharded backend
-  /// brackets each parallel construct, with its dispatch handshake
-  /// providing the happens-before edge to the workers.
-  void set_defer_sink(DeferSink* sink) { defer_sink_ = sink; }
-  /// True while a shard construct is in flight (deferral active).
-  bool deferring() const { return defer_sink_ != nullptr; }
-
-  /// Replays one deferred access at an epoch barrier: resolves it in the
-  /// memory system (first-touch binding + controller queueing at the
-  /// access's *issue* time) and publishes the now-complete MemAccess to
-  /// the observer, stamped `at = issued_at`. Single-threaded canonical
-  /// order; all shard workers must be parked.
-  AccessResult resolve_deferred(const DeferredAccess& d);
-
-  /// Total retired instructions / memory accesses, summed over the
-  /// per-core shards.
-  ///
-  /// Quiescent-point contract: the per-core cells are written by
-  /// whichever host thread is driving that core, so the sum is *exact*
-  /// only at quiescent points (no parallel construct in flight — between
-  /// Team constructs, inside Team::single, after a run). Read mid-
-  /// construct the cells are individually torn-free (relaxed atomics, so
-  /// never UB) but the total is a racy snapshot that can mix per-core
-  /// values from different instants. The debug assertion below catches
-  /// the sharded-backend misuse (reads while an epoch construct is in
-  /// flight); the turn-token backend has no equivalent flag, so the
-  /// contract is documentation there.
-  std::uint64_t instructions_retired() const;
-  std::uint64_t memory_accesses() const;
+  /// Total retired instructions / memory accesses.
+  std::uint64_t instructions_retired() const { return instructions_; }
+  std::uint64_t memory_accesses() const { return mem_accesses_; }
 
  private:
-  /// Retirement counters sharded per core (cache-line padded) so
-  /// concurrent callers on distinct cores never contend or race. The
-  /// fields are single-writer relaxed atomics (load+add+store, not RMW):
-  /// free on the hot path, and cross-thread readers get values instead
-  /// of undefined behaviour — exactness is still only guaranteed at
-  /// quiescent points (see instructions_retired()).
-  struct alignas(64) CoreCounters {
-    std::atomic<std::uint64_t> instructions{0};
-    std::atomic<std::uint64_t> mem_accesses{0};
-  };
-  static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) {
-    c.store(c.load(std::memory_order_relaxed) + n,
-            std::memory_order_relaxed);
-  }
-
   MachineConfig cfg_;
   MemorySystem memory_;
   AddressSpace aspace_;
   AccessObserver* observer_ = nullptr;
-  DeferSink* defer_sink_ = nullptr;
-  std::vector<CoreCounters> counts_;  // per core
+  std::uint64_t instructions_ = 0;
+  std::uint64_t mem_accesses_ = 0;
 };
 
 }  // namespace dcprof::sim

@@ -157,63 +157,6 @@ AccessResult MemorySystem::access(CoreId core, Addr addr, bool is_store,
   return r;
 }
 
-AccessResult MemorySystem::access_sharded(CoreId core, Addr addr,
-                                          bool is_store, Cycles now,
-                                          DeferredAccess* out) {
-  AccessResult r;
-  // Overridden addresses always defer below: a placement override may
-  // redirect the fill to another socket's controller, so the only safe
-  // point to apply it is the barrier's canonical order. Normal runs
-  // (empty table) pay one branch here.
-  const OverrideEntry* ov =
-      overrides_.empty() ? nullptr : overrides_.lookup(addr);
-  const bool skip_tlb = ov != nullptr && ov->latency != LatencyOverride::kNone;
-  if (walk_caches(core, addr, is_store, r, skip_tlb)) return r;
-  // The prefetcher is core-private: consult it now, in issue order, so
-  // its training sequence is identical whether the fill resolves
-  // immediately or at the barrier.
-  const bool prefetched = consult_prefetcher(core, addr);
-  const NodeId toucher = cfg_.node_of(core);
-  // Read-only probe: no page may be bound mid-epoch (first touch is
-  // order-dependent shared state), so concurrent socket shards can all
-  // read the table safely.
-  const NodeId home = page_table_.node_of(addr);
-  const bool overridden = ov != nullptr;
-  if (!overridden && home != kNoNode &&
-      cfg_.socket_of_node(home) == cfg_.socket_of(core)) {
-    // The home controller belongs to this core's socket: socket-private
-    // during the epoch, serve immediately (remote_extra still applies if
-    // the socket spans multiple NUMA nodes).
-    finish_dram(addr, home, toucher, prefetched, now, r, nullptr);
-    return r;
-  }
-  // Cross-socket (or unhomed) fill: queue for the epoch barrier. No
-  // latency is charged at issue; resolve_deferred computes all of it
-  // (TLB walk included) so one clock bump per thread settles the epoch.
-  out->core = core;
-  out->addr = addr;
-  out->is_store = is_store;
-  out->tlb_miss = r.tlb_miss;
-  out->prefetched = prefetched;
-  out->first_touch = home == kNoNode;
-  out->issued_at = now;
-  r.latency = 0;
-  r.deferred = true;
-  return r;
-}
-
-AccessResult MemorySystem::resolve_deferred(const DeferredAccess& d) {
-  AccessResult r;
-  r.tlb_miss = d.tlb_miss;
-  if (d.tlb_miss) r.latency += cfg_.lat.tlb_walk;
-  const NodeId toucher = cfg_.node_of(d.core);
-  const OverrideEntry* ov =
-      overrides_.empty() ? nullptr : overrides_.lookup(d.addr);
-  const NodeId home = touch_page(d.addr, toucher, ov);
-  finish_dram(d.addr, home, toucher, d.prefetched, d.issued_at, r, ov);
-  return r;
-}
-
 MemLevelStats MemorySystem::stats() const {
   MemLevelStats s;
   s.l1_hits = tm_.l1.value();

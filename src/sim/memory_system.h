@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -32,19 +31,11 @@ class DramController {
  public:
   DramController(Cycles service, unsigned banks)
       : service_(service), banks_(banks) {}
-  /// Moves happen only during machine construction (vector growth),
-  /// before any concurrent access.
-  DramController(DramController&& o) noexcept
-      : service_(o.service_), banks_(o.banks_), backlog_(o.backlog_),
-        last_(o.last_),
-        accesses_(o.accesses_.load(std::memory_order_relaxed)),
-        total_wait_(o.total_wait_.load(std::memory_order_relaxed)) {}
 
   /// Serves one access issued at thread-local time `now`; returns the
   /// queueing delay it observes. Queue state (backlog/last) is shared
-  /// across the node's cores and order-dependent, so callers serialize
-  /// accesses (rt's turn token); the shared counters are atomic so
-  /// readers on other threads always see exact totals.
+  /// across the node's cores and order-dependent: callers present
+  /// accesses in the team's deterministic schedule order.
   Cycles serve(Cycles now) {
     if (now > last_) {
       const Cycles drained = (now - last_) * banks_;
@@ -53,17 +44,13 @@ class DramController {
     }
     const Cycles wait = backlog_ / banks_;
     backlog_ += service_;
-    accesses_.fetch_add(1, std::memory_order_relaxed);
-    total_wait_.fetch_add(wait, std::memory_order_relaxed);
+    ++accesses_;
+    total_wait_ += wait;
     return wait;
   }
 
-  std::uint64_t accesses() const {
-    return accesses_.load(std::memory_order_relaxed);
-  }
-  Cycles total_wait() const {
-    return total_wait_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t accesses() const { return accesses_; }
+  Cycles total_wait() const { return total_wait_; }
   Cycles backlog() const { return backlog_; }
 
  private:
@@ -71,8 +58,8 @@ class DramController {
   Cycles banks_;
   Cycles backlog_ = 0;  ///< queued work, in bank-cycles
   Cycles last_ = 0;     ///< latest access time seen
-  std::atomic<std::uint64_t> accesses_{0};
-  std::atomic<Cycles> total_wait_{0};
+  std::uint64_t accesses_ = 0;
+  Cycles total_wait_ = 0;
 };
 
 /// Per-core hardware stream prefetcher: tracks up to kStreams ascending
@@ -126,34 +113,12 @@ class MemorySystem {
   /// Resolves one access by `core` at thread-local time `now`.
   AccessResult access(CoreId core, Addr addr, bool is_store, Cycles now);
 
-  /// Epoch-sharded variant of access() (rt's sharded backend): the cache
-  /// walk, prefetcher consult, and *same-socket* DRAM fills resolve
-  /// immediately against socket-private state; an access whose page is
-  /// homed on another socket — or not homed at all (first touch must bind
-  /// in one global order) — returns `result.deferred == true` with `*out`
-  /// filled for later resolve_deferred(). Deferred accesses charge no
-  /// latency at issue; the full latency is computed at the barrier.
-  /// Concurrency: callers on cores of *distinct sockets* may overlap; the
-  /// page table is only read (no first touches happen mid-epoch).
-  AccessResult access_sharded(CoreId core, Addr addr, bool is_store,
-                              Cycles now, DeferredAccess* out);
-
-  /// Resolves one deferred access at an epoch barrier: binds the page
-  /// (first touch), pays the home DRAM controller at the access's issue
-  /// time, and returns the full AccessResult (TLB walk included, as the
-  /// immediate path charges it). Callers present accesses in canonical
-  /// (socket, thread, issue) order, single-threaded — that order *is*
-  /// the reproducible global order of shared state.
-  AccessResult resolve_deferred(const DeferredAccess& d);
-
   PageTable& page_table() { return page_table_; }
   const PageTable& page_table() const { return page_table_; }
 
   /// What-if override table (empty in normal runs). Entries patch the
   /// covered pages' placement at first touch and their DRAM cost at the
-  /// home lookup; see sim/override.h. Mutate at quiescent points only —
-  /// under the epoch-sharded backend every overridden access defers to
-  /// the barrier, so the table itself is read-only mid-epoch.
+  /// home lookup; see sim/override.h. Mutate at quiescent points only.
   OverrideMap& overrides() { return overrides_; }
   const OverrideMap& overrides() const { return overrides_; }
   MemLevelStats stats() const;
@@ -165,14 +130,14 @@ class MemorySystem {
   void flush_caches();
 
  private:
-  /// TLB + L1/L2/L3 walk shared by access() and access_sharded(); fills
-  /// caches on miss. Returns true when a cache satisfied the access (`r`
-  /// is complete); false when it falls through to DRAM (`r` carries the
-  /// TLB outcome and walk latency so far). With `skip_tlb` the TLB is
-  /// bypassed entirely — not consulted, not charged, not filled — used
-  /// for latency-overridden accesses, whose modeled fix shrinks the
-  /// variable's translation footprint to nothing (so other variables'
-  /// entries survive instead of being thrashed).
+  /// TLB + L1/L2/L3 walk; fills caches on miss. Returns true when a
+  /// cache satisfied the access (`r` is complete); false when it falls
+  /// through to DRAM (`r` carries the TLB outcome and walk latency so
+  /// far). With `skip_tlb` the TLB is bypassed entirely — not consulted,
+  /// not charged, not filled — used for latency-overridden accesses,
+  /// whose modeled fix shrinks the variable's translation footprint to
+  /// nothing (so other variables' entries survive instead of being
+  /// thrashed).
   bool walk_caches(CoreId core, Addr addr, bool is_store, AccessResult& r,
                    bool skip_tlb);
   /// Consults (and trains) `core`'s stream prefetcher for a DRAM fill of

@@ -39,31 +39,6 @@ struct AccessResult {
   bool prefetched = false; ///< DRAM fill hidden by the stream prefetcher
   NodeId home = kNoNode;   ///< NUMA node owning the page (DRAM fills only)
   Cycles queue_wait = 0;   ///< portion of latency spent waiting on a DRAM controller
-  /// Epoch-sharded execution only: the access missed every cache and its
-  /// DRAM resolution would touch cross-socket state, so it was queued for
-  /// the next epoch barrier. latency/level/home are provisional (zero /
-  /// unknown); the resolved result is delivered to the machine's observer
-  /// at the barrier.
-  bool deferred = false;
-};
-
-/// One cache-missing access whose DRAM resolution was postponed to an
-/// epoch barrier (rt's sharded backend). Everything order-sensitive that
-/// is *core- or socket-private* — TLB walk, cache fills, the prefetcher
-/// consult — already happened at issue time and is recorded here; the
-/// barrier replays only the shared part (first-touch page binding, DRAM
-/// controller queueing) in canonical (socket, thread, issue) order.
-struct DeferredAccess {
-  ThreadId tid = 0;
-  CoreId core = 0;
-  Addr ip = 0;
-  Addr addr = 0;
-  std::uint32_t size = 0;
-  bool is_store = false;
-  bool tlb_miss = false;    ///< TLB walked (and was charged) at issue
-  bool prefetched = false;  ///< prefetcher consult outcome at issue
-  bool first_touch = false; ///< page was unhomed when the access issued
-  Cycles issued_at = 0;     ///< issuing thread's clock at issue time
 };
 
 /// One fully-resolved memory access, as seen by observers (the PMU).

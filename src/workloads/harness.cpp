@@ -27,9 +27,9 @@ sim::MachineConfig rank_config() {
 }
 
 ProcessCtx::ProcessCtx(const sim::MachineConfig& cfg, int threads,
-                       const std::string& exe_name, rt::ExecConfig exec) {
+                       const std::string& exe_name) {
   owned_machine_ = std::make_unique<sim::Machine>(cfg);
-  owned_team_ = std::make_unique<rt::Team>(*owned_machine_, threads, exec);
+  owned_team_ = std::make_unique<rt::Team>(*owned_machine_, threads);
   owned_alloc_ = std::make_unique<rt::Allocator>(*owned_machine_);
   machine_ = owned_machine_.get();
   team_ = owned_team_.get();
@@ -45,12 +45,9 @@ ProcessCtx::ProcessCtx(rt::Rank& rank, const std::string& exe_name)
 }
 
 ProcessCtx::~ProcessCtx() {
-  // The machine/team may be borrowed from a longer-lived Rank; don't
-  // leave them pointing at the PMU/profiler dying with this process.
+  // The machine may be borrowed from a longer-lived Rank; don't leave it
+  // pointing at the PMU dying with this process.
   if (pmu_ && machine_->observer() == &*pmu_) machine_->set_observer(nullptr);
-  if (profiler_ && team_->exec_observer() == &*profiler_) {
-    team_->set_exec_observer(nullptr);
-  }
 }
 
 void ProcessCtx::enable_profiling(std::vector<pmu::PmuConfig> pmu_cfgs,
@@ -61,17 +58,6 @@ void ProcessCtx::enable_profiling(std::vector<pmu::PmuConfig> pmu_cfgs,
     profiler_.emplace(modules_, prof_cfg, rank_id);
     profiler_->attach_pmu(*pmu_);
     profiler_->attach_allocator(*alloc_);
-    if (team_->concurrent()) {
-      // Real threads: classify inside the turn, attribute on the owning
-      // thread after passing the token (see Profiler's class comment).
-      profiler_->enable_deferred_ingest();
-      team_->set_exec_observer(&*profiler_);
-      if (team_->exec_config().backend == rt::BackendKind::kSharded) {
-        // Epoch-sharded: classification overlaps across sockets with no
-        // turn at all, so heap lookups must skip the shared MRU cache.
-        profiler_->enable_concurrent_classification();
-      }
-    }
     profiler_->register_team(*team_);
   }
   machine_->set_observer(&*pmu_);
@@ -80,9 +66,6 @@ void ProcessCtx::enable_profiling(std::vector<pmu::PmuConfig> pmu_cfgs,
 std::vector<core::ThreadProfile> ProcessCtx::take_profiles() {
   if (!profiler_) throw std::logic_error("profiling was not enabled");
   machine_->set_observer(nullptr);
-  if (team_->exec_observer() == &*profiler_) {
-    team_->set_exec_observer(nullptr);
-  }
   return profiler_->take_profiles();
 }
 

@@ -38,12 +38,9 @@ sim::MachineConfig rank_config();
 /// or attached to a cluster Rank (borrows them).
 class ProcessCtx {
  public:
-  /// Standalone process. `exec` picks the execution backend for the
-  /// owned team (deterministic round-robin by default; `kThreaded` runs
-  /// workload threads on real cores and flips the profiler into
-  /// deferred-ingest mode when profiling is enabled).
+  /// Standalone process.
   ProcessCtx(const sim::MachineConfig& cfg, int threads,
-             const std::string& exe_name, rt::ExecConfig exec = {});
+             const std::string& exe_name);
   explicit ProcessCtx(rt::Rank& rank, const std::string& exe_name);
   ~ProcessCtx();
 

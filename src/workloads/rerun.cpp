@@ -132,7 +132,7 @@ WhatIfRun to_whatif_run(const RunResult& r, const OverrideInstaller& inst) {
 
 WhatIfRunner make_amg_whatif_runner(AmgParams prm, WhatIfRunConfig cfg) {
   return [prm, cfg](const WhatIfSpec& spec) {
-    ProcessCtx proc(node_config(), cfg.threads, "amg", cfg.exec);
+    ProcessCtx proc(node_config(), cfg.threads, "amg");
     OverrideInstaller inst(proc, spec);
     Amg w(proc, prm);
     inst.resolve_statics();
@@ -142,7 +142,7 @@ WhatIfRunner make_amg_whatif_runner(AmgParams prm, WhatIfRunConfig cfg) {
 
 WhatIfRunner make_lulesh_whatif_runner(LuleshParams prm, WhatIfRunConfig cfg) {
   return [prm, cfg](const WhatIfSpec& spec) {
-    ProcessCtx proc(node_config(), cfg.threads, "lulesh", cfg.exec);
+    ProcessCtx proc(node_config(), cfg.threads, "lulesh");
     OverrideInstaller inst(proc, spec);
     Lulesh w(proc, prm);
     inst.resolve_statics();
@@ -153,7 +153,7 @@ WhatIfRunner make_lulesh_whatif_runner(LuleshParams prm, WhatIfRunConfig cfg) {
 WhatIfRunner make_streamcluster_whatif_runner(StreamclusterParams prm,
                                               WhatIfRunConfig cfg) {
   return [prm, cfg](const WhatIfSpec& spec) {
-    ProcessCtx proc(node_config(), cfg.threads, "streamcluster", cfg.exec);
+    ProcessCtx proc(node_config(), cfg.threads, "streamcluster");
     OverrideInstaller inst(proc, spec);
     Streamcluster w(proc, prm);
     inst.resolve_statics();
@@ -163,7 +163,7 @@ WhatIfRunner make_streamcluster_whatif_runner(StreamclusterParams prm,
 
 WhatIfRunner make_nw_whatif_runner(NwParams prm, WhatIfRunConfig cfg) {
   return [prm, cfg](const WhatIfSpec& spec) {
-    ProcessCtx proc(node_config(), cfg.threads, "nw", cfg.exec);
+    ProcessCtx proc(node_config(), cfg.threads, "nw");
     OverrideInstaller inst(proc, spec);
     Nw w(proc, prm);
     inst.resolve_statics();

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "analysis/whatif.h"
-#include "rt/exec.h"
 #include "workloads/amg.h"
 #include "workloads/harness.h"
 #include "workloads/lulesh.h"
@@ -66,7 +65,6 @@ class OverrideInstaller {
 
 struct WhatIfRunConfig {
   int threads = 16;        ///< ignored by the sweep3d (per-rank) runner
-  rt::ExecConfig exec = {};
 };
 
 /// Parameterized runners (used by the validation bench and tests).

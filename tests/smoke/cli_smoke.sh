@@ -2,7 +2,9 @@
 # End-to-end CLI smoke test: dcprof_measure writes a measurement
 # directory, dcprof_analyze consumes it. Asserts exit codes, that the
 # measurement directory has profiles, and that --metrics-json wrote
-# non-empty JSON from both tools.
+# non-empty JSON from both tools. Also checks dcprof_measure's bad-input
+# paths: --threads 0 is a usage error (exit 2), and an out-dir it cannot
+# create fails with exit 1 before any simulation runs.
 #
 #   cli_smoke.sh <dcprof_measure> <dcprof_analyze>
 set -u
@@ -36,5 +38,20 @@ for json in "$tmpdir/measure-metrics.json" "$tmpdir/analyze-metrics.json"; do
   [ -s "$json" ] || fail "$(basename "$json") missing or empty"
   head -c1 "$json" | grep -q '{' || fail "$(basename "$json") is not JSON"
 done
+
+"$measure" streamcluster "$tmpdir/bad" --threads 0 \
+    > "$tmpdir/threads0.out" 2>&1
+rc=$?
+[ "$rc" -eq 2 ] || fail "--threads 0 exited $rc, expected usage error 2"
+
+"$measure" streamcluster /proc/x/y --threads 4 --period 256 \
+    > "$tmpdir/baddir.out" 2>&1
+rc=$?
+[ "$rc" -eq 1 ] || fail "unwritable out-dir exited $rc, expected 1"
+grep -q '^error: ' "$tmpdir/baddir.out" \
+    || fail "unwritable out-dir printed no error line"
+if grep -q 'simulated cycles' "$tmpdir/baddir.out"; then
+  fail "unwritable out-dir ran the workload before failing"
+fi
 
 echo "cli_smoke OK"

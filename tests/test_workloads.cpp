@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "analysis/views.h"
+#include "core/checksum.h"
 #include "workloads/amg.h"
 #include "workloads/lulesh.h"
 #include "workloads/nw.h"
@@ -305,6 +308,123 @@ TEST(Nw, ReferrenceAndItemsetsAreTheHotVariables) {
   std::set<std::string> top{vars[0].name, vars[1].name};
   EXPECT_TRUE(top.count("referrence"));
   EXPECT_TRUE(top.count("input_itemsets"));
+}
+
+// Pinned deterministic outputs: the reduced sizes and PMU configs of
+// verify::workload_differential, measured by the production profiler.
+// Any change to the simulated machine, the PMU, the schedule or the
+// profiler that moves a simulated cycle, a checksum bit or a profile
+// byte fails here. Update the literals only for an intended change.
+struct DetRun {
+  sim::Cycles cycles = 0;
+  double checksum = 0;
+  std::vector<std::uint32_t> profile_crcs;  ///< crc32c of each .dcpf
+};
+
+void add_profile_crcs(DetRun& out,
+                      const std::vector<core::ThreadProfile>& profiles) {
+  for (const auto& p : profiles) {
+    std::ostringstream ss;
+    p.write(ss);
+    out.profile_crcs.push_back(core::crc32c(ss.str()));
+  }
+}
+
+template <typename Workload, typename Params>
+DetRun det_run_single(const char* exe, int threads, const Params& prm,
+                      std::vector<pmu::PmuConfig> pmu_cfgs) {
+  ProcessCtx proc(node_config(), threads, exe);
+  Workload w(proc, prm);
+  proc.enable_profiling(std::move(pmu_cfgs));
+  const RunResult r = w.run();
+  DetRun out;
+  out.cycles = r.sim_cycles;
+  out.checksum = r.checksum;
+  add_profile_crcs(out, proc.take_profiles());
+  return out;
+}
+
+TEST(DetReference, Amg) {
+  const DetRun r =
+      det_run_single<Amg>("amg", 16, small_amg(), rmem_config(32));
+  EXPECT_EQ(r.cycles, 5773204u);
+  EXPECT_EQ(r.checksum, 1406124.4344802103);
+  EXPECT_EQ(r.profile_crcs,
+            (std::vector<std::uint32_t>{
+                2441082381u, 3729969354u, 1165283325u, 14903316u, 540678668u,
+                2078574897u, 890695407u, 3190339280u, 657035047u,
+                541396639u, 2873829493u, 4177765212u}));
+}
+
+TEST(DetReference, Lulesh) {
+  LuleshParams prm;
+  prm.nelem = 8'000;
+  prm.iters = 2;
+  const DetRun r = det_run_single<Lulesh>("lulesh", 8, prm, ibs_config(256));
+  EXPECT_EQ(r.cycles, 2237483u);
+  EXPECT_EQ(r.checksum, 10482.44696872965);
+  EXPECT_EQ(r.profile_crcs,
+            (std::vector<std::uint32_t>{
+                3189324769u, 4134731763u, 1527933081u, 170250465u, 448364785u,
+                1938104656u, 2414313538u, 622676695u}));
+}
+
+TEST(DetReference, Streamcluster) {
+  StreamclusterParams prm;
+  prm.npoints = 6'000;
+  prm.dim = 8;
+  prm.iters = 1;
+  const DetRun r =
+      det_run_single<Streamcluster>("sc", 8, prm, ibs_config(256));
+  EXPECT_EQ(r.cycles, 756760u);
+  EXPECT_EQ(r.checksum, 74712.43310344276);
+  EXPECT_EQ(r.profile_crcs,
+            (std::vector<std::uint32_t>{
+                1314961526u, 2466502902u, 85675852u, 3213652570u, 3488101069u,
+                145832552u, 2146144690u, 1035694919u}));
+}
+
+TEST(DetReference, Nw) {
+  NwParams prm;
+  prm.n = 400;
+  const DetRun r = det_run_single<Nw>("nw", 8, prm, ibs_config(256));
+  EXPECT_EQ(r.cycles, 4236562u);
+  EXPECT_EQ(r.checksum, 189.0);
+  EXPECT_EQ(r.profile_crcs,
+            (std::vector<std::uint32_t>{
+                2745033563u, 2285653794u, 2821174089u, 3120541512u,
+                1711440874u, 1619018950u, 3355413347u, 1162153146u}));
+}
+
+TEST(DetReference, Sweep3d) {
+  Sweep3dParams prm;
+  prm.ranks = 4;
+  prm.nx = 8;
+  prm.ny = 12;
+  prm.nz = 12;
+  const auto n = static_cast<std::size_t>(prm.ranks);
+  std::vector<RunResult> results(n);
+  std::vector<std::vector<core::ThreadProfile>> profiles(n);
+  rt::Cluster cluster(prm.ranks, rank_config(), /*threads_per_rank=*/1);
+  cluster.run([&](rt::Rank& rank) {
+    ProcessCtx proc(rank, "sweep3d");
+    proc.enable_profiling(ibs_config(256), {}, rank.id());
+    Sweep3dRank w(proc, prm, &rank);
+    const auto id = static_cast<std::size_t>(rank.id());
+    results[id] = w.run();
+    profiles[id] = proc.take_profiles();
+  });
+  DetRun r;
+  for (std::size_t i = 0; i < n; ++i) {
+    r.cycles = std::max(r.cycles, results[i].sim_cycles);
+    r.checksum += results[i].checksum;
+    add_profile_crcs(r, profiles[i]);
+  }
+  EXPECT_EQ(r.cycles, 21804230u);
+  EXPECT_EQ(r.checksum, 35395.051538031577);
+  EXPECT_EQ(r.profile_crcs,
+            (std::vector<std::uint32_t>{
+                457237120u, 759435882u, 2023410454u, 112708791u}));
 }
 
 }  // namespace

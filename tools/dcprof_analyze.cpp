@@ -48,7 +48,6 @@
 #include "core/profile.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
-#include "rt/exec.h"
 #include "workloads/rerun.h"
 
 using namespace dcprof;
@@ -93,7 +92,6 @@ int main(int argc, char** argv) {
   std::string whatif_workload;
   int whatif_top = 3;
   int whatif_threads = 16;
-  std::string whatif_backend = "det";
 
   cli::Parser p("dcprof_analyze",
                 "streams a measurement directory through the analysis "
@@ -133,8 +131,6 @@ int main(int argc, char** argv) {
            "candidate variables the what-if engine evaluates");
   p.option("--whatif-threads", &whatif_threads,
            "threads for what-if re-runs (match the measurement)");
-  p.option("--whatif-backend", &whatif_backend,
-           "execution backend for what-if re-runs", "det|threads|sockets");
   if (const auto rc = p.parse(argc, argv)) return *rc;
 
   analysis::Analyzer::Options opts;
@@ -176,10 +172,6 @@ int main(int argc, char** argv) {
       !wl::whatif_workload_known(whatif_workload)) {
     return p.error("unknown --whatif workload: " + whatif_workload +
                    " (expected " + wl::whatif_workload_names() + ")");
-  }
-  const auto whatif_bk = rt::parse_backend(whatif_backend);
-  if (!whatif_bk) {
-    return p.error("unknown --whatif-backend: " + whatif_backend);
   }
   if (whatif_top < 1) return p.error("--whatif-top must be >= 1");
   if (whatif_threads < 1) return p.error("--whatif-threads must be >= 1");
@@ -304,7 +296,6 @@ int main(int argc, char** argv) {
   if (!whatif_workload.empty()) {
     wl::WhatIfRunConfig run_cfg;
     run_cfg.threads = whatif_threads;
-    run_cfg.exec.backend = *whatif_bk;
     analysis::WhatIfOptions whatif_opts;
     whatif_opts.top_n = static_cast<std::size_t>(whatif_top);
     try {

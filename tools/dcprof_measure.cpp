@@ -5,27 +5,25 @@
 // Usage:
 //   dcprof_measure <amg|lulesh|streamcluster|nw|sweep3d> <out-dir>
 //                  [--event ibs|rmem] [--period N] [--threads N]
-//                  [--backend det|threads|sockets] [--throttle-budget N]
+//                  [--throttle-budget N]
 //                  [--metrics-json <file>] [--trace-out <file>]
 //
-// --backend picks the rt execution backend: `det` (default) runs the
-// team on the deterministic round-robin scheduler, `threads` runs it on
-// real std::threads with deferred sample ingest — same profiles, true
-// multicore sample handling; `sockets` additionally overlaps the
-// *simulation* across socket shards, resolving cross-socket accesses at
-// deterministic epoch barriers (profiles byte-identical to its serial
-// twin); --metrics-json enables the self-telemetry
-// registry, dumps its snapshot as JSON, and prints the Table-1-style
-// overhead report; --trace-out enables the runtime event tracer and
-// writes Chrome trace_event JSON (loadable in Perfetto /
-// chrome://tracing); --throttle-budget enables graceful degradation
-// under overload: when mean sample-handling latency exceeds N ns, the
-// sampling period is raised (recorded in the profiles so the analyzer
-// can rescale).
+// The out-dir is created before the workload runs, so an unwritable
+// destination fails fast (exit 1) instead of after the simulation;
+// usage errors (unknown workload or event, --threads < 1) exit 2.
+// --metrics-json enables the self-telemetry registry, dumps its
+// snapshot as JSON, and prints the Table-1-style overhead report;
+// --trace-out enables the runtime event tracer and writes Chrome
+// trace_event JSON (loadable in Perfetto / chrome://tracing);
+// --throttle-budget enables graceful degradation under overload: when
+// mean sample-handling latency exceeds N ns, the sampling period is
+// raised (recorded in the profiles so the analyzer can rescale).
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <string>
@@ -35,11 +33,11 @@
 #include "obs/registry.h"
 #include "obs/tracer.h"
 #include "rt/cluster.h"
-#include "rt/exec.h"
 #include "workloads/amg.h"
 #include "workloads/harness.h"
 #include "workloads/lulesh.h"
 #include "workloads/nw.h"
+#include "workloads/rerun.h"
 #include "workloads/streamcluster.h"
 #include "workloads/sweep3d.h"
 
@@ -77,37 +75,12 @@ void print_cache_stats(core::Profiler& prof) {
               pct(v.mru_hits, v.mru_misses));
 }
 
-/// End-of-run summary for the epoch-sharded backend, from the telemetry
-/// registry (the counters are unconditional, so no --metrics-json
-/// needed): how much simulation was overlapped and what it cost.
-void print_sharded_stats() {
-  const obs::Snapshot snap = obs::Registry::global().snapshot();
-  const std::uint64_t epochs = snap.value("rt.sharded.epochs");
-  const std::uint64_t remote = snap.value("rt.sharded.deferred{kind=remote}");
-  const std::uint64_t first =
-      snap.value("rt.sharded.deferred{kind=first_touch}");
-  const std::uint64_t cycles = snap.value("rt.sharded.deferred_cycles");
-  const std::uint64_t wait_ns = snap.value("rt.sharded.barrier_wait_ns");
-  std::printf("epoch-sharded: %llu epochs, %llu deferred accesses "
-              "(%llu remote, %llu first-touch), %llu deferred cycles, "
-              "%.2f ms barrier stall\n",
-              static_cast<unsigned long long>(epochs),
-              static_cast<unsigned long long>(remote + first),
-              static_cast<unsigned long long>(remote),
-              static_cast<unsigned long long>(first),
-              static_cast<unsigned long long>(cycles),
-              static_cast<double>(wait_ns) / 1e6);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int measure(int argc, char** argv) {
   std::string workload;
   std::string dir;
   std::string event = "ibs";
   std::uint64_t period = 0;
   int threads = 16;
-  std::string backend = "det";
   core::ProfilerConfig prof_cfg;
   std::string metrics_json;
   std::string trace_out;
@@ -120,11 +93,6 @@ int main(int argc, char** argv) {
   p.option("--event", &event, "sampled PMU event", "ibs|rmem");
   p.option("--period", &period, "sampling period (0 = event default)");
   p.option("--threads", &threads, "team size for threaded workloads");
-  p.option("--backend", &backend,
-           "execution backend: deterministic round-robin, true multicore "
-           "(std::thread + deferred sample ingest), or epoch-sharded "
-           "sockets (simulation overlapped across socket shards)",
-           "det|threads|sockets");
   p.option("--throttle-budget", &prof_cfg.throttle.budget_ns,
            "mean ns/sample budget for overload degradation (0 = off)");
   p.option("--metrics-json", &metrics_json,
@@ -132,11 +100,19 @@ int main(int argc, char** argv) {
   p.option("--trace-out", &trace_out,
            "enable event tracing; write Chrome trace JSON here", "FILE");
   if (const auto rc = p.parse(argc, argv)) return *rc;
-
-  const auto backend_kind = rt::parse_backend(backend);
-  if (!backend_kind) return p.error("unknown backend: " + backend);
-  rt::ExecConfig exec;
-  exec.backend = *backend_kind;
+  if (threads < 1) return p.error("--threads must be >= 1");
+  if (!wl::whatif_workload_known(workload)) {
+    return p.error("unknown workload: " + workload);
+  }
+  std::vector<pmu::PmuConfig> pmu_cfg;
+  if (event == "ibs") {
+    pmu_cfg = wl::ibs_config(period != 0 ? period : 1024);
+  } else if (event == "rmem") {
+    pmu_cfg = wl::rmem_config(period != 0 ? period : 64);
+  } else {
+    return p.error("unknown event: " + event);
+  }
+  std::filesystem::create_directories(dir);
 
   if (!metrics_json.empty()) obs::set_metrics_enabled(true);
   if (!trace_out.empty()) obs::Tracer::set_enabled(true);
@@ -173,19 +149,11 @@ int main(int argc, char** argv) {
     }
     return 0;
   };
-  std::vector<pmu::PmuConfig> pmu_cfg;
-  if (event == "ibs") {
-    pmu_cfg = wl::ibs_config(period != 0 ? period : 1024);
-  } else if (event == "rmem") {
-    pmu_cfg = wl::rmem_config(period != 0 ? period : 64);
-  } else {
-    return p.error("unknown event: " + event);
-  }
 
   // Sweep3D is pure MPI: run the cluster, each rank writing its own
   // per-thread profiles (plus the shared structure file) into the dir.
   if (workload == "sweep3d") {
-    rt::Cluster cluster(8, wl::rank_config(), 1, exec);
+    rt::Cluster cluster(8, wl::rank_config(), 1);
     wl::Sweep3dParams prm;
     std::mutex mu;
     std::uint64_t bytes = 0;
@@ -233,13 +201,12 @@ int main(int argc, char** argv) {
                     cluster_var_stats.mru_misses),
                 pct(cluster_var_stats.mru_hits,
                     cluster_var_stats.mru_misses));
-    if (exec.backend == rt::BackendKind::kSharded) print_sharded_stats();
     std::printf("analyze with: dcprof_analyze %s --metric %s\n",
                 dir.c_str(), event == "ibs" ? "latency" : "rdram");
     return dump_telemetry("sweep3d");
   }
 
-  wl::ProcessCtx proc(wl::node_config(), threads, workload, exec);
+  wl::ProcessCtx proc(wl::node_config(), threads, workload);
   wl::RunResult result;
   if (workload == "amg") {
     wl::Amg w(proc, wl::AmgParams{});
@@ -253,16 +220,13 @@ int main(int argc, char** argv) {
     wl::Streamcluster w(proc, wl::StreamclusterParams{});
     proc.enable_profiling(pmu_cfg, prof_cfg);
     result = w.run();
-  } else if (workload == "nw") {
+  } else {  // nw
     wl::Nw w(proc, wl::NwParams{});
     proc.enable_profiling(pmu_cfg, prof_cfg);
     result = w.run();
-  } else {
-    return p.error("unknown workload: " + workload);
   }
 
   print_cache_stats(*proc.profiler());
-  if (exec.backend == rt::BackendKind::kSharded) print_sharded_stats();
   const std::uint64_t bytes = proc.write_measurements(dir);
   std::printf("%s: %llu simulated cycles, checksum %.6g\n",
               workload.c_str(),
@@ -273,4 +237,15 @@ int main(int argc, char** argv) {
   std::printf("analyze with: dcprof_analyze %s --metric %s --advice\n",
               dir.c_str(), event == "ibs" ? "latency" : "rdram");
   return dump_telemetry(workload);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return measure(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

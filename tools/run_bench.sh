@@ -1,12 +1,6 @@
 #!/usr/bin/env bash
 # Builds the Release tree and runs the profiler micro benchmarks:
 #   BENCH_hotpath.json  attribution-hot-path trajectory (micro_profiler)
-#   BENCH_scale.json    multicore sample-handling scaling (scale_threads),
-#                       with a >= 3x aggregate-throughput gate at 8
-#                       producer threads vs. 1, plus the end-to-end
-#                       measurement wall-clock series per execution
-#                       backend (det / threads / sockets) with a >= 2x
-#                       sockets-vs-threads gate on hosts with >= 4 cores
 #   BENCH_ingest.json   fleet-scale continuous ingestion (dcprof_ingestd
 #                       over a 10k-shard synthetic corpus): sustained
 #                       shards/sec, peak RSS, and the ingest-vs-batch
@@ -14,8 +8,10 @@
 #                       must not lose to the batch analyzer) with a
 #                       bounded-RSS sanity gate
 # (google-benchmark JSON, except BENCH_ingest.json which dcprof_ingestd
-# emits itself). Run from anywhere; paths resolve from the script's own
-# location. Usage:
+# emits itself). End-to-end wall time of the CLI workflow (measure,
+# analyze, what-if, ingest) is perfbench's job: `measure_s` and friends
+# in perfbench/run.py, not these micro benchmarks. Run from anywhere;
+# paths resolve from the script's own location. Usage:
 #
 #   tools/run_bench.sh [benchmark-filter]
 #
@@ -27,11 +23,10 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="$repo/build-release"
 filter="${1-BM_Attribute|BM_Cct|BM_HeapMap|BM_SampleHandler}"
 out="$repo/BENCH_hotpath.json"
-scale_out="$repo/BENCH_scale.json"
 ingest_out="$repo/BENCH_ingest.json"
 
 cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$build" -j --target micro_profiler scale_threads dcprof_ingestd
+cmake --build "$build" -j --target micro_profiler dcprof_ingestd
 
 # Random interleaving shuffles the repetitions of the repeated
 # benchmarks (the pattern-cost pair) across the run so the on/off
@@ -45,69 +40,6 @@ cmake --build "$build" -j --target micro_profiler scale_threads dcprof_ingestd
 echo
 echo "wrote $out"
 echo "baseline (pre-optimization) numbers: bench/BENCH_hotpath_baseline.json"
-
-# Multicore scaling suite: aggregate sample-handling throughput of the
-# deferred-ingest path at 1/2/4/8 producer threads. The gate is the
-# machine-independent agg_samples_per_sec counter (sum of per-thread
-# handling rates over each thread's own CPU time): 8 producers must
-# deliver >= 3x the single-producer aggregate, i.e. the lock-free
-# handoff must not serialize sample handling.
-"$build/bench/scale_threads" \
-    --benchmark_out="$scale_out" \
-    --benchmark_out_format=json
-
-echo
-echo "wrote $scale_out"
-
-python3 - "$scale_out" <<'EOF'
-import json, sys
-
-doc = json.load(open(sys.argv[1]))
-rates = {b["name"]: b["agg_samples_per_sec"]
-         for b in doc.get("benchmarks", [])
-         if "agg_samples_per_sec" in b}
-one = rates.get("BM_ScaleThreads/threads:1/real_time")
-eight = rates.get("BM_ScaleThreads/threads:8/real_time")
-if not one or not eight:
-    sys.exit("scale check: BM_ScaleThreads results missing from JSON")
-ratio = eight / one
-verdict = "OK" if ratio >= 3.0 else "REGRESSION"
-print(f"scale check: aggregate sample-handling throughput "
-      f"{one:.3g}/s @1 thread -> {eight:.3g}/s @8 threads "
-      f"({ratio:.2f}x, gate 3.00x) -> {verdict}")
-sys.exit(0 if verdict == "OK" else 1)
-EOF
-
-# Epoch-sharded speedup gate: the sockets backend overlaps the simulation
-# itself across the 4 simulated sockets, so the end-to-end measurement
-# wall clock must be <= half the turn-serialized threads backend's. The
-# speedup is physical parallelism, so the gate only means something when
-# the host actually grants >= 4 cores; below that it is reported and
-# skipped (the byte-identity gates in tests/test_multicore.cpp still run
-# everywhere).
-python3 - "$scale_out" <<'EOF'
-import json, os, sys
-
-doc = json.load(open(sys.argv[1]))
-walls = {b["name"]: b["real_time"] for b in doc.get("benchmarks", [])
-         if b.get("run_type") == "iteration"}
-threads = walls.get("BM_MeasureWall/backend:1/real_time")
-sockets = walls.get("BM_MeasureWall/backend:2/real_time")
-if threads is None or sockets is None:
-    sys.exit("sharded check: BM_MeasureWall results missing from JSON")
-ratio = threads / sockets
-cores = os.cpu_count() or 1
-msg = (f"sharded check: end-to-end measurement wall clock "
-       f"{threads:.1f} ms (threads) vs {sockets:.1f} ms (sockets), "
-       f"{ratio:.2f}x speedup (gate 2.00x at 4 simulated sockets)")
-if cores < 4:
-    print(f"{msg} -> SKIPPED (host has {cores} core(s); the gate needs "
-          f">= 4 to express the socket overlap)")
-    sys.exit(0)
-verdict = "OK" if ratio >= 2.0 else "REGRESSION"
-print(f"{msg} -> {verdict}")
-sys.exit(0 if verdict == "OK" else 1)
-EOF
 
 # Telemetry-cost guard: with telemetry disabled (the default), the sample
 # handler must stay within 1% (plus a 1 ns clock-granularity floor) of
