@@ -47,8 +47,7 @@ int main() {
   std::uint64_t bytes = 0;
   for (const auto& blob : serialized) {
     bytes += blob.size();
-    std::istringstream in(blob);
-    profiles.push_back(core::ThreadProfile::read(in));
+    profiles.push_back(core::ThreadProfile::read(blob));
   }
   core::ThreadProfile global = analysis::reduce(std::move(profiles));
 

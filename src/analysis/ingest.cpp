@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/merge.h"
 #include "core/checksum.h"
 #include "core/mapped_file.h"
 #include "core/measurement.h"
@@ -240,82 +239,52 @@ std::size_t IngestService::poll_once() {
 }
 
 bool IngestService::ingest_file(const fs::path& dir, const fs::path& file) {
-  std::string err;
-  // Same contract as the batch analyzer's stream stage: one re-map
-  // before a shard is declared corrupt, so a transient I/O error is
-  // distinguished from real corruption.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    try {
-      core::MappedFile map(file);
-      const std::string_view bytes = map.bytes();
-      // A single CRC32C pass over the mapped bytes rules out every torn
-      // or bit-flipped shard (the only failure modes atomic-rename
-      // publication leaves possible) without a structural parse — this
-      // one-checksum-then-one-decode shape is why the daemon out-runs
-      // the batch analyzer's stream stage, which pays a validation scan
-      // *plus* a merging scan per shard.
-      if (std::string framing = core::ThreadProfile::check_framing(bytes);
-          !framing.empty()) {
-        throw std::runtime_error(std::move(framing));
-      }
-      if (attempt > 0) ++stats_.transient_retries;
-      try {
-        // The exact fold sequence of the Analyzer's stream stage: first
-        // shard materialized via read(), every later one folded with
-        // merge_serialized straight off the mapping — so the aggregate
-        // matches a one-shot batch run bit for bit.
-        if (!merged_) {
-          merged_ = core::ThreadProfile::read(bytes);
-        } else {
-          merge_serialized(*merged_, bytes);
-        }
-      } catch (const std::exception& e) {
-        // Checksum-intact but structurally malformed (a buggy writer,
-        // not a torn write) — and possibly detected mid-merge, after
-        // part of the shard already reached the aggregate. Roll back to
-        // the last durable checkpoint; the clean shards of this batch
-        // are still on disk and re-fold on the next poll. No re-map:
-        // the bytes are durable and durably bad.
-        err = e.what();
-        rollback_to_checkpoint();
-        rolled_back_ = true;
-        break;
-      }
+  ShardFold r;
+  try {
+    r = fold_shard(dir, file, merged_, opts_.corrupt_policy,
+                   /*salvage=*/false);
+  } catch (...) {
+    // kStrict: the shard may have died part-way through its merge.
+    // Leave the service at its last durable state, as a restart would.
+    rollback_to_checkpoint();
+    throw;
+  }
+  if (r.retried) ++stats_.transient_retries;
+  switch (r.outcome) {
+    case FoldOutcome::kFolded: {
       manifest_.insert(file.string());
       ++stats_.files;
-      stats_.bytes += bytes.size();
+      stats_.bytes += r.bytes;
       ctr_files_.inc();
-      ctr_bytes_.add(bytes.size());
+      ctr_bytes_.add(r.bytes);
       const std::uint64_t now = now_ns();
       if (first_fold_ns_ == 0) first_fold_ns_ = now;
       last_fold_ns_ = now;
       return true;
-    } catch (const std::exception& e) {
-      std::error_code ec;
-      if (!fs::exists(file, ec)) return false;  // claimed/cleaned: benign
-      err = e.what();
     }
+    case FoldOutcome::kVanished:
+      return false;  // claimed or cleaned up by someone else: benign
+    case FoldOutcome::kPoisoned:
+      // Part of the shard reached the aggregate. Roll back to the last
+      // durable checkpoint — the crash-recovery path; the clean shards
+      // of this batch are still on disk and re-fold on the next poll.
+      rollback_to_checkpoint();
+      rolled_back_ = true;
+      break;
+    case FoldOutcome::kSalvaged:
+    case FoldOutcome::kSkipped:
+      break;
   }
-  switch (opts_.corrupt_policy) {
-    case CorruptPolicy::kStrict:
-      throw std::runtime_error(file.string() + ": " + err);
-    case CorruptPolicy::kQuarantine:
-      try {
-        core::quarantine_profile_file(dir, file);
-        ++stats_.quarantined;
-      } catch (const std::exception&) {
-        // The file vanished (or the move failed); fall back to skipping
-        // so one stubborn shard cannot wedge the poll loop.
-        skipped_.insert(file.string());
-      }
-      break;
-    case CorruptPolicy::kSkip:
-      skipped_.insert(file.string());
-      break;
+  // Skipped for good: a quarantined shard left the directory; any other
+  // is remembered so no later poll retries it.
+  if (r.quarantined_to.empty()) {
+    skipped_.insert(file.string());
+  } else {
+    ++stats_.quarantined;
   }
   ++stats_.skipped;
   ctr_skipped_.inc();
-  note_skip(file, err);
+  note_skip(file, r.error);
   return false;
 }
 

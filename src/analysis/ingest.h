@@ -5,23 +5,20 @@
 //
 //   poll       list each watched dir (list_profile_files order), skip
 //              shards already in the manifest
-//   validate   framing + CRC32C check over the mmap'd bytes
-//              (core::MappedFile; zero heap copy of the file), with the
-//              analyzer's one re-map retry to rule out transient I/O
-//              errors — one checksum pass instead of the batch
-//              analyzer's full validation parse, which is what lets the
-//              daemon out-run it
-//   fold       merge_serialized over the same mapped view — the exact
-//              operation sequence of the Analyzer's stream stage, so the
-//              aggregate is byte-identical to a one-shot Analyzer::run
-//              over the same shards (when shards arrive in listed order;
-//              out-of-order arrivals yield a canonically-equal aggregate
-//              that differs only in CCT node numbering). A shard whose
-//              checksum is intact but whose structure is malformed (a
-//              buggy writer, not a torn write) can throw mid-merge; the
-//              service then rolls the aggregate back to the last durable
-//              checkpoint and re-folds — exactly the crash-recovery
-//              path, reused as the poison-shard antidote
+//   fold       fold_shard (analysis/pipeline.h) — the Analyzer's own
+//              per-file fold: mmap (core::MappedFile; zero heap copy of
+//              the file), one CRC32C framing check with one re-map
+//              retry, then merge_serialized straight off the mapping —
+//              so the aggregate is byte-identical to a one-shot
+//              Analyzer::run over the same shards (when shards arrive in
+//              listed order; out-of-order arrivals yield a
+//              canonically-equal aggregate that differs only in CCT node
+//              numbering). A shard whose checksum is intact but whose
+//              structure is malformed (a buggy writer, not a torn write)
+//              can throw mid-merge; the service then rolls the aggregate
+//              back to the last durable checkpoint and re-folds —
+//              exactly the crash-recovery path, reused as the
+//              poison-shard antidote
 //   checkpoint every `checkpoint_every` folds, serialize {counters,
 //              ingested-file manifest, merged profile} through
 //              write_file_atomic with the `.dcpf`-style CRC32C footer
@@ -63,9 +60,11 @@ struct IngestOptions {
   /// listed). Lets callers interleave ingestion with other work and
   /// tests kill the service at precise points.
   std::size_t max_files_per_poll = 0;
-  /// What to do with a shard that fails validation twice. kStrict
-  /// throws out of poll_once; kSkip remembers the file and never
-  /// retries it; kQuarantine also moves it to <dir>/quarantine/.
+  /// What to do with a shard that fails validation twice (or poisons a
+  /// merge). kStrict throws out of poll_once; kSkip remembers the file
+  /// and never retries it; kQuarantine also moves it to
+  /// <dir>/quarantine/. Shards that vanish before they are mapped are
+  /// ignored under every policy.
   CorruptPolicy corrupt_policy = CorruptPolicy::kSkip;
   /// Move durably-checkpointed shards into <dir>/ingested/. Disable to
   /// leave the measurement directory untouched (the manifest then grows
@@ -107,8 +106,8 @@ class IngestService {
   /// One scan-and-ingest pass over the watched directories. Returns the
   /// number of shards folded (0 = nothing new; the caller's cue to
   /// sleep). Writes automatic checkpoints per Options::checkpoint_every.
-  /// Throws only under CorruptPolicy::kStrict or on I/O errors that are
-  /// not benign races (vanished files are skipped silently).
+  /// Throws only under CorruptPolicy::kStrict, after rolling the service
+  /// back to its last checkpoint (vanished files are skipped silently).
   std::size_t poll_once();
 
   /// Writes a checkpoint now (atomic + CRC32C-framed), then claims the
@@ -134,7 +133,8 @@ class IngestService {
   /// checkpoint (or fresh state if none): the recovery move shared by
   /// process restart and a mid-merge poison shard.
   void rollback_to_checkpoint();
-  /// Returns true when the shard was folded (vs skipped/quarantined).
+  /// Folds one shard through fold_shard and records the outcome; returns
+  /// true when the shard was folded (vs skipped/quarantined/vanished).
   bool ingest_file(const std::filesystem::path& dir,
                    const std::filesystem::path& file);
   void note_skip(const std::filesystem::path& file, const std::string& why);

@@ -41,19 +41,25 @@ void merge_into(ThreadProfile& dst, const ThreadProfile& src) {
 
 namespace {
 
-/// Replays the exact operation sequence of merge_into(dst, read(in)) —
-/// same child() insert order, same string-intern order, same rank/tid
-/// aggregation — straight off the serialized stream.
+/// Replays the exact operation sequence of merge_into(dst, read(bytes))
+/// — same child() insert order, same string-intern order, same rank/tid
+/// aggregation — straight off the serialized bytes.
 class StreamMerger final : public core::ProfileVisitor {
  public:
   explicit StreamMerger(ThreadProfile& dst) : dst_(dst) {}
 
-  void on_header(std::int32_t rank, std::int32_t tid) override {
-    if (dst_.rank != rank) dst_.rank = -1;
-    dst_.tid = -1;
-    (void)tid;
+  void on_framing(const core::ProfileFraming& f) override {
+    summary_.sampling_period = f.sampling_period;
+    summary_.effective_period = f.effective_period;
   }
-  void on_string(const std::string& s) override { strings_.push_back(s); }
+  void on_header(std::int32_t rank, std::int32_t tid) override {
+    summary_.rank = rank;
+    summary_.tid = tid;
+  }
+  void on_string(const std::string& s) override {
+    aggregate_ids();
+    strings_.push_back(s);
+  }
   void on_cct_begin(std::size_t class_index, std::uint32_t) override {
     class_ = class_index;
     remap_.clear();
@@ -61,8 +67,9 @@ class StreamMerger final : public core::ProfileVisitor {
   void on_node(std::size_t, NodeKind kind, std::uint64_t sym,
                std::uint32_t parent, const core::MetricVec& m) override {
     Cct& cct = dst_.ccts[class_];
-    total_ += m;
+    summary_.total += m;
     if (remap_.empty()) {  // the source CCT's root
+      aggregate_ids();
       remap_.push_back(Cct::kRootId);
       cct.add_metrics(Cct::kRootId, m);
       return;
@@ -83,28 +90,33 @@ class StreamMerger final : public core::ProfileVisitor {
     dst_.patterns.add(cls, id, p);
   }
 
-  const core::MetricVec& total() const { return total_; }
+  const ProfileSummary& summary() const { return summary_; }
 
  private:
+  /// merge_into's rank/tid aggregation. Applied with the records (every
+  /// string and every CCT root; idempotent) rather than with the header,
+  /// so a merge that fails before its first record leaves `dst` exactly
+  /// as untouched as a salvage that kept nothing.
+  void aggregate_ids() {
+    if (dst_.rank != summary_.rank) dst_.rank = -1;
+    dst_.tid = -1;
+  }
+
   ThreadProfile& dst_;
   std::vector<std::string> strings_;
   std::vector<Cct::NodeId> remap_;
   std::size_t class_ = 0;
-  core::MetricVec total_;
+  ProfileSummary summary_;
 };
 
 }  // namespace
 
-core::MetricVec merge_serialized(ThreadProfile& dst, std::istream& in) {
+ProfileSummary merge_serialized(ThreadProfile& dst, std::string_view bytes) {
   StreamMerger merger(dst);
-  ThreadProfile::scan(in, merger);
-  return merger.total();
-}
-
-core::MetricVec merge_serialized(ThreadProfile& dst, std::string_view bytes) {
-  StreamMerger merger(dst);
-  ThreadProfile::scan(bytes, merger);
-  return merger.total();
+  if (ThreadProfile::scan(bytes, merger) != bytes.size()) {
+    throw std::runtime_error("trailing bytes after profile data");
+  }
+  return merger.summary();
 }
 
 ThreadProfile reduce(std::vector<ThreadProfile> profiles) {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string_view>
 #include <vector>
 
@@ -17,23 +16,32 @@ namespace dcprof::analysis {
 /// Merges `src` into `dst` (all four storage-class CCTs).
 void merge_into(core::ThreadProfile& dst, const core::ThreadProfile& src);
 
-/// Streaming merge: parses one serialized profile from `in` and merges
-/// it into `dst` node-by-node, never materializing the source profile —
-/// the memory-bounded building block of the analysis pipeline. The
-/// result is byte-identical to `merge_into(dst, ThreadProfile::read(in))`.
-/// Throws std::runtime_error on corrupt input; `dst` may then be
-/// partially updated, so validate untrusted input first (one scan with a
-/// no-op visitor) or discard `dst` on failure. Returns the source
-/// profile's per-node metric total (the thread_table row value).
-core::MetricVec merge_serialized(core::ThreadProfile& dst, std::istream& in);
+/// What the thread and throttle views report per source profile: its
+/// header fields and its per-node metric total.
+struct ProfileSummary {
+  std::int32_t rank = 0;
+  std::int32_t tid = 0;
+  std::uint64_t sampling_period = 0;
+  std::uint64_t effective_period = 0;
+  core::MetricVec total;  ///< sum of every node's metrics
+};
 
-/// Zero-copy variant over an in-memory serialized profile (an mmap'd
-/// `.dcpf` via core::MappedFile) — identical merge-operation sequence to
-/// the istream overload, so the two produce byte-identical results; the
-/// ingestion daemon's per-shard fold. The same validate-first caveat
-/// applies: `dst` may be partially updated if `bytes` is corrupt.
-core::MetricVec merge_serialized(core::ThreadProfile& dst,
-                                 std::string_view bytes);
+/// Streaming merge: parses one serialized profile spanning exactly
+/// `bytes` (an mmap'd `.dcpf` via core::MappedFile) and merges it into
+/// `dst` node-by-node, never materializing the source profile — the
+/// memory-bounded fold behind both the Analyzer and the ingestion
+/// daemon. The result is byte-identical to
+/// `merge_into(dst, ThreadProfile::read(bytes))`.
+///
+/// Throws std::runtime_error on corrupt input (trailing bytes included).
+/// A merge that throws has folded exactly the records parsed before the
+/// error: `dst` ends as `merge_into(dst, ThreadProfile::read_salvage(
+/// bytes))` would leave it when that salvage kept at least one record,
+/// and untouched when it kept none (the fuzzer checks this). So a
+/// failed merge is the salvage-mode fold; any other caller must discard
+/// `dst` (see fold_shard).
+ProfileSummary merge_serialized(core::ThreadProfile& dst,
+                                std::string_view bytes);
 
 /// Reduces a set of per-thread/per-rank profiles to one aggregate profile
 /// via pairwise reduction-tree rounds. Consumes the input.

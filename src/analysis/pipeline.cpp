@@ -4,14 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "analysis/merge.h"
+#include "core/mapped_file.h"
 #include "core/measurement.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
@@ -31,61 +30,11 @@ std::uint64_t us_of(double ms) {
   return ms > 0 ? static_cast<std::uint64_t>(ms * 1000.0) : 0;
 }
 
-std::string read_file_bytes(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path.string());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
-}
-
-/// First pass over a file's bytes: full format validation (so the
-/// streaming merge below cannot fail half-way through mutating a
-/// partial) plus the header and metric totals for the thread table.
-class ValidatingVisitor final : public core::ProfileVisitor {
- public:
-  void on_framing(const core::ProfileFraming& f) override { framing_ = f; }
-  void on_header(std::int32_t rank, std::int32_t tid) override {
-    rank_ = rank;
-    tid_ = tid;
-  }
-  void on_node(std::size_t, core::NodeKind, std::uint64_t, std::uint32_t,
-               const core::MetricVec& m) override {
-    total_ += m;
-  }
-
-  ThreadRow row() const {
-    ThreadRow r;
-    r.rank = rank_;
-    r.tid = tid_;
-    r.metrics = total_;
-    return r;
-  }
-
-  const core::ProfileFraming& framing() const { return framing_; }
-
- private:
-  core::ProfileFraming framing_;
-  std::int32_t rank_ = 0;
-  std::int32_t tid_ = 0;
-  core::MetricVec total_;
-};
-
-/// Scans `bytes` with full format validation (header, records, footer
-/// CRC). Returns the empty string on success, the failure reason
-/// otherwise.
-std::string validate_profile_bytes(const std::string& bytes,
-                                   ValidatingVisitor& v) {
-  std::istringstream in(bytes);
-  try {
-    core::ThreadProfile::scan(in, v);
-    if (in.peek() != std::istringstream::traits_type::eof()) {
-      throw std::runtime_error("trailing bytes after profile data");
-    }
-  } catch (const std::exception& e) {
-    return e.what();
-  }
-  return {};
+/// What merge_serialized would report for `p`'s serialized form.
+ProfileSummary summarize_profile(const core::ThreadProfile& p) {
+  ProfileSummary s{p.rank, p.tid, p.sampling_period, p.effective_period, {}};
+  for (const auto& cct : p.ccts) s.total += cct.total();
+  return s;
 }
 
 /// Everything one worker produces from its contiguous shard of the
@@ -136,6 +85,84 @@ std::string render_overhead(const AnalysisResult& r) {
 
 }  // namespace
 
+ShardFold fold_shard(const fs::path& dir, const fs::path& file,
+                     std::optional<core::ThreadProfile>& agg,
+                     CorruptPolicy policy, bool salvage) {
+  ShardFold r;
+  std::optional<core::MappedFile> map;
+  // One re-map before a shard is declared corrupt: a transient I/O error
+  // (torn read, racing writer) passes the second time; real corruption
+  // fails again.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    try {
+      map.emplace(file);
+      r.error = core::ThreadProfile::check_framing(map->bytes());
+    } catch (const std::exception& e) {
+      map.reset();
+      std::error_code ec;
+      if (!fs::exists(file, ec)) {
+        r.outcome = FoldOutcome::kVanished;
+        r.error = "vanished after listing";
+        return r;
+      }
+      r.error = e.what();
+    }
+    if (r.error.empty()) {
+      r.retried = attempt > 0;
+      break;
+    }
+  }
+  bool poisoned = false;
+  if (r.error.empty()) {
+    const std::string_view bytes = map->bytes();
+    try {
+      if (!agg) {
+        agg = core::ThreadProfile::read(bytes);  // assigned only on success
+        r.summary = summarize_profile(*agg);
+      } else {
+        r.summary = merge_serialized(*agg, bytes);
+      }
+      r.bytes = bytes.size();
+      return r;
+    } catch (const std::exception& e) {
+      // Checksum-intact but structurally malformed: a buggy writer, not
+      // a torn write, so no re-map. A failed read left `agg` empty; a
+      // failed merge left part of the shard in it.
+      r.error = e.what();
+      poisoned = agg.has_value();
+    }
+  }
+  if (policy == CorruptPolicy::kStrict) {
+    throw std::runtime_error(file.string() + ": " + r.error);
+  }
+  r.outcome = poisoned ? FoldOutcome::kPoisoned : FoldOutcome::kSkipped;
+  if (salvage && map) {
+    // A poisoned merge has already folded exactly this prefix (see
+    // merge_serialized); otherwise nothing of the shard is in `agg` yet.
+    core::ThreadProfile prefix =
+        core::ThreadProfile::read_salvage(map->bytes(), r.salvage);
+    if (!poisoned && r.salvage.records_kept > 0) {
+      if (!agg) {
+        agg = std::move(prefix);
+      } else {
+        merge_into(*agg, prefix);
+      }
+    }
+    r.outcome = FoldOutcome::kSalvaged;
+    r.bytes = map->size();
+  }
+  if (policy == CorruptPolicy::kQuarantine) {
+    try {
+      r.quarantined_to = core::quarantine_profile_file(dir, file).string();
+    } catch (const std::exception& e) {
+      // Fall back to a plain skip so one stubborn shard cannot wedge a
+      // caller; the reason says why it is still in place.
+      r.error += std::string("; not quarantined: ") + e.what();
+    }
+  }
+  return r;
+}
+
 AnalysisContext AnalysisResult::context() const {
   AnalysisContext ctx;
   ctx.modules = &structure;
@@ -175,15 +202,14 @@ AnalysisResult Analyzer::run(const fs::path& dir) const {
   // to the sorted file list, so the result is byte-identical to
   // reduce(); within a shard each worker holds exactly one deserialized
   // profile (its running partial) because every file after the first is
-  // merged straight off its serialized bytes.
+  // merged straight off its mapped bytes.
   const auto t_stream = Clock::now();
   const std::uint64_t ts_stream =
       obs::Tracer::enabled() ? obs::Tracer::global().now_ns() : 0;
   const int workers = std::clamp<int>(
       options_.workers, 1, static_cast<int>(files.size()));
   const CorruptPolicy policy = options_.corrupt_policy;
-  const bool salvage =
-      options_.salvage && policy != CorruptPolicy::kStrict;
+  const bool salvage = options_.salvage;
   const bool want_threads = (options_.views & kViewThreads) != 0;
   std::vector<WorkerOutput> outs(static_cast<std::size_t>(workers));
   obs::Gauge gauge = reg.gauge("analyze.resident_profiles");
@@ -199,89 +225,77 @@ AnalysisResult Analyzer::run(const fs::path& dir) const {
                          WorkerOutput& out) {
     OBS_SPAN_V("analyze.shard", "worker", w);
     const auto t_shard = Clock::now();
+    // The files folded whole into the partial so far, in order: what a
+    // re-fold replays after a poisoned merge. (Poison is only reported
+    // with salvage off, so these are the partial's only contributions.)
+    std::vector<std::size_t> whole;
     try {
       for (std::size_t i = begin; i < end; ++i) {
         OBS_SPAN_V("analyze.file", "index", i);
-        std::string bytes = read_file_bytes(files[i]);
-        ValidatingVisitor validator;
-        std::string err = validate_profile_bytes(bytes, validator);
-        if (!err.empty()) {
-          // One fresh re-read: a transient I/O error (torn read, racing
-          // writer) passes the second time; real corruption fails again.
-          std::string retry_bytes = read_file_bytes(files[i]);
-          ValidatingVisitor retry_validator;
-          const std::string retry_err =
-              validate_profile_bytes(retry_bytes, retry_validator);
-          if (retry_err.empty()) {
-            bytes = std::move(retry_bytes);
-            validator = retry_validator;
-            err.clear();
-            ++out.transient_retries;
-          } else {
-            err = retry_err;
-          }
-        }
-        if (!err.empty()) {
-          if (policy == CorruptPolicy::kStrict) {
-            throw std::runtime_error(files[i].string() + ": " + err);
-          }
-          if (salvage) {
-            // Recovery mode: fold the valid record prefix. The salvaged
-            // profile went through the same scan machinery, so merging
-            // it cannot fail half-way.
-            std::istringstream in(bytes);
-            core::SalvageResult sr;
-            core::ThreadProfile prefix =
-                core::ThreadProfile::read_salvage(in, sr);
-            if (sr.records_kept > 0) {
-              if (!out.partial) {
-                out.partial = std::move(prefix);
-                gauge.add(1);
-              } else {
-                merge_into(*out.partial, prefix);
-              }
+        const bool had_partial = out.partial.has_value();
+        const ShardFold r =
+            fold_shard(dir, files[i], out.partial, policy, salvage);
+        if (r.retried) ++out.transient_retries;
+        switch (r.outcome) {
+          case FoldOutcome::kFolded: {
+            whole.push_back(i);
+            const ProfileSummary& ps = r.summary;
+            if (ps.sampling_period != 0 && ps.effective_period != 0 &&
+                ps.effective_period != ps.sampling_period) {
+              out.throttled.push_back(
+                  files[i].string() + ": period " +
+                  std::to_string(ps.sampling_period) + " -> " +
+                  std::to_string(ps.effective_period));
             }
+            if (want_threads) {
+              out.threads.push_back(ThreadRow{ps.rank, ps.tid, ps.total});
+            }
+            ++out.files_read;
+            break;
+          }
+          case FoldOutcome::kSalvaged:
+            // Salvaged files are work done: their bytes were streamed and
+            // their prefix folded (files_read stays whole-only; ShardStat
+            // adds files_salvaged).
             ++out.files_salvaged;
-            out.records_salvaged += sr.records_kept;
-            out.records_dropped += sr.records_dropped;
-            // Salvaged files are work done: their bytes were streamed
-            // and their prefix folded, so they count toward the shard's
-            // byte total exactly like cleanly-read files (files_read
-            // stays validated-only; ShardStat adds files_salvaged).
-            out.bytes += static_cast<std::uint64_t>(bytes.size());
+            out.records_salvaged += r.salvage.records_kept;
+            out.records_dropped += r.salvage.records_dropped;
             out.salvaged.push_back(
                 files[i].string() + ": kept " +
-                std::to_string(sr.records_kept) + ", dropped " +
-                std::to_string(sr.records_dropped));
-          }
-          if (policy == CorruptPolicy::kQuarantine) {
-            const fs::path dest =
-                core::quarantine_profile_file(dir, files[i]);
-            out.quarantined.push_back(files[i].string() + " -> " +
-                                      dest.string());
-          }
-          out.skipped.push_back(files[i].string() + ": " + err);
-          if (progress) progress(++files_done, files.size());
-          continue;
+                std::to_string(r.salvage.records_kept) + ", dropped " +
+                std::to_string(r.salvage.records_dropped));
+            break;
+          case FoldOutcome::kPoisoned:
+            // Part of files[i] reached the partial: rebuild it from the
+            // whole shards before it. Published files are immutable, so
+            // each must fold whole again (kStrict: no side effects).
+            out.partial.reset();
+            for (const std::size_t j : whole) {
+              if (fold_shard(dir, files[j], out.partial,
+                             CorruptPolicy::kStrict, false)
+                      .outcome != FoldOutcome::kFolded) {
+                throw std::runtime_error(files[j].string() +
+                                         ": changed during analysis");
+              }
+            }
+            break;
+          case FoldOutcome::kVanished:
+            if (policy == CorruptPolicy::kStrict) {
+              throw std::runtime_error(files[i].string() + ": " + r.error);
+            }
+            break;
+          case FoldOutcome::kSkipped:
+            break;
         }
-        std::istringstream in(bytes);
-        if (!out.partial) {
-          out.partial = core::ThreadProfile::read(in);
-          gauge.add(1);
-        } else {
-          merge_serialized(*out.partial, in);
+        if (!had_partial && out.partial) gauge.add(1);
+        out.bytes += r.bytes;
+        if (r.outcome != FoldOutcome::kFolded) {
+          out.skipped.push_back(files[i].string() + ": " + r.error);
         }
-        const core::ProfileFraming& fr = validator.framing();
-        if (fr.sampling_period != 0 && fr.effective_period != 0 &&
-            fr.effective_period != fr.sampling_period) {
-          out.throttled.push_back(
-              files[i].string() + ": period " +
-              std::to_string(fr.sampling_period) + " -> " +
-              std::to_string(fr.effective_period));
+        if (!r.quarantined_to.empty()) {
+          out.quarantined.push_back(files[i].string() + " -> " +
+                                    r.quarantined_to);
         }
-        if (want_threads) out.threads.push_back(validator.row());
-        out.bytes += static_cast<std::uint64_t>(bytes.size());
-        ++out.files_read;
         if (progress) progress(++files_done, files.size());
       }
     } catch (...) {

@@ -4,8 +4,9 @@
 //
 //   discover   list profile-<rank>-<tid>.dcpf files + load structure
 //   stream     `workers` host threads each fold a contiguous shard of
-//              the file list into one partial aggregate, merging every
-//              profile *as it is read* (analysis/merge.h streaming merge)
+//              the file list into one partial aggregate, one fold_shard
+//              call per file: mmap, one CRC32C framing check, one
+//              streaming merge off the mapping (analysis/merge.h)
 //   combine    fold the <= `workers` partials, in shard order
 //   views      compute the selected presentation tables
 //
@@ -21,10 +22,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/advisor.h"
+#include "analysis/merge.h"
 #include "analysis/views.h"
 #include "binfmt/structure.h"
 #include "core/metrics.h"
@@ -49,15 +52,60 @@ enum View : unsigned {
   kViewAll = (1u << 11) - 1,
 };
 
-/// What the stream stage does with a profile file that fails validation.
-/// Every failing file is first re-read once, so a transient I/O error
-/// (NFS hiccup, racing writer) is distinguished from real corruption:
-/// only a file that fails twice is treated as corrupt.
+/// What fold_shard does with a profile file that fails validation.
+/// Every file failing its framing check is first re-mapped once, so a
+/// transient I/O error (NFS hiccup, racing writer) is distinguished from
+/// real corruption: only a file that fails twice is treated as corrupt.
 enum class CorruptPolicy {
   kStrict,      ///< throw, naming the file at fault
   kSkip,        ///< skip and count; reported in AnalysisResult::skipped
   kQuarantine,  ///< skip, and move the file to <dir>/quarantine/
 };
+
+/// How fold_shard disposed of one shard.
+enum class FoldOutcome {
+  kFolded,    ///< intact: merged whole into the aggregate
+  kSalvaged,  ///< corrupt: its valid record prefix was merged (salvage)
+  kSkipped,   ///< corrupt: nothing of it reached the aggregate
+  kVanished,  ///< gone before it could be mapped (a racing claim or
+              ///< quarantine); nothing merged, no policy applied
+  kPoisoned,  ///< framing and CRC intact but structurally malformed, and
+              ///< detected part-way through the merge: the aggregate
+              ///< holds part of the shard and must be discarded
+};
+
+/// One fold_shard call's report.
+struct ShardFold {
+  FoldOutcome outcome = FoldOutcome::kFolded;
+  std::string error;           ///< why the shard did not fold whole
+  std::uint64_t bytes = 0;     ///< shard size if folded or salvaged, else 0
+  bool retried = false;        ///< a re-map cleared a framing failure
+  std::string quarantined_to;  ///< destination, when moved (kQuarantine)
+  core::SalvageResult salvage; ///< kept/dropped records (kSalvaged)
+  ProfileSummary summary;      ///< header fields + node total (kFolded)
+};
+
+/// The one validate-and-fold path for a `.dcpf` shard, shared by the
+/// Analyzer's stream stage and the ingestion daemon. Maps `file`
+/// (core::MappedFile, no heap copy), runs ThreadProfile::check_framing
+/// (re-mapping once if it fails), then folds the shard straight off the
+/// mapping: `agg = read(bytes)` when `agg` is empty, else
+/// `merge_serialized(*agg, bytes)` — the order that makes every fold
+/// byte-identical to `reduce` over the same files. A corrupt shard then
+/// follows `policy`: kStrict throws std::runtime_error naming the file;
+/// kQuarantine moves it to `<dir>/quarantine/` (falling back to a plain
+/// skip if the move fails); with `salvage` (ignored under kStrict) its
+/// valid record prefix is folded, exactly as read_salvage keeps it.
+///
+/// kPoisoned is the one outcome that leaves `agg` unusable: the caller
+/// must discard it (the daemon rolls back to its checkpoint; a batch
+/// worker re-folds its earlier shards). Under salvage a poisoned merge
+/// already holds exactly the salvaged prefix (merge_serialized's
+/// contract), so it reports kSalvaged instead.
+ShardFold fold_shard(const std::filesystem::path& dir,
+                     const std::filesystem::path& file,
+                     std::optional<core::ThreadProfile>& agg,
+                     CorruptPolicy policy, bool salvage);
 
 /// Wall time per pipeline stage, in milliseconds. A view over the same
 /// measurements that feed the registry's `analyze.stage_us{stage=...}`
@@ -73,8 +121,8 @@ struct StageTimings {
 /// One stream-stage worker's shard, as it ran.
 struct ShardStat {
   int worker = 0;
-  /// Files folded into the partial: fully-validated reads plus salvaged
-  /// prefixes (skipped files excluded — no bytes of theirs were merged).
+  /// Files folded into the partial: whole shards plus salvaged prefixes
+  /// (skipped files excluded — no bytes of theirs were merged).
   std::size_t files = 0;
   std::uint64_t bytes = 0;     ///< serialized bytes streamed (incl. salvaged)
   double merge_ms = 0;         ///< wall time of the whole shard fold
@@ -86,12 +134,15 @@ struct AnalysisResult {
 
   // Pipeline statistics.
   std::size_t files_discovered = 0;
-  std::size_t files_read = 0;               ///< fully validated + merged
-  std::size_t files_skipped = 0;            ///< failed validation twice
+  std::size_t files_read = 0;               ///< folded whole
+  /// Files not folded whole: corrupt (failed validation twice, or
+  /// poisoned mid-merge; salvaged ones included) or vanished after
+  /// listing.
+  std::size_t files_skipped = 0;
   std::vector<std::string> skipped;         ///< "path: reason" per skip
   std::size_t files_quarantined = 0;        ///< moved (kQuarantine policy)
   std::vector<std::string> quarantined;     ///< "src -> dest" per move
-  std::size_t transient_retries = 0;        ///< re-reads that then passed
+  std::size_t transient_retries = 0;        ///< re-maps that then passed
   // Recovery-mode accounting (Options::salvage): corrupt files whose
   // valid record prefix was folded into the merge anyway.
   std::size_t files_salvaged = 0;
@@ -144,10 +195,11 @@ class Analyzer {
     unsigned views = kViewSummary | kViewVariables | kViewHotAccesses |
                      kViewFunctions | kViewThreads | kViewMemLevels |
                      kViewReuse | kViewStrides;
-    /// What to do with files that fail validation (after one re-read to
-    /// rule out transient I/O errors). The merged output is unaffected
-    /// by the choice between kSkip and kQuarantine: both fold exactly
-    /// the readable files.
+    /// What to do with files that fail validation (after one re-map to
+    /// rule out transient I/O errors), or that vanish between listing
+    /// and folding (kStrict throws; otherwise they are listed in
+    /// `skipped`). The merged output is unaffected by the choice between
+    /// kSkip and kQuarantine: both fold exactly the readable files.
     CorruptPolicy corrupt_policy = CorruptPolicy::kSkip;
     /// Recovery mode: fold the valid record prefix of corrupt files
     /// into the merge (reported per file), instead of dropping the file
@@ -215,7 +267,9 @@ class Analyzer {
   /// std::runtime_error if the directory is missing, has no structure
   /// file, or yields no readable profile (errors name the file at
   /// fault). Corrupt profiles are handled per Options::corrupt_policy
-  /// (skipped and counted by default).
+  /// (skipped and counted by default). A poisoned shard (see
+  /// fold_shard) costs its worker a re-fold of the shards before it in
+  /// its range, never a different aggregate or a doubled count.
   AnalysisResult run(const std::filesystem::path& dir) const;
 
  private:

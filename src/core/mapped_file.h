@@ -1,8 +1,9 @@
-// Read-only memory-mapped file: the zero-copy byte source behind the
-// ingestion daemon's profile readers. Mapping a `.dcpf` shard instead of
-// streaming it into a heap buffer removes one full copy of every file
-// from the ingest hot path — `ThreadProfile::scan` and the analyzer's
-// `merge_serialized` both accept a `std::string_view` over the mapped
+// Read-only memory-mapped file: the zero-copy byte source behind every
+// `.dcpf` reader — analysis::fold_shard (the Analyzer's stream stage and
+// the ingestion daemon), core::read_profile_file*, and checkpoint loads.
+// Mapping a shard instead of streaming it into a heap buffer removes one
+// full copy of every file from the fold: `ThreadProfile::scan`/`read`
+// and `merge_serialized` all parse a `std::string_view` over the mapped
 // bytes directly.
 //
 // Concurrency contract: files in a measurement directory are published

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/mapped_file.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
 
@@ -154,30 +155,18 @@ std::vector<fs::path> list_profile_files(const fs::path& dir) {
 }
 
 ThreadProfile read_profile_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path.string());
-  ThreadProfile p;
+  const MappedFile map(path);
   try {
-    p = ThreadProfile::read(in);
+    return ThreadProfile::read(map.bytes());
   } catch (const std::exception& e) {
     throw std::runtime_error(path.string() + ": " + e.what());
   }
-  if (in.peek() != std::ifstream::traits_type::eof()) {
-    throw std::runtime_error(path.string() +
-                             ": trailing bytes after profile data");
-  }
-  return p;
 }
 
 ThreadProfile read_profile_file_salvage(const fs::path& path,
                                         SalvageResult& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path.string());
-  ThreadProfile p = ThreadProfile::read_salvage(in, out);
-  if (out.clean && in.peek() != std::ifstream::traits_type::eof()) {
-    out.clean = false;
-    out.error = "trailing bytes after profile data";
-  }
+  const MappedFile map(path);
+  ThreadProfile p = ThreadProfile::read_salvage(map.bytes(), out);
   if (!out.error.empty()) out.error = path.string() + ": " + out.error;
   return p;
 }

@@ -67,9 +67,10 @@ std::uint64_t write_measurement_dir(const std::filesystem::path& dir,
 std::vector<std::filesystem::path> list_profile_files(
     const std::filesystem::path& dir);
 
-/// Reads one profile file. Throws std::runtime_error naming the file on
-/// open failure, truncation, checksum mismatch, or trailing bytes after
-/// the serialized profile.
+/// Reads one profile file (mmap'd via core::MappedFile, parsed in
+/// place). Throws std::runtime_error naming the file on open failure,
+/// truncation, checksum mismatch, an unsupported version, or trailing
+/// bytes after the serialized profile.
 ThreadProfile read_profile_file(const std::filesystem::path& path);
 
 /// Recovery-mode read: salvages the valid record prefix of a truncated

@@ -25,9 +25,6 @@ enum class Metric : std::uint8_t {
 
 inline constexpr std::size_t kNumMetrics =
     static_cast<std::size_t>(Metric::kCount_);
-/// Metric slots a format-version-3 node record carries (v3 predates the
-/// load/store channel split; missing slots read as zero).
-inline constexpr std::size_t kNumMetricsV3 = 8;
 
 const char* to_string(Metric m);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -27,85 +26,13 @@ void put_u64(std::ostream& o, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) o.put(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
-// Raw (unhashed) reads, used for the footer — which checksums the bytes
-// before it, not itself.
-std::uint32_t get_u32_raw(std::istream& in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(in.get()))
-         << (8 * i);
-  }
-  return v;
-}
-std::uint64_t get_u64_raw(std::istream& in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(in.get()))
-         << (8 * i);
-  }
-  return v;
-}
-
-/// All payload reads go through this wrapper so the running CRC32C and
-/// byte count match exactly what the writer checksummed. Also serves the
-/// footer's raw (unhashed) reads — the footer checksums the bytes before
-/// it, not itself.
-class HashingReader {
- public:
-  explicit HashingReader(std::istream& in) : in_(in) {}
-
-  std::uint8_t u8() {
-    unsigned char b = 0;
-    read(reinterpret_cast<char*>(&b), 1);
-    return b;
-  }
-  std::uint32_t u32() {
-    unsigned char b[4] = {};
-    read(reinterpret_cast<char*>(b), 4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    unsigned char b[8] = {};
-    read(reinterpret_cast<char*>(b), 8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return v;
-  }
-  void read(char* dst, std::size_t n) {
-    in_.read(dst, static_cast<std::streamsize>(n));
-    if (in_) {
-      crc_.update(dst, n);
-      count_ += n;
-    }
-  }
-
-  void require(const char* what) const {
-    if (!in_) {
-      throw std::runtime_error(std::string("truncated profile: ") + what);
-    }
-  }
-
-  std::uint32_t raw_u32() { return get_u32_raw(in_); }
-  std::uint64_t raw_u64() { return get_u64_raw(in_); }
-  bool raw_ok() const { return static_cast<bool>(in_); }
-
-  std::uint32_t crc() const { return crc_.value(); }
-  std::uint64_t count() const { return count_; }
-
- private:
-  std::istream& in_;
-  Crc32c crc_;
-  std::uint64_t count_ = 0;
-};
-
-/// The zero-copy twin of HashingReader: decodes straight out of an
-/// in-memory byte image (an mmap'd file) with no stream machinery and no
-/// intermediate buffer. Mirrors istream failure semantics exactly — a
-/// short read sets a sticky fail flag, consumes nothing, and yields
-/// zeros, so `require` throws the same "truncated profile" errors at the
-/// same points.
+/// Decodes straight out of an in-memory byte image (an mmap'd file) with
+/// no stream machinery and no intermediate buffer. Payload reads run the
+/// CRC32C and byte count the footer is checked against; footer reads are
+/// raw (the footer checksums the bytes before it, not itself). A short
+/// read sets a sticky fail flag, consumes nothing, and yields zeros, so
+/// `require` throws "truncated profile" at the first record that did not
+/// fully arrive.
 class ViewReader {
  public:
   explicit ViewReader(std::string_view bytes) : bytes_(bytes) {}
@@ -114,26 +41,8 @@ class ViewReader {
     const char* p = take(1);
     return p ? static_cast<std::uint8_t>(static_cast<unsigned char>(*p)) : 0;
   }
-  std::uint32_t u32() {
-    const char* p = take(4);
-    if (!p) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-           << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    const char* p = take(8);
-    if (!p) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-           << (8 * i);
-    }
-    return v;
-  }
+  std::uint32_t u32() { return le<std::uint32_t>(take(4)); }
+  std::uint64_t u64() { return le<std::uint64_t>(take(8)); }
   void read(char* dst, std::size_t n) {
     const char* p = take(n);
     if (p) std::memcpy(dst, p, n);
@@ -145,26 +54,8 @@ class ViewReader {
     }
   }
 
-  std::uint32_t raw_u32() {
-    const char* p = raw_take(4);
-    if (!p) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-           << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t raw_u64() {
-    const char* p = raw_take(8);
-    if (!p) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-           << (8 * i);
-    }
-    return v;
-  }
+  std::uint32_t raw_u32() { return le<std::uint32_t>(raw_take(4)); }
+  std::uint64_t raw_u64() { return le<std::uint64_t>(raw_take(8)); }
   bool raw_ok() const { return !fail_; }
 
   std::uint32_t crc() const { return crc_.value(); }
@@ -172,6 +63,15 @@ class ViewReader {
   std::size_t offset() const { return off_; }
 
  private:
+  template <class T>
+  static T le(const char* p) {
+    T v = 0;
+    if (!p) return v;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(static_cast<unsigned char>(p[i])) << (8 * i);
+    }
+    return v;
+  }
   /// Consumes `n` payload bytes (hashed into the running CRC), or sets
   /// the fail flag and consumes nothing.
   const char* take(std::size_t n) {
@@ -198,6 +98,14 @@ class ViewReader {
   Crc32c crc_;
   std::uint64_t count_ = 0;
 };
+
+/// The one message for a version word this build does not read, shared
+/// by the structural scan and the framing check.
+std::string unsupported_version(std::uint32_t version) {
+  return "unsupported profile version " + std::to_string(version) +
+         ": only version " + std::to_string(kProfileFormatVersion) +
+         " is read; re-record with a current dcprof_measure";
+}
 
 /// Caps for length fields read from disk: a corrupt file must fail with
 /// a clear error instead of a multi-gigabyte allocation attempt.
@@ -278,28 +186,17 @@ void ThreadProfile::write(std::ostream& out) const {
 
 namespace {
 
-/// The format walk shared by the istream and string_view scan overloads.
-/// `Reader` provides hashed payload reads (u8/u32/u64/read + require)
-/// and raw footer reads (raw_u32/raw_u64/raw_ok) — see HashingReader and
-/// ViewReader above.
-template <class Reader>
-void scan_profile(Reader& r, ProfileVisitor& visitor) {
+/// The format walk behind scan, read and read_salvage.
+void scan_profile(ViewReader& r, ProfileVisitor& visitor) {
   const std::uint32_t magic = r.u32();
   r.require("header");
   if (magic != kMagic) throw std::runtime_error("bad profile magic");
   const std::uint32_t version = r.u32();
   r.require("header");
-  if (version == 2) {
-    throw std::runtime_error(
-        "unsupported profile version 2: v2 support was removed; re-record "
-        "with a current dcprof_measure");
-  }
-  if (version != kProfileFormatVersion &&
-      version != kProfileFormatPrevVersion) {
-    throw std::runtime_error("bad profile version");
+  if (version != kProfileFormatVersion) {
+    throw std::runtime_error(unsupported_version(version));
   }
   ProfileFraming framing;
-  framing.version = version;
   framing.flags = r.u32();
   framing.sampling_period = r.u64();
   framing.effective_period = r.u64();
@@ -342,10 +239,7 @@ void scan_profile(Reader& r, ProfileVisitor& visitor) {
       const std::uint64_t sym = r.u64();
       const std::uint32_t parent = r.u32();
       MetricVec m;
-      // v3 node records predate the load/store channel slots; the
-      // missing metrics read as zero.
-      const std::size_t nmetrics = version >= 4 ? kNumMetrics : kNumMetricsV3;
-      for (std::size_t x = 0; x < nmetrics; ++x) m.v[x] = r.u64();
+      for (auto& x : m.v) x = r.u64();
       r.require("cct node");
       if (kind_raw > static_cast<std::uint8_t>(NodeKind::kVarStatic)) {
         throw std::runtime_error("corrupt profile: unknown CCT node kind");
@@ -372,48 +266,46 @@ void scan_profile(Reader& r, ProfileVisitor& visitor) {
       visitor.on_node(c, kind, sym, parent, m);
     }
   }
-  if (version >= 4) {
-    const std::uint32_t nvars = r.u32();
-    r.require("pattern table count");
-    visitor.on_patterns(nvars);
-    bool have_prev = false;
-    VarPatternKey prev;
-    for (std::uint32_t i = 0; i < nvars; ++i) {
-      const std::uint8_t cls = r.u8();
-      const std::uint64_t id = r.u64();
-      VarPattern p;
-      p.accesses = r.u64();
-      p.cold_lines = r.u64();
-      for (std::size_t l = 0; l < kNumMemLevels; ++l) {
-        p.level_channel[l][0] = r.u64();
-        p.level_channel[l][1] = r.u64();
-      }
-      for (auto& v : p.reuse) v = r.u64();
-      for (auto& v : p.stride) v = r.u64();
-      r.require("pattern entry");
-      if (cls >= kNumStorageClasses ||
-          cls == static_cast<std::uint8_t>(StorageClass::kNoMem)) {
-        throw std::runtime_error(
-            "corrupt profile: pattern entry with bad storage class");
-      }
-      const bool names_string =
-          cls == static_cast<std::uint8_t>(StorageClass::kStatic) ||
-          cls == static_cast<std::uint8_t>(StorageClass::kStack);
-      if (names_string && id >= nstrings) {
-        throw std::runtime_error(
-            "corrupt profile: pattern variable name id out of range");
-      }
-      // Writers emit the table in strictly increasing key order; anything
-      // else would not round-trip byte-identically.
-      const VarPatternKey key{cls, id};
-      if (have_prev && !(prev < key)) {
-        throw std::runtime_error(
-            "corrupt profile: pattern entries out of order");
-      }
-      prev = key;
-      have_prev = true;
-      visitor.on_pattern(cls, id, p);
+  const std::uint32_t nvars = r.u32();
+  r.require("pattern table count");
+  visitor.on_patterns(nvars);
+  bool have_prev = false;
+  VarPatternKey prev;
+  for (std::uint32_t i = 0; i < nvars; ++i) {
+    const std::uint8_t cls = r.u8();
+    const std::uint64_t id = r.u64();
+    VarPattern p;
+    p.accesses = r.u64();
+    p.cold_lines = r.u64();
+    for (std::size_t l = 0; l < kNumMemLevels; ++l) {
+      p.level_channel[l][0] = r.u64();
+      p.level_channel[l][1] = r.u64();
     }
+    for (auto& v : p.reuse) v = r.u64();
+    for (auto& v : p.stride) v = r.u64();
+    r.require("pattern entry");
+    if (cls >= kNumStorageClasses ||
+        cls == static_cast<std::uint8_t>(StorageClass::kNoMem)) {
+      throw std::runtime_error(
+          "corrupt profile: pattern entry with bad storage class");
+    }
+    const bool names_string =
+        cls == static_cast<std::uint8_t>(StorageClass::kStatic) ||
+        cls == static_cast<std::uint8_t>(StorageClass::kStack);
+    if (names_string && id >= nstrings) {
+      throw std::runtime_error(
+          "corrupt profile: pattern variable name id out of range");
+    }
+    // Writers emit the table in strictly increasing key order; anything
+    // else would not round-trip byte-identically.
+    const VarPatternKey key{cls, id};
+    if (have_prev && !(prev < key)) {
+      throw std::runtime_error(
+          "corrupt profile: pattern entries out of order");
+    }
+    prev = key;
+    have_prev = true;
+    visitor.on_pattern(cls, id, p);
   }
   // Footer: not part of the checksummed payload, read raw.
   const std::uint32_t footer_magic = r.raw_u32();
@@ -432,11 +324,6 @@ void scan_profile(Reader& r, ProfileVisitor& visitor) {
 }
 
 }  // namespace
-
-void ThreadProfile::scan(std::istream& in, ProfileVisitor& visitor) {
-  HashingReader r(in);
-  scan_profile(r, visitor);
-}
 
 std::size_t ThreadProfile::scan(std::string_view bytes,
                                 ProfileVisitor& visitor) {
@@ -533,13 +420,6 @@ class SalvagingBuilder final : public ProfileBuilder {
 
 }  // namespace
 
-ThreadProfile ThreadProfile::read(std::istream& in) {
-  ProfileBuilder builder;
-  scan(in, builder);
-  builder.flush();
-  return std::move(builder.profile);
-}
-
 ThreadProfile ThreadProfile::read(std::string_view bytes) {
   ProfileBuilder builder;
   if (scan(bytes, builder) != bytes.size()) {
@@ -565,8 +445,15 @@ std::string ThreadProfile::check_framing(std::string_view bytes) {
     }
     return v;
   };
-  if (bytes.size() < kFooterSize + 4) return "truncated profile";
+  if (bytes.size() < kFooterSize + 8) return "truncated profile";
   if (u32_at(0) != kMagic) return "bad profile magic";
+  // The version word precedes the footer check, so a well-framed shard
+  // of a foreign version is rejected up front with the remedy, never
+  // part-way through a merge.
+  if (const std::uint32_t version = u32_at(4);
+      version != kProfileFormatVersion) {
+    return unsupported_version(version);
+  }
   const std::size_t footer = bytes.size() - kFooterSize;
   if (u32_at(footer) != kFooterMagic) return "bad footer magic";
   if (u64_at(footer + 4) != footer) return "payload size mismatch";
@@ -576,12 +463,14 @@ std::string ThreadProfile::check_framing(std::string_view bytes) {
   return {};
 }
 
-ThreadProfile ThreadProfile::read_salvage(std::istream& in,
+ThreadProfile ThreadProfile::read_salvage(std::string_view bytes,
                                           SalvageResult& out) {
   SalvagingBuilder builder;
   out = SalvageResult{};
   try {
-    scan(in, builder);
+    if (scan(bytes, builder) != bytes.size()) {
+      throw std::runtime_error("trailing bytes after profile data");
+    }
   } catch (const std::exception& e) {
     out.clean = false;
     out.error = e.what();

@@ -11,10 +11,12 @@
 //
 // The footer is what makes the measurement->analysis handoff crash-safe:
 // a torn or bit-flipped file fails the checksum instead of silently
-// poisoning the merged profile. Version-3 files (8 metric slots per
-// node, no pattern table) still read and upgrade byte-identically on
-// rewrite; version 2 (pre-footer) is no longer accepted — see
-// ThreadProfile::scan.
+// poisoning the merged profile. Every reader works on an in-memory byte
+// image (an mmap'd file via core::MappedFile, or a string the caller
+// already holds). Only version 4 is read: any other version word
+// (v2's pre-footer layout, v3's 8-slot nodes, a future v5) is rejected
+// with an error naming the version and the remedy, re-recording — see
+// ThreadProfile::scan and ThreadProfile::check_framing.
 #pragma once
 
 #include <cstdint>
@@ -43,11 +45,10 @@ inline constexpr std::size_t kNumStorageClasses = 5;
 
 const char* to_string(StorageClass c);
 
-/// Current and still-readable previous `.dcpf` format versions.
+/// The `.dcpf` format version every writer emits and every reader accepts.
 inline constexpr std::uint32_t kProfileFormatVersion = 4;
-inline constexpr std::uint32_t kProfileFormatPrevVersion = 3;
 
-/// Header flag bits (version >= 3).
+/// Header flag bits.
 enum ProfileFlags : std::uint32_t {
   /// The sampling period was raised mid-run because the sample handler
   /// fell behind its latency budget; effective_period records the final
@@ -55,11 +56,9 @@ enum ProfileFlags : std::uint32_t {
   kProfileFlagThrottled = 1u << 0,
 };
 
-/// The framing fields of one serialized profile (header + what version
-/// it was read as). Periods are 0 when unknown (synthetic profiles,
-/// legacy files).
+/// The framing fields of one serialized profile's header. Periods are 0
+/// when unknown (synthetic profiles).
 struct ProfileFraming {
-  std::uint32_t version = kProfileFormatVersion;
   std::uint32_t flags = 0;
   std::uint64_t sampling_period = 0;   ///< configured PMU period
   std::uint64_t effective_period = 0;  ///< period after any throttling
@@ -125,49 +124,44 @@ struct ThreadProfile {
   std::uint64_t total_samples() const;
 
   void write(std::ostream& out) const;
-  static ThreadProfile read(std::istream& in);
-  /// Zero-copy deserialization from an in-memory (e.g. mmap'd) image.
-  /// Parses a profile that must span exactly `bytes` (an mmap'd `.dcpf`
-  /// via MappedFile, or a checkpoint-embedded copy): unlike the istream
-  /// overload, trailing bytes are rejected here, since an in-memory
-  /// buffer always has a known end.
+  /// Deserializes a profile that must span exactly `bytes` (an mmap'd
+  /// `.dcpf` via MappedFile, or a checkpoint-embedded copy); trailing
+  /// bytes are rejected. Throws std::runtime_error on any format error.
   static ThreadProfile read(std::string_view bytes);
 
   /// Cheap integrity check of one serialized profile spanning exactly
-  /// `bytes`: header magic, footer framing, and the CRC32C over the
-  /// payload — a single checksum pass, no structural parse. Returns an
-  /// empty string when intact, else the failure reason. A clean result
-  /// rules out every torn or bit-flipped file (the failure modes
-  /// atomic-rename publication leaves possible); structural validity of
-  /// the records themselves is only established by scan/read.
+  /// `bytes`: header magic and version, footer framing, and the CRC32C
+  /// over the payload — a single checksum pass, no structural parse.
+  /// Returns an empty string when intact, else the failure reason (the
+  /// same "unsupported profile version N" text as `scan` for a foreign
+  /// version). A clean result rules out every torn or bit-flipped file
+  /// (the failure modes atomic-rename publication leaves possible);
+  /// structural validity of the records themselves is only established
+  /// by scan/read. Anything `read` accepts passes this check.
   static std::string check_framing(std::string_view bytes);
 
   /// Streaming parse: walks one serialized profile and feeds `visitor`
-  /// without building a ThreadProfile. Validates the format as it goes
-  /// (magic/version, truncation, node ordering, string references,
-  /// pattern-key ordering, and the footer CRC32C) and throws
-  /// std::runtime_error on the first inconsistency, leaving the stream
-  /// wherever the error was detected. Version-3 streams are accepted
-  /// (no pattern section, 8 metric slots per node); version 2 is
-  /// rejected with a clear error. `read` and the analyzer's streaming
-  /// merge are both built on this.
-  static void scan(std::istream& in, ProfileVisitor& visitor);
-
-  /// The same streaming parse over an in-memory byte image — the
-  /// zero-copy path for mmap'd files (core::MappedFile::bytes): record
-  /// payloads are decoded straight out of `bytes`, never copied into a
-  /// heap buffer first. Identical validation and visitor event sequence
-  /// to the istream overload. Returns the number of bytes one profile
-  /// occupied, so callers can reject trailing garbage
-  /// (`scan(bytes, v) != bytes.size()`) or walk concatenated profiles.
+  /// without building a ThreadProfile. Record payloads are decoded
+  /// straight out of `bytes` (zero-copy over an mmap'd file). Validates
+  /// the format as it goes (magic/version, truncation, node ordering,
+  /// string references, pattern-key ordering, and the footer CRC32C)
+  /// and throws std::runtime_error on the first inconsistency; events
+  /// already delivered stay delivered. Any version other than
+  /// kProfileFormatVersion is rejected with an error naming the version
+  /// and the remedy. Returns the number of bytes one profile occupied,
+  /// so callers can reject trailing garbage
+  /// (`scan(bytes, v) != bytes.size()`). `read`, `read_salvage` and the
+  /// analyzer's streaming merge are all built on this.
   static std::size_t scan(std::string_view bytes, ProfileVisitor& visitor);
 
   /// Recovery-mode read: like `read`, but on a framing/truncation/
-  /// checksum failure it returns the profile built from the valid record
-  /// prefix instead of throwing, reporting kept/dropped record counts in
-  /// `out`. Only a bad magic (not a profile at all) yields an empty
-  /// profile with zero records kept.
-  static ThreadProfile read_salvage(std::istream& in, SalvageResult& out);
+  /// checksum failure (or trailing bytes) it returns the profile built
+  /// from the valid record prefix instead of throwing, reporting
+  /// kept/dropped record counts in `out`. Only a bad magic or version
+  /// (not a readable profile at all) yields an empty profile with zero
+  /// records kept.
+  static ThreadProfile read_salvage(std::string_view bytes,
+                                    SalvageResult& out);
 
   /// Size of the serialized form, in bytes (the paper's space overhead).
   std::uint64_t serialized_bytes() const;

@@ -147,10 +147,7 @@ void judge(const RunOutput& prod, const RunOutput& oracle,
   if (!prod.profiles.empty()) {
     std::vector<ThreadProfile> copy;
     copy.reserve(prod.bytes.size());
-    for (const auto& b : prod.bytes) {
-      std::istringstream in(b);
-      copy.push_back(ThreadProfile::read(in));
-    }
+    for (const auto& b : prod.bytes) copy.push_back(ThreadProfile::read(b));
     const ThreadProfile reduced = analysis::reduce(std::move(copy));
     const ThreadProfile oreduced = oracle_reduce(prod.profiles);
     std::ostringstream a, b;

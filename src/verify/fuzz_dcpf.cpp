@@ -119,60 +119,33 @@ ThreadProfile make_deep() {
   return p;
 }
 
-// Previous-version (v3) serialization: 8 metric slots per node, no
-// pattern table, same footer framing. The production writer only emits
-// v4, so the corpus carries its own v3 encoder (the reader must keep
-// accepting v3 for one release).
-void put_u8(std::ostream& o, std::uint8_t v) { o.put(static_cast<char>(v)); }
-void put_u32(std::ostream& o, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) o.put(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-void put_u64(std::ostream& o, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) o.put(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::string write_v3(const ThreadProfile& p) {
-  std::ostringstream payload;
-  put_u32(payload, 0x64637066);  // "dcpf"
-  put_u32(payload, core::kProfileFormatPrevVersion);
-  put_u32(payload, p.throttled() ? core::kProfileFlagThrottled : 0u);
-  put_u64(payload, p.sampling_period);
-  put_u64(payload, p.effective_period);
-  put_u32(payload, static_cast<std::uint32_t>(p.rank));
-  put_u32(payload, static_cast<std::uint32_t>(p.tid));
-  put_u32(payload, static_cast<std::uint32_t>(p.strings.size()));
-  for (std::size_t i = 0; i < p.strings.size(); ++i) {
-    const std::string& s = p.strings.str(i);
-    put_u32(payload, static_cast<std::uint32_t>(s.size()));
-    payload.write(s.data(), static_cast<std::streamsize>(s.size()));
-  }
-  for (const auto& cct : p.ccts) {
-    put_u32(payload, static_cast<std::uint32_t>(cct.size()));
-    for (const auto& n : cct.nodes()) {
-      put_u8(payload, static_cast<std::uint8_t>(n.kind));
-      put_u64(payload, n.sym);
-      put_u32(payload, n.parent);
-      for (std::size_t m = 0; m < core::kNumMetricsV3; ++m) {
-        put_u64(payload, n.metrics.v[m]);
-      }
-    }
-  }
-  const std::string bytes = std::move(payload).str();
-  std::ostringstream out;
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  put_u32(out, 0x64637074);  // "dcpt"
-  put_u64(out, static_cast<std::uint64_t>(bytes.size()));
-  put_u32(out, core::crc32c(bytes));
-  return std::move(out).str();
-}
-
-std::string write_v4(const ThreadProfile& p) {
+std::string serialized(const ThreadProfile& p) {
   std::ostringstream out;
   p.write(out);
   return std::move(out).str();
 }
 
 // --- Mutation ----------------------------------------------------------
+
+/// Recomputes the footer over everything before it, as a buggy writer
+/// would: the CRC then passes (so does check_framing, unless the header
+/// is hit), and only the structural checks stand between the mutated
+/// records and an aggregate — the poison-shard case.
+void reseal(std::string& b) {
+  constexpr std::size_t kFooterBytes = 4 + 8 + 4;
+  if (b.size() < kFooterBytes) return;
+  b.resize(b.size() - kFooterBytes);
+  const std::uint64_t size = b.size();
+  const std::uint32_t crc = core::crc32c(b);
+  const auto put = [&](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      b.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  put(0x64637074u, 4);  // "dcpt"
+  put(size, 8);
+  put(crc, 4);
+}
 
 std::string mutate(const std::string& base, Rng& rng) {
   std::string b = base;
@@ -232,6 +205,7 @@ std::string mutate(const std::string& base, Rng& rng) {
       }
     }
   }
+  if (rng.next(2) == 0) reseal(b);
   return b;
 }
 
@@ -240,21 +214,14 @@ struct NullVisitor final : core::ProfileVisitor {};
 }  // namespace
 
 std::vector<std::string> builtin_corpus() {
-  std::vector<std::string> out;
-  out.push_back(write_v4(ThreadProfile{}));
-  out.push_back(write_v4(make_basic()));
-  out.push_back(write_v4(make_throttled()));
-  out.push_back(write_v4(make_strings_heavy()));
-  out.push_back(write_v4(make_deep()));
-  out.push_back(write_v3(make_basic()));
-  out.push_back(write_v3(make_strings_heavy()));
-  return out;
+  return {serialized(ThreadProfile{}), serialized(make_basic()),
+          serialized(make_throttled()), serialized(make_strings_heavy()),
+          serialized(make_deep())};
 }
 
 std::vector<std::string> builtin_corpus_names() {
-  return {"empty_v4.dcpf",   "basic_v4.dcpf", "throttled_v4.dcpf",
-          "strings_v4.dcpf", "deep_v4.dcpf",  "basic_v3.dcpf",
-          "strings_v3.dcpf"};
+  return {"empty_v4.dcpf", "basic_v4.dcpf", "throttled_v4.dcpf",
+          "strings_v4.dcpf", "deep_v4.dcpf"};
 }
 
 FuzzCaseResult run_fuzz_case(std::uint64_t case_seed,
@@ -265,96 +232,105 @@ FuzzCaseResult run_fuzz_case(std::uint64_t case_seed,
   Rng rng(case_seed);
   const std::string& base = corpus[rng.next(corpus.size())];
   const std::string bytes = mutate(base, rng);
+  // Profiles built from untrusted bytes may carry duplicate sibling keys
+  // and wrap-around metric sums (invariants.h).
+  CheckOptions untrusted;
+  untrusted.strict = false;
 
-  // Reader contract, entry point 1: the strict streaming scan.
+  // Reader contract, entry point 1: the strict streaming scan. A case is
+  // accepted when one profile spans exactly the mutated bytes.
   bool scan_ok = false;
-  {
-    std::istringstream in(bytes);
+  try {
     NullVisitor v;
-    try {
-      ThreadProfile::scan(in, v);
-      scan_ok = true;
-    } catch (const std::runtime_error&) {
-    } catch (const std::exception& e) {
-      fails.push_back(std::string("scan threw non-runtime_error: ") +
-                      e.what());
-    } catch (...) {
-      fails.push_back("scan threw a non-std exception");
-    }
+    scan_ok = ThreadProfile::scan(bytes, v) == bytes.size();
+  } catch (const std::runtime_error&) {
+  } catch (const std::exception& e) {
+    fails.push_back(std::string("scan threw non-runtime_error: ") + e.what());
+  } catch (...) {
+    fails.push_back("scan threw a non-std exception");
   }
 
-  // Entry point 2: the materializing read. Must agree with scan, and
+  // Entry point 2: the framing check every shard fold starts with. It
+  // may accept more than scan (no structural parse) but never less, or
+  // the fast reject would drop a valid shard.
+  try {
+    if (scan_ok && !ThreadProfile::check_framing(bytes).empty()) {
+      fails.push_back("check_framing rejected what scan accepted");
+    }
+  } catch (const std::exception& e) {
+    fails.push_back(std::string("check_framing threw: ") + e.what());
+  } catch (...) {
+    fails.push_back("check_framing threw a non-std exception");
+  }
+
+  // Entry point 3: the materializing read. Must agree with scan, and
   // anything it accepts must be structurally sound and serialize stably.
-  {
-    std::istringstream in(bytes);
-    try {
-      const ThreadProfile p = ThreadProfile::read(in);
-      if (!scan_ok) fails.push_back("read accepted what scan rejected");
-      CheckOptions opts;
-      opts.strict = false;
-      const CheckResult res = check_profile(p, opts);
-      if (!res.ok()) {
-        fails.push_back("read accepted an ill-formed profile: " +
-                        res.summary());
-      }
-    } catch (const std::runtime_error&) {
-      if (scan_ok) fails.push_back("read rejected what scan accepted");
-    } catch (const std::exception& e) {
-      fails.push_back(std::string("read threw non-runtime_error: ") +
-                      e.what());
-    } catch (...) {
-      fails.push_back("read threw a non-std exception");
+  try {
+    const ThreadProfile p = ThreadProfile::read(bytes);
+    if (!scan_ok) fails.push_back("read accepted what scan rejected");
+    const CheckResult res = check_profile(p, untrusted);
+    if (!res.ok()) {
+      fails.push_back("read accepted an ill-formed profile: " +
+                      res.summary());
     }
+  } catch (const std::runtime_error&) {
+    if (scan_ok) fails.push_back("read rejected what scan accepted");
+  } catch (const std::exception& e) {
+    fails.push_back(std::string("read threw non-runtime_error: ") + e.what());
+  } catch (...) {
+    fails.push_back("read threw a non-std exception");
   }
 
-  // Entry point 3: the salvaging read — never throws, and whatever prefix
+  // Entry point 4: the salvaging read — never throws, and whatever prefix
   // it keeps must itself be a sound profile.
-  {
-    std::istringstream in(bytes);
-    core::SalvageResult sr;
-    try {
-      const ThreadProfile p = ThreadProfile::read_salvage(in, sr);
-      if (sr.clean != scan_ok) {
-        fails.push_back("salvage clean flag disagrees with scan");
-      }
-      if (sr.clean && sr.records_dropped != 0) {
-        fails.push_back("clean salvage reports dropped records");
-      }
-      CheckOptions opts;
-      opts.strict = false;
-      const CheckResult res = check_profile(p, opts);
-      if (!res.ok()) {
-        fails.push_back("salvaged profile is ill-formed: " + res.summary());
-      }
-    } catch (const std::exception& e) {
-      fails.push_back(std::string("read_salvage threw: ") + e.what());
-    } catch (...) {
-      fails.push_back("read_salvage threw a non-std exception");
+  core::SalvageResult sr;
+  ThreadProfile prefix;
+  try {
+    prefix = ThreadProfile::read_salvage(bytes, sr);
+    if (sr.clean != scan_ok) {
+      fails.push_back("salvage clean flag disagrees with scan");
     }
+    if (sr.clean && sr.records_dropped != 0) {
+      fails.push_back("clean salvage reports dropped records");
+    }
+    const CheckResult res = check_profile(prefix, untrusted);
+    if (!res.ok()) {
+      fails.push_back("salvaged profile is ill-formed: " + res.summary());
+    }
+  } catch (const std::exception& e) {
+    fails.push_back(std::string("read_salvage threw: ") + e.what());
+  } catch (...) {
+    fails.push_back("read_salvage threw a non-std exception");
   }
 
-  // Entry point 4: the streaming merge (the analyzer's ingest path).
-  {
-    std::istringstream in(bytes);
-    ThreadProfile dst;
-    try {
-      analysis::merge_serialized(dst, in);
-      if (!scan_ok) {
-        fails.push_back("merge_serialized accepted what scan rejected");
-      }
-      const CheckResult res = check_profile(dst);
-      if (!res.ok()) {
-        fails.push_back("merge of accepted profile is ill-formed: " +
-                        res.summary());
-      }
-    } catch (const std::runtime_error&) {
-    } catch (const std::exception& e) {
-      fails.push_back(
-          std::string("merge_serialized threw non-runtime_error: ") +
-          e.what());
-    } catch (...) {
-      fails.push_back("merge_serialized threw a non-std exception");
+  // Entry point 5: the streaming merge every shard fold runs, into a
+  // non-empty aggregate so string remapping is exercised. A merge that
+  // throws must have folded exactly the salvaged prefix (fold_shard's
+  // salvage mode relies on it).
+  ThreadProfile dst = make_basic();
+  try {
+    analysis::merge_serialized(dst, bytes);
+    if (!scan_ok) {
+      fails.push_back("merge_serialized accepted what scan rejected");
     }
+    const CheckResult res = check_profile(dst, untrusted);
+    if (!res.ok()) {
+      fails.push_back("merge of accepted profile is ill-formed: " +
+                      res.summary());
+    }
+  } catch (const std::runtime_error&) {
+    if (scan_ok) fails.push_back("merge_serialized rejected what scan accepted");
+    ThreadProfile expected = make_basic();
+    if (sr.records_kept > 0) analysis::merge_into(expected, prefix);
+    if (serialized(dst) != serialized(expected)) {
+      fails.push_back(
+          "failed merge_serialized differs from merging the salvaged prefix");
+    }
+  } catch (const std::exception& e) {
+    fails.push_back(std::string("merge_serialized threw non-runtime_error: ") +
+                    e.what());
+  } catch (...) {
+    fails.push_back("merge_serialized threw a non-std exception");
   }
 
   result.accepted = scan_ok;

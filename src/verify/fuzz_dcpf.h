@@ -1,11 +1,17 @@
-// Mutational fuzzing of the `.dcpf` readers. Valid v3/v4 profiles from a
+// Mutational fuzzing of the `.dcpf` readers. Valid v4 profiles from a
 // deterministic builtin corpus (plus any caller-supplied seed files) are
-// mutated record- and byte-wise, then fed to every reader entry point —
-// strict scan, full read, salvaging read, streaming merge. The contract
-// under test:
+// mutated record- and byte-wise (half of them re-sealed with a valid
+// footer, as a buggy writer would), then fed as in-memory bytes — the form
+// every production fold maps them in — to every reader entry point:
+// strict scan, framing check, full read, salvaging read, streaming
+// merge. The contract under test:
 //   * readers reject garbage only via std::runtime_error — never a crash,
 //     a different exception type, or (under sanitizers) UB;
+//   * scan, read, read_salvage and merge_serialized agree on acceptance
+//     (one profile spanning exactly the bytes), and check_framing
+//     accepts everything they accept;
 //   * read_salvage never throws at all;
+//   * a merge that throws has folded exactly the salvaged prefix;
 //   * any profile a reader *accepts* is structurally sound
 //     (invariants.h, non-strict mode) and serializes stably.
 // One uint64 case seed determines base file + mutations, so every failure
@@ -18,10 +24,9 @@
 
 namespace dcprof::verify {
 
-/// Deterministic seed corpus: serialized v4 and previous-version v3
-/// profiles covering the format's features (empty, multi-class,
-/// throttled, string-table-heavy, access-pattern tables). Same bytes on
-/// every call.
+/// Deterministic seed corpus: serialized v4 profiles covering the
+/// format's features (empty, multi-class, throttled, string-table-heavy,
+/// deep call chains, access-pattern tables). Same bytes on every call.
 std::vector<std::string> builtin_corpus();
 
 /// The filename (without directory) each builtin corpus entry is written
@@ -51,7 +56,7 @@ struct FuzzReport {
 
 /// Outcome of one mutated case.
 struct FuzzCaseResult {
-  bool accepted = false;              ///< the strict scan still passed
+  bool accepted = false;  ///< the strict scan consumed exactly the bytes
   std::vector<std::string> failures;  ///< empty == contract held
 };
 

@@ -212,10 +212,10 @@ CheckResult check_profile(const ThreadProfile& p, const CheckOptions& opts) {
   }
   check_patterns(p, out);
   if (opts.roundtrip) {
-    std::stringstream first;
+    std::ostringstream first;
     p.write(first);
     try {
-      const ThreadProfile reread = ThreadProfile::read(first);
+      const ThreadProfile reread = ThreadProfile::read(first.str());
       std::ostringstream second;
       reread.write(second);
       if (second.str() != first.str()) {

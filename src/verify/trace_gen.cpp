@@ -298,10 +298,7 @@ TraceReport run_trace_differential(std::uint64_t seed) {
   if (!fast.profiles.empty()) {
     std::vector<ThreadProfile> copy;
     copy.reserve(fast.bytes.size());
-    for (const auto& b : fast.bytes) {
-      std::istringstream in(b);
-      copy.push_back(ThreadProfile::read(in));
-    }
+    for (const auto& b : fast.bytes) copy.push_back(ThreadProfile::read(b));
     const ThreadProfile reduced = analysis::reduce(std::move(copy));
     const ThreadProfile oreduced = oracle_reduce(fast.profiles);
     std::ostringstream a, b;

@@ -1,7 +1,7 @@
 // Crash-safety of the measurement->analysis boundary: the v4 `.dcpf`
 // framing (header + CRC32C footer), atomic write-out, recovery-mode
-// salvage reads, the analyzer's corrupt-shard policies, v3 read
-// compatibility (and v2 rejection), and overload throttling recorded
+// salvage reads, the analyzer's corrupt-shard policies, rejection of the
+// removed v2 and v3 formats, and overload throttling recorded
 // end-to-end.
 //
 // The centerpiece is a truncation sweep: a serialized profile is cut at
@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/ingest.h"
 #include "analysis/merge.h"
 #include "analysis/pipeline.h"
 #include "core/checksum.h"
@@ -195,11 +196,9 @@ TEST(CrashSafety, TruncationAtEveryByteIsRejectedAndSalvagedExactly) {
 
   // Sanity: the intact stream round-trips, and salvage reports it clean.
   {
-    std::istringstream in(bytes);
-    EXPECT_EQ(serialized(ThreadProfile::read(in)), bytes);
+    EXPECT_EQ(serialized(ThreadProfile::read(bytes)), bytes);
     SalvageResult sr;
-    std::istringstream in2(bytes);
-    ThreadProfile::read_salvage(in2, sr);
+    ThreadProfile::read_salvage(bytes, sr);
     EXPECT_TRUE(sr.clean);
     EXPECT_EQ(sr.records_kept, total);
     EXPECT_EQ(sr.records_dropped, 0u);
@@ -207,14 +206,10 @@ TEST(CrashSafety, TruncationAtEveryByteIsRejectedAndSalvagedExactly) {
 
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     const std::string prefix = bytes.substr(0, cut);
-    {
-      std::istringstream in(prefix);
-      EXPECT_THROW(ThreadProfile::read(in), std::runtime_error)
-          << "cut at " << cut;
-    }
+    EXPECT_THROW(ThreadProfile::read(prefix), std::runtime_error)
+        << "cut at " << cut;
     SalvageResult sr;
-    std::istringstream in(prefix);
-    const ThreadProfile sal = ThreadProfile::read_salvage(in, sr);
+    const ThreadProfile sal = ThreadProfile::read_salvage(prefix, sr);
     ASSERT_FALSE(sr.clean) << "cut at " << cut;
     ASSERT_FALSE(sr.error.empty()) << "cut at " << cut;
     const std::size_t kept = records_within(l, cut);
@@ -239,9 +234,8 @@ TEST(CrashSafety, FooterDetectsBitFlipsLengthLiesAndBadMagic) {
   const Layout l = layout_of(p);
 
   const auto read_error = [](const std::string& bytes) -> std::string {
-    std::istringstream in(bytes);
     try {
-      ThreadProfile::read(in);
+      ThreadProfile::read(bytes);
     } catch (const std::runtime_error& e) {
       return e.what();
     }
@@ -257,8 +251,7 @@ TEST(CrashSafety, FooterDetectsBitFlipsLengthLiesAndBadMagic) {
   // is readable, only the integrity guarantee is gone.
   {
     SalvageResult sr;
-    std::istringstream in(flipped);
-    ThreadProfile::read_salvage(in, sr);
+    ThreadProfile::read_salvage(flipped, sr);
     EXPECT_FALSE(sr.clean);
     EXPECT_EQ(sr.records_kept, l.record_ends.size());
     EXPECT_EQ(sr.records_dropped, 0u);
@@ -493,6 +486,10 @@ TEST(CrashSafety, SalvageModeFoldsTheValidPrefixIntoTheMerge) {
 
 namespace oldfmt {
 
+/// Metric slots per node record in v2 and v3 (before the load/store
+/// channel split).
+constexpr std::size_t kOldNodeMetrics = 8;
+
 void put_u32(std::string& o, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     o.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -525,7 +522,7 @@ std::string serialize_v2(const ThreadProfile& p) {
       o.push_back(static_cast<char>(n.kind));
       put_u64(o, n.sym);
       put_u32(o, n.parent);
-      for (std::size_t m = 0; m < core::kNumMetricsV3; ++m) {
+      for (std::size_t m = 0; m < kOldNodeMetrics; ++m) {
         put_u64(o, n.metrics.v[m]);
       }
     }
@@ -533,12 +530,12 @@ std::string serialize_v2(const ThreadProfile& p) {
   return o;
 }
 
-/// The previous (v3) format: same framing as v4 but 8 metric slots per
-/// node and no access-pattern section. Hand-written for the same reason.
+/// The removed v3 format: same framing as v4 but 8 metric slots per node
+/// and no access-pattern section. Hand-written for the same reason.
 std::string serialize_v3(const ThreadProfile& p) {
   std::string payload;
   put_u32(payload, 0x64637066);  // "dcpf"
-  put_u32(payload, core::kProfileFormatPrevVersion);
+  put_u32(payload, 3);
   put_u32(payload, p.throttled() ? core::kProfileFlagThrottled : 0u);
   put_u64(payload, p.sampling_period);
   put_u64(payload, p.effective_period);
@@ -556,7 +553,7 @@ std::string serialize_v3(const ThreadProfile& p) {
       payload.push_back(static_cast<char>(n.kind));
       put_u64(payload, n.sym);
       put_u32(payload, n.parent);
-      for (std::size_t m = 0; m < core::kNumMetricsV3; ++m) {
+      for (std::size_t m = 0; m < kOldNodeMetrics; ++m) {
         put_u64(payload, n.metrics.v[m]);
       }
     }
@@ -575,9 +572,8 @@ TEST(CrashSafety, V2ProfilesAreRejectedWithClearError) {
   const std::string old_bytes = oldfmt::serialize_v2(p);
 
   // Every strict entry point rejects with an error that names the cause.
-  std::istringstream in(old_bytes);
   try {
-    ThreadProfile::read(in);
+    ThreadProfile::read(old_bytes);
     FAIL() << "v2 profile was accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("unsupported profile version 2"),
@@ -587,9 +583,8 @@ TEST(CrashSafety, V2ProfilesAreRejectedWithClearError) {
 
   // The salvaging read keeps nothing: the version check precedes any
   // record, so there is no valid prefix to keep.
-  std::istringstream sin(old_bytes);
   SalvageResult sr;
-  const ThreadProfile empty = ThreadProfile::read_salvage(sin, sr);
+  const ThreadProfile empty = ThreadProfile::read_salvage(old_bytes, sr);
   EXPECT_FALSE(sr.clean);
   EXPECT_EQ(sr.records_kept, 0u);
   EXPECT_EQ(empty.total_samples(), 0u);
@@ -609,33 +604,55 @@ TEST(CrashSafety, V2ProfilesAreRejectedWithClearError) {
             std::string::npos);
 }
 
-TEST(CrashSafety, V3ProfilesLoadAndUpgradeByteIdenticallyOnRewrite) {
+TEST(CrashSafety, V3ProfilesAreRejectedWithClearError) {
   const ThreadProfile p = make_profile(3);
   const std::string old_bytes = oldfmt::serialize_v3(p);
 
-  std::istringstream in(old_bytes);
-  const ThreadProfile q = ThreadProfile::read(in);
-  EXPECT_EQ(q.rank, p.rank);
-  EXPECT_EQ(q.tid, p.tid);
-  EXPECT_TRUE(q.patterns.empty());  // v3 predates the pattern table
-  // Re-serializing upgrades to v4 (10 metric slots, empty pattern
-  // section), byte-identical to a native write of the same profile.
-  EXPECT_EQ(serialized(q), serialized(p));
+  // v3 is well framed (footer and CRC intact), so only the version word
+  // tells it apart: every entry point names version 3 and the remedy.
+  const auto expect_v3_error = [](const std::string& what) {
+    EXPECT_NE(what.find("unsupported profile version 3"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("re-record"), std::string::npos) << what;
+  };
+  try {
+    ThreadProfile::read(old_bytes);
+    FAIL() << "v3 profile was accepted";
+  } catch (const std::runtime_error& e) {
+    expect_v3_error(e.what());
+  }
+  expect_v3_error(ThreadProfile::check_framing(old_bytes));
 
-  // A truncated v3 stream is still rejected.
-  std::istringstream cut(old_bytes.substr(0, old_bytes.size() - 10));
-  EXPECT_THROW(ThreadProfile::read(cut), std::runtime_error);
+  // The salvaging read keeps nothing: no v3 record is read as v4.
+  SalvageResult sr;
+  const ThreadProfile empty = ThreadProfile::read_salvage(old_bytes, sr);
+  EXPECT_FALSE(sr.clean);
+  EXPECT_EQ(sr.records_kept, 0u);
+  EXPECT_EQ(empty.total_samples(), 0u);
 
-  // A v3 file sitting in a measurement directory analyzes normally.
+  // Both shard folds skip a v3 file with that reason: the batch
+  // analyzer and the ingestion daemon.
   TempDir dir;
   binfmt::ModuleRegistry no_modules;
-  core::write_measurement_dir(dir.path, {},
+  core::write_measurement_dir(dir.path, {make_profile(1)},
                               binfmt::StructureData::capture(no_modules));
   core::write_file_atomic(dir.path / "profile-0-3.dcpf", old_bytes);
   const AnalysisResult r = Analyzer().run(dir.path);
   EXPECT_EQ(r.files_read, 1u);
-  EXPECT_EQ(r.files_skipped, 0u);
-  EXPECT_EQ(serialized(r.merged), serialized(p));
+  EXPECT_EQ(r.files_skipped, 1u);
+  ASSERT_EQ(r.skipped.size(), 1u);
+  expect_v3_error(r.skipped[0]);
+
+  IngestOptions opts;
+  opts.checkpoint = dir.path / "ingest.dcck";
+  opts.claim = false;
+  IngestService service(dir.path, opts);
+  EXPECT_EQ(service.poll_once(), 1u);
+  const IngestStats st = service.stats();
+  EXPECT_EQ(st.skipped, 1u);
+  EXPECT_EQ(st.resumes, 0u);
+  ASSERT_EQ(st.skip_reasons.size(), 1u);
+  expect_v3_error(st.skip_reasons[0]);
 }
 
 sim::MachineConfig tiny() {
@@ -722,14 +739,12 @@ TEST(CrashSafety, OverloadThrottlingRaisesPeriodAndIsRecordedEndToEnd) {
     void on_framing(const ProfileFraming& fr) override { f = fr; }
   } grab;
   const std::string bytes = serialized(tp);
-  std::istringstream in(bytes);
-  ThreadProfile::scan(in, grab);
+  ThreadProfile::scan(bytes, grab);
   EXPECT_EQ(grab.f.flags & core::kProfileFlagThrottled,
             core::kProfileFlagThrottled);
   EXPECT_EQ(grab.f.sampling_period, 8u);
   EXPECT_EQ(grab.f.effective_period, tp.effective_period);
-  std::istringstream in2(bytes);
-  const ThreadProfile back = ThreadProfile::read(in2);
+  const ThreadProfile back = ThreadProfile::read(bytes);
   EXPECT_TRUE(back.throttled());
   EXPECT_EQ(back.effective_period, tp.effective_period);
 

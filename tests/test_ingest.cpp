@@ -21,10 +21,10 @@
 #include "analysis/ingest.h"
 #include "analysis/pipeline.h"
 #include "binfmt/load_module.h"
-#include "core/checksum.h"
 #include "core/measurement.h"
 #include "core/profile.h"
 #include "obs/registry.h"
+#include "support/dcpf.h"
 #include "support/rng.h"
 #include "verify/invariants.h"
 
@@ -355,37 +355,14 @@ TEST(Ingest, CorruptShardSkippedOncePolicySkip) {
   EXPECT_EQ(st.files, 5u);
 }
 
-/// A shard whose framing and CRC32C are intact but whose record stream
-/// is truncated mid-body — bytes only a buggy writer (not a torn write)
-/// can produce: the cheap checksum validation passes and the failure
-/// only surfaces mid-merge, exercising the rollback path.
-std::string poisoned_shard(std::uint64_t i, std::size_t cut = 10) {
-  const std::string good = serialized(make_profile(i));
-  constexpr std::size_t kFooterSize = 4 + 8 + 4;
-  const std::string payload = good.substr(0, good.size() - kFooterSize - cut);
-  std::string out = payload;
-  const auto put_u32 = [&](std::uint32_t v) {
-    for (int b = 0; b < 4; ++b) {
-      out.push_back(static_cast<char>((v >> (8 * b)) & 0xffu));
-    }
-  };
-  put_u32(0x64637074u);  // footer magic "dcpt"
-  for (int b = 0; b < 8; ++b) {
-    out.push_back(static_cast<char>(
-        (static_cast<std::uint64_t>(payload.size()) >> (8 * b)) & 0xffu));
-  }
-  put_u32(core::crc32c(payload));
-  EXPECT_TRUE(ThreadProfile::check_framing(out).empty());
-  return out;
-}
-
 TEST(Ingest, PoisonShardRollsBackToCheckpointAndRecovers) {
   TempDir dir;
   TempDir pristine;
   write_fleet(dir.path, 8, &pristine.path);
   // Shard 3 turns poison: checksum intact, structure truncated. The
   // pristine batch reference simply never contains it.
-  core::write_file_atomic(dir.path / shard_name(3), poisoned_shard(3));
+  core::write_file_atomic(dir.path / shard_name(3),
+                          test::poisoned_shard(serialized(make_profile(3))));
   fs::remove(pristine.path / shard_name(3));
 
   IngestOptions opts = opts_for(dir.path);
@@ -407,6 +384,31 @@ TEST(Ingest, PoisonShardRollsBackToCheckpointAndRecovers) {
   // byte-identical to a batch run that never saw the poison shard.
   ASSERT_NE(service.merged(), nullptr);
   EXPECT_EQ(serialized(*service.merged()), batch_merged_bytes(pristine.path));
+}
+
+// A well-framed shard of a version this build does not read (here a
+// future v5) is rejected by the framing check, before any merge: it is a
+// plain skip, not a poison shard, so no rollback and no resume.
+TEST(Ingest, ForeignVersionShardIsSkippedWithoutRollback) {
+  TempDir dir;
+  write_fleet(dir.path, 4);
+  IngestOptions opts = opts_for(dir.path);
+  opts.claim = false;
+  opts.checkpoint_every = 2;  // a durable checkpoint exists before it
+  IngestService service(dir.path, opts);
+  EXPECT_EQ(service.poll_once(), 4u);
+  core::write_file_atomic(
+      dir.path / shard_name(4),
+      test::with_version(serialized(make_profile(4)), 5));
+  EXPECT_EQ(service.poll_once(), 0u);
+  const IngestStats st = service.stats();
+  EXPECT_EQ(st.files, 4u);
+  EXPECT_EQ(st.skipped, 1u);
+  EXPECT_EQ(st.resumes, 0u);
+  ASSERT_EQ(st.skip_reasons.size(), 1u);
+  EXPECT_NE(st.skip_reasons[0].find("unsupported profile version 5"),
+            std::string::npos)
+      << st.skip_reasons[0];
 }
 
 TEST(Ingest, CorruptShardQuarantinedUnderQuarantinePolicy) {

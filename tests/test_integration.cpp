@@ -104,7 +104,7 @@ TEST(Integration, ProfilesSurviveSerializationBeforeMerge) {
     samples += p.total_samples();
     std::stringstream buffer;
     p.write(buffer);
-    loaded.push_back(core::ThreadProfile::read(buffer));
+    loaded.push_back(core::ThreadProfile::read(buffer.str()));
   }
   const core::ThreadProfile merged = analysis::reduce(std::move(loaded));
   EXPECT_EQ(merged.total_samples(), samples);

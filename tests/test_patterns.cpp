@@ -154,8 +154,7 @@ TEST(Patterns, RoundTripsThroughSerializedProfile) {
   }
   std::ostringstream out;
   p.write(out);
-  std::istringstream in(out.str());
-  const ThreadProfile back = ThreadProfile::read(in);
+  const ThreadProfile back = ThreadProfile::read(out.str());
   EXPECT_TRUE(back.patterns == p.patterns);
   std::ostringstream again;
   back.write(again);

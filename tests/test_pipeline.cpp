@@ -1,7 +1,8 @@
 // Streaming analysis pipeline: Analyzer::run must produce a merged
 // profile byte-identical to the load-all reduce() path while holding at
-// most workers+1 profiles resident, skip-and-count corrupt files, and
-// keep the deprecated free-function/overload entry points equivalent.
+// most workers+1 profiles resident, skip-and-count corrupt, poisoned and
+// vanished files, and keep the deprecated free-function/overload entry
+// points equivalent.
 #include "analysis/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -9,12 +10,15 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <optional>
 #include <sstream>
 
 #include "analysis/merge.h"
 #include "core/measurement.h"
 #include "core/profiler.h"
 #include "rt/team.h"
+#include "support/dcpf.h"
 
 namespace dcprof::analysis {
 namespace {
@@ -116,11 +120,15 @@ std::vector<ThreadProfile> read_all_profiles(const fs::path& dir) {
   return out;
 }
 
-void truncate_file(const fs::path& path) {
+std::string read_profile_bytes(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string bytes = std::move(buf).str();
+  return std::move(buf).str();
+}
+
+void truncate_file(const fs::path& path) {
+  const std::string bytes = read_profile_bytes(path);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
 }
@@ -319,6 +327,195 @@ TEST(Pipeline, ThreadRowsMatchPreMergeProfiles) {
     EXPECT_EQ(r.threads[i].rank, expected[i].rank) << i;
     EXPECT_EQ(r.threads[i].tid, expected[i].tid) << i;
     EXPECT_EQ(r.threads[i].metrics.v, expected[i].metrics.v) << i;
+  }
+}
+
+// A racing quarantine or claim can remove a listed file before its
+// worker maps it. The run carries on (the file is listed as skipped)
+// unless the policy is strict, which names the file.
+TEST(Pipeline, FileVanishingAfterListingIsSkippedNotFatal) {
+  TempDir dir;
+  write_synthetic_dir(dir.path, 5);
+  const auto files = core::list_profile_files(dir.path);
+  ASSERT_EQ(files.size(), 5u);
+  std::vector<ThreadProfile> rest;
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    if (i != 3) rest.push_back(core::read_profile_file(files[i]));
+  }
+  const std::string expected = serialized(reduce(std::move(rest)));
+  const std::string victim = read_profile_bytes(files[3]);
+
+  for (const CorruptPolicy policy :
+       {CorruptPolicy::kSkip, CorruptPolicy::kQuarantine,
+        CorruptPolicy::kStrict}) {
+    core::write_file_atomic(files[3], victim);
+    Analyzer::Options opts;
+    opts.workers = 1;
+    opts.corrupt_policy = policy;
+    // After the first file folds, a "concurrent claimer" takes file 3.
+    opts.progress = [&](std::size_t done, std::size_t) {
+      if (done == 1) fs::remove(files[3]);
+    };
+    if (policy == CorruptPolicy::kStrict) {
+      try {
+        Analyzer(opts).run(dir.path);
+        FAIL() << "expected std::runtime_error";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(files[3].filename().string()),
+                  std::string::npos)
+            << e.what();
+      }
+      continue;
+    }
+    const AnalysisResult r = Analyzer(opts).run(dir.path);
+    EXPECT_EQ(r.files_read, 4u);
+    EXPECT_EQ(r.files_skipped, 1u);
+    ASSERT_EQ(r.skipped.size(), 1u);
+    EXPECT_NE(r.skipped[0].find(files[3].filename().string()),
+              std::string::npos);
+    EXPECT_NE(r.skipped[0].find("vanished after listing"), std::string::npos)
+        << r.skipped[0];
+    EXPECT_EQ(r.files_quarantined, 0u);
+    EXPECT_EQ(serialized(r.merged), expected);
+  }
+}
+
+// A poisoned shard — framing and CRC intact, structure truncated — is
+// only detected part-way through merging it into a worker's partial.
+// The worker must rebuild its partial without it, leaving the aggregate
+// and every count, list and progress call exactly as if the shard had
+// failed a validating pre-scan. Shard 1 is plainly corrupt (framing) and
+// shard 3 poisoned; both are merges into a non-empty partial with 1 and
+// with 3 workers, so each run re-folds.
+TEST(Pipeline, PoisonedShardIsRefoldedAroundUnderEveryPolicy) {
+  constexpr std::size_t kFiles = 8;
+  constexpr std::size_t kTorn = 1;
+  constexpr std::size_t kPoison = 3;
+  const auto make_dir = [](const TempDir& dir, bool torn) {
+    write_synthetic_dir(dir.path, kFiles);
+    const auto files = core::list_profile_files(dir.path);
+    if (torn) truncate_file(files[kTorn]);
+    core::write_file_atomic(
+        files[kPoison],
+        test::poisoned_shard(read_profile_bytes(files[kPoison])));
+    return files;
+  };
+
+  for (const int workers : {1, 3}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    // Skip and quarantine fold exactly the intact shards.
+    for (const CorruptPolicy policy :
+         {CorruptPolicy::kSkip, CorruptPolicy::kQuarantine}) {
+      TempDir dir;
+      const auto files = make_dir(dir, true);
+      std::vector<ThreadProfile> intact;
+      std::uint64_t intact_bytes = 0;
+      for (std::size_t i = 0; i < kFiles; ++i) {
+        if (i == kTorn || i == kPoison) continue;
+        intact.push_back(core::read_profile_file(files[i]));
+        intact_bytes += fs::file_size(files[i]);
+      }
+      std::mutex mu;
+      std::vector<std::size_t> calls;
+      Analyzer::Options opts;
+      opts.workers = workers;
+      opts.corrupt_policy = policy;
+      opts.views = kViewThreads;
+      opts.progress = [&](std::size_t done, std::size_t total) {
+        std::lock_guard lock(mu);
+        EXPECT_EQ(total, kFiles);
+        calls.push_back(done);
+      };
+      const AnalysisResult r = Analyzer(opts).run(dir.path);
+      EXPECT_EQ(serialized(r.merged), serialized(reduce(std::move(intact))));
+      EXPECT_EQ(r.files_read, kFiles - 2);
+      EXPECT_EQ(r.files_skipped, 2u);
+      ASSERT_EQ(r.skipped.size(), 2u);
+      EXPECT_NE(r.skipped[0].find(files[kTorn].filename().string()),
+                std::string::npos);
+      EXPECT_NE(r.skipped[1].find(files[kPoison].filename().string()),
+                std::string::npos);
+      EXPECT_EQ(r.threads.size(), kFiles - 2);
+      EXPECT_EQ(r.transient_retries, 0u);
+      EXPECT_EQ(r.bytes_streamed,
+                intact_bytes + fs::file_size(dir.path / "structure.dcst"));
+      std::sort(calls.begin(), calls.end());
+      std::vector<std::size_t> once(kFiles);
+      for (std::size_t i = 0; i < kFiles; ++i) once[i] = i + 1;
+      EXPECT_EQ(calls, once);
+      EXPECT_LE(r.peak_resident_profiles,
+                static_cast<std::size_t>(workers) + 1);
+      if (policy == CorruptPolicy::kQuarantine) {
+        ASSERT_EQ(r.quarantined.size(), 2u);
+        const fs::path qdir = dir.path / core::kQuarantineDirName;
+        std::size_t moved = 0;
+        for (const auto& e : fs::directory_iterator(qdir)) {
+          (void)e;
+          ++moved;
+        }
+        EXPECT_EQ(moved, 2u);  // each moved exactly once
+        EXPECT_TRUE(fs::exists(qdir / files[kPoison].filename()));
+        EXPECT_FALSE(fs::exists(files[kPoison]));
+      } else {
+        EXPECT_TRUE(r.quarantined.empty());
+        EXPECT_TRUE(fs::exists(files[kPoison]));
+      }
+    }
+
+    // Salvage folds each corrupt shard's valid prefix in its place,
+    // exactly as read_profile_file_salvage keeps it.
+    {
+      TempDir dir;
+      const auto files = make_dir(dir, true);
+      std::optional<ThreadProfile> expected;
+      std::size_t kept = 0;
+      std::size_t dropped = 0;
+      for (std::size_t i = 0; i < kFiles; ++i) {
+        ThreadProfile p;
+        if (i == kTorn || i == kPoison) {
+          core::SalvageResult sr;
+          p = core::read_profile_file_salvage(files[i], sr);
+          ASSERT_GT(sr.records_kept, 0u);
+          kept += sr.records_kept;
+          dropped += sr.records_dropped;
+        } else {
+          p = core::read_profile_file(files[i]);
+        }
+        if (!expected) {
+          expected = std::move(p);
+        } else {
+          merge_into(*expected, p);
+        }
+      }
+      Analyzer::Options opts;
+      opts.workers = workers;
+      opts.salvage = true;
+      const AnalysisResult r = Analyzer(opts).run(dir.path);
+      EXPECT_EQ(serialized(r.merged), serialized(*expected));
+      EXPECT_EQ(r.files_read, kFiles - 2);
+      EXPECT_EQ(r.files_salvaged, 2u);
+      EXPECT_EQ(r.records_salvaged, kept);
+      EXPECT_EQ(r.records_dropped, dropped);
+      EXPECT_EQ(r.salvaged.size(), 2u);
+    }
+
+    // Strict names the poisoned shard.
+    {
+      TempDir dir;
+      const auto files = make_dir(dir, false);
+      Analyzer::Options opts;
+      opts.workers = workers;
+      opts.corrupt_policy = CorruptPolicy::kStrict;
+      try {
+        Analyzer(opts).run(dir.path);
+        FAIL() << "expected std::runtime_error";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(
+            std::string(e.what()).find(files[kPoison].filename().string()),
+            std::string::npos)
+            << e.what();
+      }
+    }
   }
 }
 

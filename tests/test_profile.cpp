@@ -37,7 +37,7 @@ TEST(ThreadProfile, RoundTripPreservesEverything) {
   const ThreadProfile original = sample_profile();
   std::stringstream buffer;
   original.write(buffer);
-  const ThreadProfile copy = ThreadProfile::read(buffer);
+  const ThreadProfile copy = ThreadProfile::read(buffer.str());
 
   EXPECT_EQ(copy.rank, 3);
   EXPECT_EQ(copy.tid, 17);
@@ -60,7 +60,7 @@ TEST(ThreadProfile, RoundTrippedCctIsUsable) {
   const ThreadProfile original = sample_profile();
   std::stringstream buffer;
   original.write(buffer);
-  ThreadProfile copy = ThreadProfile::read(buffer);
+  ThreadProfile copy = ThreadProfile::read(buffer.str());
   // Child index was rebuilt: find-or-create resolves existing nodes.
   Cct& heap = copy.cct(StorageClass::kHeap);
   const auto before = heap.size();
@@ -77,7 +77,7 @@ TEST(ThreadProfile, EmptyProfileRoundTrips) {
   ThreadProfile empty;
   std::stringstream buffer;
   empty.write(buffer);
-  const ThreadProfile copy = ThreadProfile::read(buffer);
+  const ThreadProfile copy = ThreadProfile::read(buffer.str());
   EXPECT_EQ(copy.total_samples(), 0u);
   for (const auto& cct : copy.ccts) EXPECT_EQ(cct.size(), 1u);
 }
@@ -85,7 +85,7 @@ TEST(ThreadProfile, EmptyProfileRoundTrips) {
 TEST(ThreadProfile, BadMagicRejected) {
   std::stringstream buffer;
   buffer << "not a profile at all";
-  EXPECT_THROW(ThreadProfile::read(buffer), std::runtime_error);
+  EXPECT_THROW(ThreadProfile::read(buffer.str()), std::runtime_error);
 }
 
 TEST(ThreadProfile, WrongVersionRejected) {
@@ -94,8 +94,7 @@ TEST(ThreadProfile, WrongVersionRejected) {
   original.write(buffer);
   std::string bytes = buffer.str();
   bytes[4] = static_cast<char>(99);  // corrupt the version field
-  std::stringstream corrupted(bytes);
-  EXPECT_THROW(ThreadProfile::read(corrupted), std::runtime_error);
+  EXPECT_THROW(ThreadProfile::read(bytes), std::runtime_error);
 }
 
 TEST(ThreadProfile, TruncatedStreamRejected) {
@@ -104,8 +103,7 @@ TEST(ThreadProfile, TruncatedStreamRejected) {
   original.write(buffer);
   std::string bytes = buffer.str();
   bytes.resize(bytes.size() / 2);
-  std::stringstream truncated(bytes);
-  EXPECT_THROW(ThreadProfile::read(truncated), std::runtime_error);
+  EXPECT_THROW(ThreadProfile::read(bytes), std::runtime_error);
 }
 
 TEST(ThreadProfile, SerializedBytesMatchesStreamSize) {

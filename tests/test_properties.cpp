@@ -61,7 +61,7 @@ TEST_P(ProfileFuzz, SerializationRoundTripIsExact) {
       random_profile(static_cast<std::uint64_t>(GetParam()));
   std::stringstream buffer;
   original.write(buffer);
-  const ThreadProfile copy = ThreadProfile::read(buffer);
+  const ThreadProfile copy = ThreadProfile::read(buffer.str());
   EXPECT_EQ(copy.rank, original.rank);
   EXPECT_EQ(copy.tid, original.tid);
   for (std::size_t c = 0; c < core::kNumStorageClasses; ++c) {

@@ -99,9 +99,9 @@ TEST(DcpfFuzz, BuiltinCorpusIsValid) {
   ASSERT_GE(corpus.size(), 5u);
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     SCOPED_TRACE(names[i]);
-    std::istringstream in(corpus[i]);
     ThreadProfile p;
-    ASSERT_NO_THROW(p = ThreadProfile::read(in)) << "corpus entry rejected";
+    ASSERT_NO_THROW(p = ThreadProfile::read(corpus[i]))
+        << "corpus entry rejected";
     const verify::CheckResult check = verify::check_profile(p);
     EXPECT_TRUE(check.ok()) << check.summary();
   }
@@ -244,11 +244,9 @@ TEST(ReaderHardening, RejectsDuplicateStringTableEntries) {
   // Interning would silently collapse the duplicates, leaving later
   // kVarStatic ids dangling — the reader must reject instead.
   const std::string bytes = dcpf_file({"x", "x"}, root_node(), 1);
-  std::istringstream in(bytes);
-  EXPECT_THROW(ThreadProfile::read(in), std::runtime_error);
+  EXPECT_THROW(ThreadProfile::read(bytes), std::runtime_error);
 
-  std::istringstream ok(dcpf_file({"x", "y"}, root_node(), 1));
-  EXPECT_NO_THROW(ThreadProfile::read(ok));
+  EXPECT_NO_THROW(ThreadProfile::read(dcpf_file({"x", "y"}, root_node(), 1)));
 }
 
 TEST(ReaderHardening, RejectsRootKindNodeBelowTheRoot) {
@@ -259,8 +257,7 @@ TEST(ReaderHardening, RejectsRootKindNodeBelowTheRoot) {
   put_u32(nodes, 0);  // parent 0
   for (std::size_t k = 0; k < core::kNumMetrics; ++k) put_u64(nodes, 0);
   const std::string bytes = dcpf_file({}, nodes, 2);
-  std::istringstream in(bytes);
-  EXPECT_THROW(ThreadProfile::read(in), std::runtime_error);
+  EXPECT_THROW(ThreadProfile::read(bytes), std::runtime_error);
 }
 
 }  // namespace

@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
                 r.transient_retries);
   }
   if (r.files_skipped > 0) {
-    std::printf("skipped %zu corrupt profile file(s):\n", r.files_skipped);
+    std::printf("skipped %zu profile file(s):\n", r.files_skipped);
     for (const auto& s : r.skipped) std::printf("  %s\n", s.c_str());
   }
   if (r.files_salvaged > 0) {

@@ -4,9 +4,9 @@
 #   BENCH_ingest.json   fleet-scale continuous ingestion (dcprof_ingestd
 #                       over a 10k-shard synthetic corpus): sustained
 #                       shards/sec, peak RSS, and the ingest-vs-batch
-#                       throughput ratio, gated >= 1.0x (the mmap fold
-#                       must not lose to the batch analyzer) with a
-#                       bounded-RSS sanity gate
+#                       throughput ratio, gated >= 1.0x (the daemon must
+#                       not lose to the batch analyzer running the same
+#                       fold) with a bounded-RSS sanity gate
 # (google-benchmark JSON, except BENCH_ingest.json which dcprof_ingestd
 # emits itself). End-to-end wall time of the CLI workflow (measure,
 # analyze, what-if, ingest) is perfbench's job: `measure_s` and friends
@@ -79,8 +79,9 @@ EOF
 # checkpoint's serialize+fsync is a durability cost the batch analyzer
 # never pays (its cadence is the deployment's loss-window knob, not a
 # property of the ingest path). Gates:
-#   * sustained ingest throughput >= 1.0x the batch analyzer's (the
-#     zero-copy mmap fold must not lose to the istream batch path);
+#   * sustained ingest throughput >= 1.0x the batch analyzer's (both
+#     run the same zero-copy mmap fold, analysis::fold_shard, so the
+#     daemon's per-shard bookkeeping must not make it lose);
 #   * peak RSS stays bounded — the aggregate plus one transient shard,
 #     never proportional to the 10k-shard corpus (<= 512 MiB here, two
 #     orders of magnitude under the corpus-resident alternative).
