@@ -18,7 +18,8 @@ std::uint64_t now_ns() {
           .count());
 }
 
-/// Default-constructed handles write here; the values are never read.
+/// Default-constructed handles write here; the values are never read, so
+/// concurrent writers losing each other's counts is harmless.
 detail::Cell& scratch_cell() {
   static detail::Cell cell;
   return cell;

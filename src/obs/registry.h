@@ -3,12 +3,16 @@
 // Table 1 overhead story, made continuously observable).
 //
 // Hot-path contract:
-//  * Counter and Histogram handles may be written from multiple threads:
-//    `add`/`record` are relaxed atomic RMWs (a lock-prefixed add, no
-//    ordering). Each handle still owns a private cache-line-padded cell,
-//    so the RMW is uncontended unless a handle is deliberately shared;
-//    threads wanting a hot same-series counter should each create their
-//    own handle (snapshots sum across cells).
+//  * A Counter handle has exactly one writing thread. `add` is a relaxed
+//    load + store of the handle's private cache-line-padded cell (no
+//    lock prefix: the simulator and PMU bump counters per access and per
+//    op), so two threads adding through one handle would lose counts.
+//    Threads wanting the same series each create their own handle;
+//    snapshots sum across cells. Any thread may read (`value`,
+//    snapshots) at any time and sees some recent total.
+//  * Histogram handles may be written from multiple threads: `record`
+//    is relaxed atomic RMWs (a lock-prefixed add, no ordering) on the
+//    handle's private cells.
 //  * Gauge handles may be shared across threads: `add`/`set` use real
 //    atomic RMW (they sit on cold or per-batch paths, e.g. pipeline
 //    queue occupancy), and each cell tracks its high-water mark.
@@ -49,7 +53,8 @@ enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
 namespace detail {
 
-/// One counter/histogram/gauge value slot (multi-writer safe).
+/// One counter or gauge value slot. Atomic, so readers on other threads
+/// never see a torn value; gauges also take multi-writer RMWs on it.
 /// Padded so two handles never false-share.
 struct alignas(64) Cell {
   std::atomic<std::uint64_t> value{0};
@@ -71,7 +76,7 @@ struct Series;
 
 }  // namespace detail
 
-/// Monotonic counter handle (multi-writer safe; move-only).
+/// Monotonic counter handle (single writer, any reader; move-only).
 class Counter {
  public:
   Counter();  ///< bound to a process-wide scratch cell (writes discarded)
@@ -81,9 +86,9 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void add(std::uint64_t n) {
-    // Relaxed RMW: exact under concurrent writers (drain-time bumps from
-    // worker threads), uncontended-cheap when the handle stays private.
-    cell_->value.fetch_add(n, std::memory_order_relaxed);
+    // Single writer: a plain relaxed load + store, no locked RMW.
+    cell_->value.store(cell_->value.load(std::memory_order_relaxed) + n,
+                       std::memory_order_relaxed);
   }
   void inc() { add(1); }
   std::uint64_t value() const {

@@ -1,5 +1,6 @@
 #include "pmu/pmu.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace dcprof::pmu {
@@ -25,6 +26,7 @@ PmuSet::PmuSet(const sim::MachineConfig& machine_cfg,
     if (cfg.jitter >= cfg.period) {
       throw std::invalid_argument("PMU jitter must be < period");
     }
+    if (cfg.event != EventKind::kIbsOp) ibs_only_ = false;
     for (std::size_t c = 0; c < cores_; ++c) {
       countdown_.push_back(cfg.period);
       rng_state_.push_back(0x9e3779b97f4a7c15ull * (c + 1) +
@@ -90,7 +92,6 @@ std::uint64_t PmuSet::next_period(std::size_t cfg_index, sim::CoreId core) {
 }
 
 void PmuSet::on_access(const sim::MemAccess& a) {
-  if (!enabled_) return;
   for (std::size_t i = 0; i < configs_.size(); ++i) {
     const PmuConfig& cfg = configs_[i];
     if (!event_matches(cfg, a)) continue;
@@ -118,7 +119,6 @@ void PmuSet::on_access(const sim::MemAccess& a) {
 
 void PmuSet::on_compute(sim::ThreadId tid, sim::CoreId core,
                         std::uint64_t instrs, sim::Addr ip, sim::Cycles now) {
-  if (!enabled_) return;
   for (std::size_t i = 0; i < configs_.size(); ++i) {
     const PmuConfig& cfg = configs_[i];
     if (cfg.event != EventKind::kIbsOp) continue;  // only IBS counts ops
@@ -139,6 +139,27 @@ void PmuSet::on_compute(sim::ThreadId tid, sim::CoreId core,
       emit(cfg, s);
     }
     cd -= remaining;
+  }
+}
+
+std::uint64_t PmuSet::quiet_budget(sim::CoreId core) {
+  if (!ibs_only_) return 0;
+  // Every countdown stays >= 1 through the quiet ops, so none of them
+  // could have taken a sample (or drawn jitter, or re-armed a throttled
+  // period): the next delivered op is the one that does.
+  std::uint64_t budget = ~std::uint64_t{0};
+  for (std::size_t i = 0; i < configs_.size(); ++i) {
+    budget = std::min(
+        budget, countdown_[i * cores_ + static_cast<std::size_t>(core)] - 1);
+  }
+  return budget;
+}
+
+void PmuSet::on_quiet(sim::CoreId core, std::uint64_t ops) {
+  // Only granted when every config is IBS, which counts every op.
+  for (std::size_t i = 0; i < configs_.size(); ++i) {
+    event_counts_[i].add(ops);
+    countdown_[i * cores_ + static_cast<std::size_t>(core)] -= ops;
   }
 }
 

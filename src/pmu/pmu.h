@@ -64,15 +64,18 @@ struct PmuConfig {
 
 /// The machine-wide set of per-core PMUs. Each core has an independent
 /// countdown per configured event, mirroring per-core PMU hardware.
+///
+/// Skip-ahead: like IBS hardware, which counts retired ops for free and
+/// interrupts only on the sampled one, a set of IBS configs grants the
+/// machine a quiet budget of one op less than the nearest countdown, so
+/// only the op that can take a sample is delivered; the rest arrive in
+/// bulk through on_quiet. Marked events count only matching accesses,
+/// so a set with any marked config grants no budget and sees every op.
 class PmuSet : public sim::AccessObserver {
  public:
   PmuSet(const sim::MachineConfig& machine_cfg, std::vector<PmuConfig> cfgs);
 
   void set_handler(SampleHandler handler) { handler_ = std::move(handler); }
-
-  /// Enables/disables sample delivery without detaching from the machine.
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
 
   /// Graceful-degradation hook: multiplies every configured period by
   /// `scale` (>= 1) the next time a countdown is re-armed. The sample
@@ -91,7 +94,11 @@ class PmuSet : public sim::AccessObserver {
   void on_access(const sim::MemAccess& access) override;
   void on_compute(sim::ThreadId tid, sim::CoreId core, std::uint64_t instrs,
                   sim::Addr ip, sim::Cycles now) override;
+  std::uint64_t quiet_budget(sim::CoreId core) override;
+  void on_quiet(sim::CoreId core, std::uint64_t ops) override;
 
+  /// Exact once the machine has reported its quiet ops: after every
+  /// rt::Team construct, and after detaching from the machine.
   std::uint64_t samples_taken() const { return samples_.value(); }
   std::uint64_t events_counted(std::size_t cfg_index) const;
   const std::vector<PmuConfig>& configs() const { return configs_; }
@@ -113,7 +120,7 @@ class PmuSet : public sim::AccessObserver {
   // when two cfgs sample the same event kind.
   std::vector<obs::Counter> event_counts_;  // per cfg
   SampleHandler handler_;
-  bool enabled_ = true;
+  bool ibs_only_ = true;  ///< no marked config: skip-ahead applies
   // Written by the overload-throttle path, read by stats readers on
   // other threads — atomic (relaxed: the value is advisory, no ordering
   // with other state is implied).

@@ -24,7 +24,7 @@ struct Partition {
 
 }  // namespace
 
-Team::Team(sim::Machine& machine, int nthreads) {
+Team::Team(sim::Machine& machine, int nthreads) : machine_(&machine) {
   if (nthreads <= 0) throw std::invalid_argument("team needs >= 1 thread");
   const int cores = machine.config().num_cores();
   threads_.reserve(static_cast<std::size_t>(nthreads));
@@ -40,6 +40,7 @@ void Team::barrier() {
     if (t->clock() > max) max = t->clock();
   }
   for (auto& t : threads_) t->set_clock(max);
+  machine_->sync_observer();
 }
 
 Cycles Team::now() const {

@@ -44,7 +44,10 @@ class Team {
   ThreadCtx& thread(int t) { return *threads_[static_cast<std::size_t>(t)]; }
   ThreadCtx& master() { return *threads_[0]; }
 
-  /// Synchronizes all thread clocks to the team maximum (a barrier).
+  /// Synchronizes all thread clocks to the team maximum (a barrier), and
+  /// reports the machine's quietly retired ops to its observer
+  /// (sim::Machine::sync_observer), so PMU counts are exact after every
+  /// construct.
   void barrier();
 
   /// Team wall-clock: the maximum thread clock.
@@ -92,6 +95,7 @@ class Team {
                ForBodyRef body);
   void run_region(RegionBodyRef body);
 
+  sim::Machine* machine_;
   std::vector<std::unique_ptr<ThreadCtx>> threads_;
 };
 

@@ -21,74 +21,70 @@ SetAssocCache::SetAssocCache(const CacheConfig& cfg)
       assoc_(cfg.associativity) {
   if (sets_ == 0) throw std::invalid_argument("cache too small for geometry");
   log2_exact(sets_, "cache set count");
-  ways_.resize(sets_ * assoc_);
+  ways_.assign(sets_ * assoc_, 0);
 }
 
 bool SetAssocCache::access(Addr addr) {
-  const std::size_t set = set_index(addr);
-  const Addr tag = tag_of(addr);
-  Way* base = &ways_[set * assoc_];
+  Addr* base = &ways_[set_index(addr) * assoc_];
+  const Addr key = key_of(addr);
+  // MRU first; invalid ways hold 0 and never match.
   for (unsigned i = 0; i < assoc_; ++i) {
-    if (base[i].valid && base[i].tag == tag) {
+    if (base[i] == key) {
       // Move to MRU position.
-      std::rotate(base, base + i, base + i + 1);
+      std::copy_backward(base, base + i, base + i + 1);
+      base[0] = key;
       ++hits_;
       return true;
     }
   }
   ++misses_;
   // Fill: shift everything down one way, insert at MRU; LRU way falls off.
-  std::rotate(base, base + assoc_ - 1, base + assoc_);
-  base[0] = Way{tag, true};
+  std::copy_backward(base, base + assoc_ - 1, base + assoc_);
+  base[0] = key;
   return false;
 }
 
 bool SetAssocCache::contains(Addr addr) const {
-  const std::size_t set = set_index(addr);
-  const Addr tag = tag_of(addr);
-  const Way* base = &ways_[set * assoc_];
-  for (unsigned i = 0; i < assoc_; ++i) {
-    if (base[i].valid && base[i].tag == tag) return true;
-  }
-  return false;
+  const Addr* base = &ways_[set_index(addr) * assoc_];
+  return std::find(base, base + assoc_, key_of(addr)) != base + assoc_;
 }
 
 void SetAssocCache::invalidate(Addr addr) {
-  const std::size_t set = set_index(addr);
-  const Addr tag = tag_of(addr);
-  Way* base = &ways_[set * assoc_];
-  for (unsigned i = 0; i < assoc_; ++i) {
-    if (base[i].valid && base[i].tag == tag) {
-      base[i].valid = false;
-      return;
-    }
-  }
+  Addr* base = &ways_[set_index(addr) * assoc_];
+  Addr* way = std::find(base, base + assoc_, key_of(addr));
+  if (way != base + assoc_) *way = 0;
 }
 
-void SetAssocCache::clear() {
-  for (auto& w : ways_) w.valid = false;
-}
+void SetAssocCache::clear() { std::fill(ways_.begin(), ways_.end(), 0); }
 
 Tlb::Tlb(unsigned entries, std::size_t page_bytes)
-    : page_shift_(log2_exact(page_bytes, "page size")), entries_(entries) {
-  pages_.reserve(entries_);
+    : page_shift_(log2_exact(page_bytes, "page size")), entries_(entries),
+      pages_(std::max(entries, 2u), 0) {
+  if (entries_ == 0) throw std::invalid_argument("TLB needs >= 1 entry");
 }
 
 bool Tlb::access(Addr addr) {
-  const Addr page = addr >> page_shift_;
-  auto it = std::find(pages_.begin(), pages_.end(), page);
-  if (it != pages_.end()) {
-    std::rotate(pages_.begin(), it, it + 1);
-    ++hits_;
-    return true;
+  const Addr key = key_of(addr);
+  Addr* p = pages_.data();
+  for (unsigned i = 0; i < size_; ++i) {
+    if (p[i] == key) {
+      std::copy_backward(p, p + i, p + i + 1);
+      p[0] = key;
+      ++hits_;
+      return true;
+    }
   }
   ++misses_;
-  if (pages_.size() == entries_) pages_.pop_back();
-  pages_.insert(pages_.begin(), page);
+  if (size_ < entries_) ++size_;  // else the LRU entry falls off the back
+  std::copy_backward(p, p + size_ - 1, p + size_);
+  p[0] = key;
   return false;
 }
 
-void Tlb::clear() { pages_.clear(); }
+void Tlb::clear() {
+  std::fill(pages_.begin(), pages_.end(), 0);
+  size_ = 0;
+}
 
 const char* to_string(MemLevel level) {
   switch (level) {

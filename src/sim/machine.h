@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/address_space.h"
 #include "sim/config.h"
@@ -21,6 +22,14 @@ namespace dcprof::sim {
 
 /// Hook the PMU implements. The machine is observer-agnostic so `sim`
 /// stays independent of `pmu`.
+///
+/// Quiet-op protocol: after each callback on a core the machine asks
+/// quiet_budget() how many of that core's following ops the observer
+/// does not need to see one by one (an access is one op, a compute
+/// block `instrs` ops). The machine retires up to that many ops without
+/// a callback and reports them in bulk through on_quiet() — before the
+/// next callback on that core, before the observer changes, and at
+/// Machine::sync_observer(). The default budget 0 delivers every op.
 class AccessObserver {
  public:
   virtual ~AccessObserver() = default;
@@ -30,6 +39,17 @@ class AccessObserver {
   /// identifies the code region (representative instruction pointer).
   virtual void on_compute(ThreadId tid, CoreId core, std::uint64_t instrs,
                           Addr ip, Cycles now) = 0;
+  /// Ops `core` may retire quietly from now on (asked after each callback).
+  virtual std::uint64_t quiet_budget(CoreId core) {
+    (void)core;
+    return 0;
+  }
+  /// `ops` ops `core` retired within its quiet budget, since the last
+  /// callback or report.
+  virtual void on_quiet(CoreId core, std::uint64_t ops) {
+    (void)core;
+    (void)ops;
+  }
 };
 
 class Machine {
@@ -48,30 +68,80 @@ class Machine {
   OverrideMap& overrides() { return memory_.overrides(); }
   const OverrideMap& overrides() const { return memory_.overrides(); }
 
-  /// At most one observer (the PMU set); null detaches. Attach/detach at
-  /// quiescent points only (no constructs in flight).
-  void set_observer(AccessObserver* observer) { observer_ = observer; }
+  /// At most one observer (the PMU set); null detaches. Reports the old
+  /// observer's quiet ops first. Attach/detach at quiescent points only
+  /// (no constructs in flight).
+  void set_observer(AccessObserver* observer);
   AccessObserver* observer() const { return observer_; }
 
+  /// Reports every core's quietly retired ops to the observer, so its
+  /// counts are exact. rt::Team calls it at the end of each construct.
+  void sync_observer();
+
   /// Issues one memory access on `core` at instruction `ip`, advancing
-  /// the caller's thread clock by the observed latency.
+  /// the caller's thread clock by the observed latency. A quiet op that
+  /// MemorySystem::access_mru resolves completes inline; every other
+  /// access takes access_full.
   AccessResult access(ThreadId tid, CoreId core, Addr ip, Addr addr,
-                      std::uint32_t size, bool is_store, Cycles& clock);
+                      std::uint32_t size, bool is_store, Cycles& clock) {
+    Quiet& q = quiet_[static_cast<std::size_t>(core)];
+    AccessResult r;
+    if ((q.budget != 0 || observer_ == nullptr) &&
+        memory_.access_mru(core, addr, is_store, r)) {
+      ++instructions_;
+      ++mem_accesses_;
+      clock += r.latency;
+      if (q.budget != 0) {
+        --q.budget;
+        ++q.held;
+      }
+      return r;
+    }
+    return access_full(tid, core, ip, addr, size, is_store, clock);
+  }
 
   /// Retires `instrs` non-memory instructions (1 cycle each) attributed
   /// to code at `ip`.
   void compute(ThreadId tid, CoreId core, std::uint64_t instrs, Addr ip,
-               Cycles& clock);
+               Cycles& clock) {
+    instructions_ += instrs;
+    clock += instrs;
+    Quiet& q = quiet_[static_cast<std::size_t>(core)];
+    if (q.budget != 0 && instrs <= q.budget) {
+      q.budget -= instrs;
+      q.held += instrs;
+    } else if (observer_ != nullptr) {
+      deliver_compute(tid, core, instrs, ip, clock);
+    }
+  }
 
   /// Total retired instructions / memory accesses.
   std::uint64_t instructions_retired() const { return instructions_; }
   std::uint64_t memory_accesses() const { return mem_accesses_; }
 
  private:
+  /// One core's quiet-op state: ops it may still retire without a
+  /// callback, and ops retired so but not yet reported.
+  struct Quiet {
+    std::uint64_t budget = 0;
+    std::uint64_t held = 0;
+  };
+
+  /// Every access access() does not complete inline: the full memory
+  /// system resolution, then quiet accounting or the observer callback.
+  AccessResult access_full(ThreadId tid, CoreId core, Addr ip, Addr addr,
+                           std::uint32_t size, bool is_store, Cycles& clock);
+  /// The observer callback for a compute block outside the quiet budget.
+  void deliver_compute(ThreadId tid, CoreId core, std::uint64_t instrs,
+                       Addr ip, Cycles now);
+  /// Reports `core`'s held ops (if any) to the observer.
+  void report_held(CoreId core);
+
   MachineConfig cfg_;
   MemorySystem memory_;
   AddressSpace aspace_;
   AccessObserver* observer_ = nullptr;
+  std::vector<Quiet> quiet_;  // per core
   std::uint64_t instructions_ = 0;
   std::uint64_t mem_accesses_ = 0;
 };

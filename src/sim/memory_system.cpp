@@ -144,10 +144,11 @@ void MemorySystem::finish_dram(Addr addr, NodeId home, NodeId toucher,
 
 AccessResult MemorySystem::access(CoreId core, Addr addr, bool is_store,
                                   Cycles now) {
-  AccessResult r;
   const OverrideEntry* ov =
       overrides_.empty() ? nullptr : overrides_.lookup(addr);
   const bool skip_tlb = ov != nullptr && ov->latency != LatencyOverride::kNone;
+  AccessResult r;
+  if (mru_hit(core, addr, is_store, skip_tlb, r)) return r;
   if (walk_caches(core, addr, is_store, r, skip_tlb)) return r;
   // DRAM fill: bind the page (first touch) and pay the home controller.
   const NodeId toucher = cfg_.node_of(core);

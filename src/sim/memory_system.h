@@ -110,8 +110,20 @@ class MemorySystem {
  public:
   explicit MemorySystem(const MachineConfig& cfg);
 
-  /// Resolves one access by `core` at thread-local time `now`.
+  /// Resolves one access by `core` at thread-local time `now`: the
+  /// inline MRU check (access_mru), else the full walk (walk_caches, then
+  /// DRAM). The what-if override covering the address is looked up once
+  /// and serves both.
   AccessResult access(CoreId core, Addr addr, bool is_store, Cycles now);
+
+  /// The inline check, for runs without overrides: resolves an L1 hit on
+  /// the MRU way of its set whose page is one of the TLB's two most
+  /// recent entries. Such a hit changes no replacement state beyond the
+  /// swap Tlb::access would make, so this is exactly access()'s outcome.
+  /// Returns false, changing nothing, for every other access.
+  bool access_mru(CoreId core, Addr addr, bool is_store, AccessResult& r) {
+    return overrides_.empty() && mru_hit(core, addr, is_store, false, r);
+  }
 
   PageTable& page_table() { return page_table_; }
   const PageTable& page_table() const { return page_table_; }
@@ -129,7 +141,35 @@ class MemorySystem {
   /// Drops all cached state (not page placements). Useful between phases.
   void flush_caches();
 
+  /// Per-core and per-socket components, for hit/miss inspection.
+  const SetAssocCache& l1(CoreId core) const {
+    return l1_[static_cast<std::size_t>(core)];
+  }
+  const SetAssocCache& l2(CoreId core) const {
+    return l2_[static_cast<std::size_t>(core)];
+  }
+  const SetAssocCache& l3(int socket) const {
+    return l3_[static_cast<std::size_t>(socket)];
+  }
+  const Tlb& tlb(CoreId core) const {
+    return tlbs_[static_cast<std::size_t>(core)];
+  }
+
  private:
+  /// The state-free hit: L1 MRU way, and the TLB's two most recent
+  /// entries unless `skip_tlb` (a latency override bypasses the TLB).
+  bool mru_hit(CoreId core, Addr addr, bool is_store, bool skip_tlb,
+               AccessResult& r) {
+    const auto ci = static_cast<std::size_t>(core);
+    SetAssocCache& l1 = l1_[ci];
+    if (!l1.mru_holds(addr) || !(skip_tlb || tlbs_[ci].access_recent(addr))) {
+      return false;
+    }
+    l1.count_hit();
+    tm_.l1.inc();
+    r.latency = is_store ? cfg_.lat.store_hit : cfg_.lat.l1;
+    return true;  // level kL1, no TLB miss: r's defaults
+  }
   /// TLB + L1/L2/L3 walk; fills caches on miss. Returns true when a
   /// cache satisfied the access (`r` is complete); false when it falls
   /// through to DRAM (`r` carries the TLB outcome and walk latency so

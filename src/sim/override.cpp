@@ -1,5 +1,8 @@
 #include "sim/override.h"
 
+#include <bit>
+#include <stdexcept>
+
 namespace dcprof::sim {
 
 const char* to_string(PlacementOverride p) {
@@ -20,9 +23,18 @@ const char* to_string(LatencyOverride l) {
   return "?";
 }
 
+OverrideMap::OverrideMap(std::size_t page_bytes)
+    : page_bytes_(page_bytes),
+      page_shift_(static_cast<unsigned>(std::countr_zero(page_bytes))) {
+  if (!std::has_single_bit(page_bytes)) {
+    throw std::invalid_argument("page size must be a power of two");
+  }
+}
+
 void OverrideMap::add_range(Addr base, std::uint64_t size,
                             OverrideEntry entry) {
   if (size == 0 || entry.none()) return;
+  reset_cache();
   Addr cur = base / page_bytes_;
   const Addr last = (base + size - 1) / page_bytes_ + 1;
   while (cur < last) {
@@ -43,6 +55,7 @@ void OverrideMap::add_range(Addr base, std::uint64_t size,
 
 void OverrideMap::remove_range(Addr base, std::uint64_t size) {
   if (size == 0 || ranges_.empty()) return;
+  reset_cache();
   const Addr first = base / page_bytes_;
   const Addr last = (base + size - 1) / page_bytes_ + 1;
   auto it = ranges_.upper_bound(first);
@@ -67,12 +80,14 @@ std::uint64_t OverrideMap::num_pages() const {
   return pages;
 }
 
-const OverrideEntry* OverrideMap::lookup(Addr addr) const {
-  const Addr page = addr / page_bytes_;
-  auto it = ranges_.upper_bound(page);
-  if (it == ranges_.begin()) return nullptr;
-  --it;
-  return page < it->second.end_page ? &it->second.entry : nullptr;
+const OverrideEntry* OverrideMap::lookup_miss(Addr page) const {
+  const OverrideEntry* entry = nullptr;
+  if (auto it = ranges_.upper_bound(page); it != ranges_.begin()) {
+    --it;
+    if (page < it->second.end_page) entry = &it->second.entry;
+  }
+  cache_[page % kCacheSlots] = CacheSlot{page + 1, entry};
+  return entry;
 }
 
 }  // namespace dcprof::sim

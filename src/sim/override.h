@@ -5,6 +5,7 @@
 // first touch (page binding) and the DRAM-home lookup of a fill.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 
@@ -59,12 +60,15 @@ struct OverrideEntry {
 /// to whole pages — placement is a per-page property, so a boundary page
 /// shared with a neighbouring block is patched too. On overlap the
 /// first-installed range wins, which keeps installation order-dependent
-/// slop deterministic. Lookup is O(log ranges) and only ever paid in
-/// what-if runs: normal runs keep the map empty and `empty()` is one
-/// branch on the miss path.
+/// slop deterministic. Lookup is only ever paid in what-if runs: normal
+/// runs keep the map empty and `empty()` is one branch per access. A
+/// small direct-mapped page -> entry cache answers repeat lookups of a
+/// page without the O(log ranges) tree probe; every mutation resets it,
+/// because its entry pointers die with erased map nodes.
 class OverrideMap {
  public:
-  explicit OverrideMap(std::size_t page_bytes) : page_bytes_(page_bytes) {}
+  /// `page_bytes` must be a power of two (as the machine's page size is).
+  explicit OverrideMap(std::size_t page_bytes);
 
   /// Patches the pages backing [base, base+size).
   void add_range(Addr base, std::uint64_t size, OverrideEntry entry);
@@ -73,22 +77,45 @@ class OverrideMap {
   /// block's range must not leak onto the heap's next tenant).
   void remove_range(Addr base, std::uint64_t size);
 
-  void clear() { ranges_.clear(); }
+  void clear() {
+    ranges_.clear();
+    reset_cache();
+  }
   bool empty() const { return ranges_.empty(); }
   std::size_t num_ranges() const { return ranges_.size(); }
   std::uint64_t num_pages() const;
 
   /// Entry covering `addr`'s page, or nullptr.
-  const OverrideEntry* lookup(Addr addr) const;
+  const OverrideEntry* lookup(Addr addr) const {
+    const Addr page = addr >> page_shift_;
+    const CacheSlot& slot = cache_[page % kCacheSlots];
+    if (slot.key == page + 1) return slot.entry;
+    return lookup_miss(page);
+  }
 
  private:
   struct Range {
     Addr end_page;  ///< exclusive
     OverrideEntry entry;
   };
+  /// One cached lookup: `key` is page + 1 (0 = empty); `entry` may be
+  /// null (the page is known to be unpatched).
+  struct CacheSlot {
+    Addr key = 0;
+    const OverrideEntry* entry = nullptr;
+  };
+  static constexpr std::size_t kCacheSlots = 64;
+
+  /// Tree probe for `page`; fills its cache slot.
+  const OverrideEntry* lookup_miss(Addr page) const;
+  void reset_cache() { cache_.fill(CacheSlot{}); }
 
   std::size_t page_bytes_;
+  unsigned page_shift_;
   std::map<Addr, Range> ranges_;  ///< first page -> range
+  // Lookups are const but fill the cache; one host thread drives a
+  // machine (sim/machine.h), so it needs no synchronization.
+  mutable std::array<CacheSlot, kCacheSlots> cache_{};
 };
 
 }  // namespace dcprof::sim

@@ -150,6 +150,7 @@ RunResult Sweep3dRank::run() {
       sweep_octant(octant);
     }
   }
+  p_->team().barrier();  // ends the run at a sync point, like the others
   result.sim_cycles = p_->team().now();
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

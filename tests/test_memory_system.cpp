@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <list>
+#include <map>
+#include <random>
+#include <vector>
+
+#include "sim/machine.h"
+
 namespace dcprof::sim {
 namespace {
 
@@ -177,6 +186,349 @@ TEST(MemorySystem, StatsCountEachLevel) {
   EXPECT_EQ(s.local_dram + s.remote_dram, 1u);
   EXPECT_EQ(s.total(), 2u);
 }
+
+// --- Reference model ---------------------------------------------------
+//
+// An independent restatement of the hierarchy's semantics: true LRU over
+// std::list for every cache and TLB, a per-page map for the what-if
+// overrides. It reuses only the parts MemorySystem shares unchanged
+// (DramController, PageTable, StreamPrefetcher), so the packed tag
+// arrays, the fixed TLB, the inline MRU path and the override lookup
+// cache are all checked against it, not against themselves.
+
+/// True-LRU tag store: one MRU-first list per set.
+class RefCache {
+ public:
+  explicit RefCache(const CacheConfig& cfg)
+      : shift_(static_cast<unsigned>(std::countr_zero(cfg.line_bytes))),
+        ways_(cfg.associativity),
+        sets_(cfg.size_bytes / (cfg.line_bytes * cfg.associativity)) {}
+
+  bool access(Addr addr) {
+    const Addr line = addr >> shift_;
+    std::list<Addr>& set = sets_[line % sets_.size()];
+    const auto it = std::find(set.begin(), set.end(), line);
+    if (it != set.end()) {
+      set.splice(set.begin(), set, it);
+      ++hits;
+      return true;
+    }
+    ++misses;
+    set.push_front(line);
+    if (set.size() > ways_) set.pop_back();
+    return false;
+  }
+  void clear() {
+    for (auto& set : sets_) set.clear();
+  }
+
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+
+ private:
+  unsigned shift_;
+  std::size_t ways_;
+  std::vector<std::list<Addr>> sets_;
+};
+
+class RefMemory {
+ public:
+  explicit RefMemory(const MachineConfig& cfg)
+      : cfg_(cfg), pt_(cfg.page_bytes, cfg.num_nodes()) {
+    // A fully associative TLB is one set of `tlb_entries` page-sized lines.
+    const CacheConfig tlb{cfg.page_bytes * cfg.tlb_entries, cfg.tlb_entries,
+                          static_cast<unsigned>(cfg.page_bytes)};
+    for (int c = 0; c < cfg.num_cores(); ++c) {
+      l1.emplace_back(cfg.l1);
+      l2.emplace_back(cfg.l2);
+      tlbs.emplace_back(tlb);
+      pf_.emplace_back();
+    }
+    for (int s = 0; s < cfg.sockets; ++s) l3.emplace_back(cfg.l3);
+    for (int n = 0; n < cfg.num_nodes(); ++n) {
+      dram.emplace_back(cfg.lat.dram_service, cfg.lat.dram_banks);
+    }
+  }
+
+  /// First installed wins per page, as OverrideMap documents.
+  void add_override(Addr base, std::uint64_t size, OverrideEntry e) {
+    for (Addr p = base / cfg_.page_bytes;
+         p <= (base + size - 1) / cfg_.page_bytes; ++p) {
+      patches_.emplace(p, e);
+    }
+  }
+  void remove_override(Addr base, std::uint64_t size) {
+    for (Addr p = base / cfg_.page_bytes;
+         p <= (base + size - 1) / cfg_.page_bytes; ++p) {
+      patches_.erase(p);
+    }
+  }
+
+  void flush() {
+    for (auto& c : l1) c.clear();
+    for (auto& c : l2) c.clear();
+    for (auto& c : l3) c.clear();
+    for (auto& t : tlbs) t.clear();
+  }
+
+  AccessResult access(CoreId core, Addr addr, bool is_store, Cycles now) {
+    const LatencyConfig& lat = cfg_.lat;
+    const auto c = static_cast<std::size_t>(core);
+    const auto patch = patches_.find(addr / cfg_.page_bytes);
+    const OverrideEntry* ov = patch == patches_.end() ? nullptr : &patch->second;
+    AccessResult r;
+    // A latency override bypasses the TLB entirely.
+    if (ov == nullptr || ov->latency == LatencyOverride::kNone) {
+      if (!tlbs[c].access(addr)) {
+        r.tlb_miss = true;
+        r.latency += lat.tlb_walk;
+        ++stats.tlb_misses;
+      }
+    }
+    if (l1[c].access(addr)) {
+      r.latency += is_store ? lat.store_hit : lat.l1;
+      ++stats.l1_hits;
+      return r;
+    }
+    if (l2[c].access(addr)) {
+      r.latency += lat.l2;
+      r.level = MemLevel::kL2;
+      ++stats.l2_hits;
+      return r;
+    }
+    if (l3[static_cast<std::size_t>(cfg_.socket_of(core))].access(addr)) {
+      r.latency += lat.l3;
+      r.level = MemLevel::kL3;
+      ++stats.l3_hits;
+      return r;
+    }
+    const NodeId toucher = cfg_.node_of(core);
+    const PlacementPolicy interleave = PlacementPolicy::kInterleave;
+    NodeId home = pt_.touch(
+        addr, toucher,
+        ov != nullptr && ov->placement == PlacementOverride::kInterleave
+            ? &interleave
+            : nullptr);
+    const Addr line = addr / cfg_.l1.line_bytes;
+    const bool prefetched =
+        lat.prefetch_enabled &&
+        pf_[c].access(line, static_cast<unsigned>(cfg_.page_bytes /
+                                                  cfg_.l1.line_bytes));
+    if (ov != nullptr) {
+      if (ov->latency == LatencyOverride::kZero) {
+        r.latency = 0;
+        r.level = MemLevel::kL3;
+        r.home = home;
+        ++stats.l3_hits;
+        return r;
+      }
+      if (ov->placement == PlacementOverride::kLocal) home = toucher;
+      if (ov->latency == LatencyOverride::kNextLevel) {
+        if (home == toucher) {
+          r.latency += lat.l3;
+          r.level = MemLevel::kL3;
+          r.home = home;
+          ++stats.l3_hits;
+          return r;
+        }
+        home = toucher;
+      }
+    }
+    const bool remote = home != toucher;
+    r.home = home;
+    r.queue_wait = dram[static_cast<std::size_t>(home)].serve(now);
+    r.prefetched = prefetched;
+    if (prefetched) {
+      r.latency += lat.prefetch_hit + r.queue_wait +
+                   (remote ? lat.prefetch_remote_extra : 0);
+      ++stats.prefetched;
+    } else {
+      r.latency += lat.l3 + lat.dram + r.queue_wait +
+                   (remote ? lat.remote_extra : 0);
+    }
+    r.level = remote ? MemLevel::kRemoteDram : MemLevel::kLocalDram;
+    ++(remote ? stats.remote_dram : stats.local_dram);
+    return r;
+  }
+
+  std::vector<RefCache> l1, l2, l3, tlbs;
+  std::vector<DramController> dram;
+  MemLevelStats stats;
+
+ private:
+  MachineConfig cfg_;
+  PageTable pt_;
+  std::vector<StreamPrefetcher> pf_;
+  std::map<Addr, OverrideEntry> patches_;  ///< page -> entry
+};
+
+void expect_same_state(const Machine& m, const RefMemory& ref,
+                       const std::string& where) {
+  SCOPED_TRACE(where);
+  const MemorySystem& mem = m.memory();
+  const MemLevelStats s = mem.stats();
+  EXPECT_EQ(s.l1_hits, ref.stats.l1_hits);
+  EXPECT_EQ(s.l2_hits, ref.stats.l2_hits);
+  EXPECT_EQ(s.l3_hits, ref.stats.l3_hits);
+  EXPECT_EQ(s.local_dram, ref.stats.local_dram);
+  EXPECT_EQ(s.remote_dram, ref.stats.remote_dram);
+  EXPECT_EQ(s.tlb_misses, ref.stats.tlb_misses);
+  EXPECT_EQ(s.prefetched, ref.stats.prefetched);
+  const MachineConfig& cfg = m.config();
+  for (CoreId c = 0; c < cfg.num_cores(); ++c) {
+    const auto i = static_cast<std::size_t>(c);
+    EXPECT_EQ(mem.l1(c).hits(), ref.l1[i].hits) << "core " << c;
+    EXPECT_EQ(mem.l1(c).misses(), ref.l1[i].misses) << "core " << c;
+    EXPECT_EQ(mem.l2(c).hits(), ref.l2[i].hits) << "core " << c;
+    EXPECT_EQ(mem.l2(c).misses(), ref.l2[i].misses) << "core " << c;
+    EXPECT_EQ(mem.tlb(c).hits(), ref.tlbs[i].hits) << "core " << c;
+    EXPECT_EQ(mem.tlb(c).misses(), ref.tlbs[i].misses) << "core " << c;
+  }
+  for (int sk = 0; sk < cfg.sockets; ++sk) {
+    const auto i = static_cast<std::size_t>(sk);
+    EXPECT_EQ(mem.l3(sk).hits(), ref.l3[i].hits) << "socket " << sk;
+    EXPECT_EQ(mem.l3(sk).misses(), ref.l3[i].misses) << "socket " << sk;
+  }
+  for (NodeId n = 0; n < cfg.num_nodes(); ++n) {
+    const auto i = static_cast<std::size_t>(n);
+    EXPECT_EQ(mem.controller(n).accesses(), ref.dram[i].accesses());
+    EXPECT_EQ(mem.controller(n).total_wait(), ref.dram[i].total_wait());
+  }
+}
+
+// Property: over long mixed streams — same-line repeats, two-page
+// alternation (the streamcluster inner loop), three-page rotation (TLB
+// entry 3), strides, random addresses, loads and stores, cache flushes,
+// and every override kind added and removed mid-stream — Machine::access
+// agrees with the reference model on every result field, every clock,
+// and every cache's, TLB's and controller's counts.
+class MemorySystemReference : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(MemorySystemReference, MatchesListLruModel) {
+  const MachineConfig cfg = tiny_machine();  // 2x2 cores, 2-way L1, 4 TLB
+  Machine m(cfg);
+  RefMemory ref(cfg);
+  std::mt19937_64 rng(GetParam());
+  const auto pick = [&](std::uint64_t n) { return rng() % n; };
+
+  const Addr region = 0x10000000;
+  const std::uint64_t region_pages = 48;
+  const auto random_addr = [&] {
+    return region + pick(region_pages * cfg.page_bytes) / 8 * 8;
+  };
+  const OverrideEntry kinds[] = {
+      {PlacementOverride::kLocal, LatencyOverride::kNone},
+      {PlacementOverride::kInterleave, LatencyOverride::kNone},
+      {PlacementOverride::kNone, LatencyOverride::kNextLevel},
+      {PlacementOverride::kNone, LatencyOverride::kZero},
+      {PlacementOverride::kLocal, LatencyOverride::kNextLevel},
+  };
+
+  enum Mode { kRepeat, kTwoPage, kThreePage, kStride, kRandom, kModes };
+  Mode mode = kRandom;
+  int mode_left = 0;
+  CoreId core = 0;
+  Addr cursor[3] = {};
+  std::size_t turn = 0;
+  Addr stride = 8;
+  Addr last = random_addr();
+  std::vector<Cycles> clock(static_cast<std::size_t>(cfg.num_cores()), 0);
+  std::vector<Cycles> ref_clock(clock);
+
+  constexpr int kOps = 120'000;
+  for (int op = 0; op < kOps; ++op) {
+    const std::uint64_t roll = pick(1000);
+    if (roll == 0) {
+      m.memory().flush_caches();
+      ref.flush();
+      continue;
+    }
+    if (roll < 4) {
+      const Addr base = random_addr();
+      const std::uint64_t size = 1 + pick(4 * cfg.page_bytes);
+      const OverrideEntry e = kinds[pick(std::size(kinds))];
+      m.overrides().add_range(base, size, e);
+      ref.add_override(base, size, e);
+      continue;
+    }
+    if (roll < 7) {
+      const Addr base = random_addr();
+      const std::uint64_t size = 1 + pick(6 * cfg.page_bytes);
+      m.overrides().remove_range(base, size);
+      ref.remove_override(base, size);
+      continue;
+    }
+    if (mode_left-- <= 0) {
+      mode = static_cast<Mode>(pick(kModes));
+      mode_left = 64 + static_cast<int>(pick(448));
+      core = static_cast<CoreId>(pick(static_cast<std::uint64_t>(
+          cfg.num_cores())));
+      for (Addr& c : cursor) c = random_addr();
+      const Addr strides[] = {8, 64, 520, 4096 + 64};
+      stride = strides[pick(std::size(strides))];
+    }
+    Addr addr = 0;
+    switch (mode) {
+      case kRepeat:  // same line, any word of it
+        addr = (last & ~Addr{63}) + pick(8) * 8;
+        break;
+      case kTwoPage:
+      case kThreePage: {
+        const std::size_t n = mode == kTwoPage ? 2 : 3;
+        Addr& c = cursor[turn++ % n];
+        addr = c;
+        if (pick(4) == 0) c += 8;
+        break;
+      }
+      case kStride:
+        addr = cursor[0];
+        cursor[0] += stride;
+        if (cursor[0] >= region + region_pages * cfg.page_bytes) {
+          cursor[0] = region + pick(cfg.page_bytes);
+        }
+        break;
+      case kRandom:
+      case kModes:
+        addr = random_addr();
+        break;
+    }
+    last = addr;
+    const CoreId c = pick(8) == 0 ? static_cast<CoreId>(pick(
+                                        static_cast<std::uint64_t>(
+                                            cfg.num_cores())))
+                                  : core;
+    const auto ci = static_cast<std::size_t>(c);
+    const bool store = pick(4) == 0;
+    const Cycles issued = clock[ci];
+    const AccessResult got = m.access(c, c, 0x400000, addr, 8, store,
+                                      clock[ci]);
+    const AccessResult want = ref.access(c, addr, store, ref_clock[ci]);
+    ref_clock[ci] += want.latency;
+    ASSERT_EQ(got.latency, want.latency) << "op " << op << " addr " << addr;
+    ASSERT_EQ(got.level, want.level) << "op " << op;
+    ASSERT_EQ(got.tlb_miss, want.tlb_miss) << "op " << op;
+    ASSERT_EQ(got.prefetched, want.prefetched) << "op " << op;
+    ASSERT_EQ(got.home, want.home) << "op " << op;
+    ASSERT_EQ(got.queue_wait, want.queue_wait) << "op " << op;
+    ASSERT_EQ(clock[ci], issued + got.latency);
+    ASSERT_EQ(clock[ci], ref_clock[ci]);
+    if (op % 20'000 == 0) expect_same_state(m, ref, "op " + std::to_string(op));
+  }
+  expect_same_state(m, ref, "end");
+  // The stream must actually reach every level and both TLB outcomes.
+  const MemLevelStats s = m.memory().stats();
+  EXPECT_GT(s.l1_hits, 0u);
+  EXPECT_GT(s.l2_hits, 0u);
+  EXPECT_GT(s.l3_hits, 0u);
+  EXPECT_GT(s.local_dram, 0u);
+  EXPECT_GT(s.remote_dram, 0u);
+  EXPECT_GT(s.tlb_misses, 0u);
+  EXPECT_GT(s.prefetched, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemorySystemReference,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 }  // namespace
 }  // namespace dcprof::sim

@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <ostream>
+#include <random>
+#include <string>
 #include <vector>
+
+#include "obs/registry.h"
+#include "sim/machine.h"
+#include "workloads/harness.h"
+#include "workloads/streamcluster.h"
+#include "workloads/sweep3d.h"
 
 namespace dcprof::pmu {
 namespace {
@@ -100,19 +110,6 @@ TEST(Pmu, MarkedEventsIgnoreComputeOps) {
   EXPECT_TRUE(samples.empty());
 }
 
-TEST(Pmu, DisabledPmuTakesNoSamples) {
-  PmuSet pmu(two_cores(), {PmuConfig{EventKind::kIbsOp, 1, 0, 0}});
-  std::vector<Sample> samples;
-  pmu.set_handler([&](const Sample& s) { samples.push_back(s); });
-  pmu.set_enabled(false);
-  pmu.on_access(access_at(0, sim::MemLevel::kL1));
-  pmu.on_compute(0, 0, 100, 0, 0);
-  EXPECT_TRUE(samples.empty());
-  pmu.set_enabled(true);
-  pmu.on_access(access_at(0, sim::MemLevel::kL1));
-  EXPECT_EQ(samples.size(), 1u);
-}
-
 TEST(Pmu, JitterKeepsPeriodsInBand) {
   PmuSet pmu(two_cores(), {PmuConfig{EventKind::kIbsOp, 100, 0, 20}});
   std::vector<std::uint64_t> gaps;
@@ -189,6 +186,220 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{64, 0}, std::pair{64, 8},
                       std::pair{1024, 0}, std::pair{1024, 128},
                       std::pair{4096, 512}));
+
+// --- Quiet-op skip-ahead -------------------------------------------------
+//
+// Attached to a Machine, a PmuSet sees only the ops that can take a
+// sample; the rest arrive in bulk. Fed the same stream op by op, a second
+// PmuSet is the reference: samples, counts and registry series must match.
+
+struct QuietCase {
+  std::string name;
+  std::vector<PmuConfig> cfgs;
+  bool throttle = false;  ///< set_period_scale(3) halfway through
+};
+
+std::string quiet_case_name(const ::testing::TestParamInfo<QuietCase>& i) {
+  return i.param.name;
+}
+
+void PrintTo(const QuietCase& c, std::ostream* os) { *os << c.name; }
+
+/// One op of the stream, as the op-by-op reference receives it.
+struct RecordedOp {
+  bool is_access = false;
+  sim::MemAccess access;        // accesses
+  sim::ThreadId tid = 0;        // computes
+  sim::CoreId core = 0;
+  std::uint64_t instrs = 0;
+  sim::Addr ip = 0;
+  sim::Cycles now = 0;
+};
+
+bool same_sample(const Sample& a, const Sample& b) {
+  return a.tid == b.tid && a.core == b.core && a.precise_ip == b.precise_ip &&
+         a.signal_ip == b.signal_ip && a.is_memory == b.is_memory &&
+         a.eaddr == b.eaddr && a.size == b.size && a.is_store == b.is_store &&
+         a.latency == b.latency && a.source == b.source &&
+         a.tlb_miss == b.tlb_miss && a.event == b.event && a.at == b.at;
+}
+
+/// pmu.* registry totals, to diff around one PmuSet's run.
+std::map<std::string, std::uint64_t> pmu_series() {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& e : obs::Registry::global().snapshot().entries) {
+    if (e.name.rfind("pmu.", 0) == 0) out[e.key()] = e.value;
+  }
+  return out;
+}
+
+std::map<std::string, std::uint64_t> series_delta(
+    const std::map<std::string, std::uint64_t>& before,
+    const std::map<std::string, std::uint64_t>& after) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [k, v] : after) {
+    const auto it = before.find(k);
+    out[k] = v - (it == before.end() ? 0 : it->second);
+  }
+  return out;
+}
+
+class PmuQuietPath : public ::testing::TestWithParam<QuietCase> {};
+
+TEST_P(PmuQuietPath, MatchesOpByOpDelivery) {
+  const QuietCase& qc = GetParam();
+  sim::MachineConfig mcfg;
+  mcfg.sockets = 2;
+  mcfg.cores_per_socket = 2;
+  mcfg.l1 = sim::CacheConfig{1024, 2, 64};
+  mcfg.l2 = sim::CacheConfig{4096, 4, 64};
+  mcfg.l3 = sim::CacheConfig{16384, 8, 64};
+  mcfg.tlb_entries = 4;
+  sim::Machine machine(mcfg);
+  std::mt19937_64 rng(7);
+  const auto pick = [&](std::uint64_t n) { return rng() % n; };
+  constexpr int kOps = 60'000;
+  const int throttle_at = qc.throttle ? kOps / 2 : -1;
+
+  // Run 1: the PmuSet attached to the machine (skip-ahead).
+  const auto before_a = pmu_series();
+  std::vector<Sample> got;
+  std::vector<RecordedOp> ops;
+  {
+    PmuSet pmu(mcfg, qc.cfgs);
+    pmu.set_handler([&](const Sample& smp) { got.push_back(smp); });
+    machine.set_observer(&pmu);
+    std::vector<sim::Cycles> clock(4, 0);
+    std::uint64_t remote = 0;
+    for (int op = 0; op < kOps; ++op) {
+      if (op == throttle_at) pmu.set_period_scale(3);
+      const auto core = static_cast<sim::CoreId>(pick(4));
+      const auto tid = static_cast<sim::ThreadId>(core + 4 * pick(2));
+      sim::Cycles& clk = clock[static_cast<std::size_t>(core)];
+      RecordedOp rec;
+      if (pick(3) != 0) {
+        const sim::Addr addr = 0x10000000 + pick(64 * 4096) / 8 * 8;
+        const sim::Addr ip = 0x400000 + pick(16) * 4;
+        const bool store = pick(4) == 0;
+        const sim::Cycles at = clk;
+        const sim::AccessResult r =
+            machine.access(tid, core, ip, addr, 8, store, clk);
+        rec.is_access = true;
+        rec.access = sim::MemAccess{tid, core, ip, addr, 8, store, r, at};
+        if (r.level == sim::MemLevel::kRemoteDram) ++remote;
+      } else {
+        // 0-op blocks, short blocks, and blocks spanning several periods.
+        const std::uint64_t sizes[] = {0, 1, 3, 17, 70, 400};
+        rec.tid = tid;
+        rec.core = core;
+        rec.instrs = sizes[pick(std::size(sizes))];
+        rec.ip = 0x500000 + pick(16) * 4;
+        machine.compute(tid, core, rec.instrs, rec.ip, clk);
+        rec.now = clk;
+      }
+      ops.push_back(rec);
+      if (op % 9'999 == 0) {
+        // A sync point makes every count exact mid-run.
+        machine.sync_observer();
+        for (std::size_t i = 0; i < qc.cfgs.size(); ++i) {
+          EXPECT_EQ(pmu.events_counted(i),
+                    qc.cfgs[i].event == EventKind::kIbsOp
+                        ? machine.instructions_retired()
+                        : remote)
+              << "cfg " << i << " at op " << op;
+        }
+      }
+    }
+    machine.set_observer(nullptr);  // reports the held ops
+    for (std::size_t i = 0; i < qc.cfgs.size(); ++i) {
+      EXPECT_EQ(pmu.events_counted(i),
+                qc.cfgs[i].event == EventKind::kIbsOp
+                    ? machine.instructions_retired()
+                    : remote);
+    }
+  }
+  const auto after_a = pmu_series();
+
+  // Run 2: the same stream, op by op, into a fresh PmuSet.
+  std::vector<Sample> want;
+  {
+    PmuSet pmu(mcfg, qc.cfgs);
+    pmu.set_handler([&](const Sample& smp) { want.push_back(smp); });
+    for (int op = 0; op < kOps; ++op) {
+      if (op == throttle_at) pmu.set_period_scale(3);
+      const RecordedOp& rec = ops[static_cast<std::size_t>(op)];
+      if (rec.is_access) {
+        pmu.on_access(rec.access);
+      } else {
+        pmu.on_compute(rec.tid, rec.core, rec.instrs, rec.ip, rec.now);
+      }
+    }
+    EXPECT_EQ(pmu.samples_taken(), want.size());
+  }
+  const auto after_b = pmu_series();
+
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(same_sample(got[i], want[i])) << "sample " << i;
+  }
+  // Each run's registry contribution (pmu.samples, pmu.events{...}).
+  EXPECT_EQ(series_delta(before_a, after_a), series_delta(after_a, after_b));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, PmuQuietPath,
+    ::testing::Values(
+        QuietCase{"IbsJitter", {PmuConfig{EventKind::kIbsOp, 64, 2, 8}}},
+        QuietCase{"Rmem",
+                  {PmuConfig{EventKind::kMarkedDataFromRMem, 8, 2, 2}}},
+        QuietCase{"IbsPlusRmem",
+                  {PmuConfig{EventKind::kIbsOp, 50, 2, 6},
+                   PmuConfig{EventKind::kMarkedDataFromRMem, 4, 2, 1}}},
+        QuietCase{"TwoIbsThrottled",
+                  {PmuConfig{EventKind::kIbsOp, 64, 2, 8},
+                   PmuConfig{EventKind::kIbsOp, 97, 0, 0}},
+                  true}),
+    quiet_case_name);
+
+// After a workload's run() — before take_profiles() ends the session —
+// every count is exact: IBS counted every op retired since attach, and
+// each sample reached the profiler. Streamcluster ends on a parallel
+// construct; Sweep3D runs on the master thread only.
+TEST(PmuSkipAhead, CountsExactAfterWorkloadRun) {
+  {
+    wl::StreamclusterParams prm;
+    prm.npoints = 2'000;
+    prm.dim = 8;
+    prm.iters = 1;
+    wl::ProcessCtx proc(wl::node_config(), 8, "sc");
+    wl::Streamcluster w(proc, prm);
+    proc.enable_profiling(wl::ibs_config(256));
+    const std::uint64_t before = proc.machine().instructions_retired();
+    w.run();
+    EXPECT_EQ(proc.pmu()->events_counted(0),
+              proc.machine().instructions_retired() - before);
+    EXPECT_GT(proc.pmu()->samples_taken(), 0u);
+    EXPECT_EQ(proc.pmu()->samples_taken(),
+              proc.profiler()->stats().samples_handled);
+  }
+  {
+    wl::Sweep3dParams prm;
+    prm.ranks = 1;
+    prm.nx = 8;
+    prm.ny = 8;
+    prm.nz = 8;
+    prm.compute_per_cell = 20;  // shorter than a period: the tail is quiet
+    wl::ProcessCtx proc(wl::rank_config(), 1, "sweep3d");
+    proc.enable_profiling(wl::ibs_config(1024));
+    const std::uint64_t before = proc.machine().instructions_retired();
+    wl::Sweep3dRank w(proc, prm, nullptr);
+    w.run();
+    EXPECT_EQ(proc.pmu()->events_counted(0),
+              proc.machine().instructions_retired() - before);
+    EXPECT_GT(proc.pmu()->samples_taken(), 0u);
+  }
+}
 
 }  // namespace
 }  // namespace dcprof::pmu

@@ -3,10 +3,12 @@
 #include <sstream>
 
 #include "analysis/views.h"
+#include "analysis/whatif.h"
 #include "core/checksum.h"
 #include "workloads/amg.h"
 #include "workloads/lulesh.h"
 #include "workloads/nw.h"
+#include "workloads/rerun.h"
 #include "workloads/streamcluster.h"
 #include "workloads/sweep3d.h"
 
@@ -367,6 +369,49 @@ TEST(DetReference, Lulesh) {
             (std::vector<std::uint32_t>{
                 3189324769u, 4134731763u, 1527933081u, 170250465u, 448364785u,
                 1938104656u, 2414313538u, 622676695u}));
+}
+
+// The profile runs above leave sim::OverrideMap empty; what-if re-runs
+// patch it. Pins every prediction of a reduced LULESH, top 3: the re-run
+// cycles, the pages its overrides covered, and the ranking.
+TEST(DetReference, LuleshWhatIf) {
+  LuleshParams prm;
+  prm.nelem = 8'000;
+  prm.iters = 2;
+  ProcessCtx proc(node_config(), 8, "lulesh");
+  Lulesh w(proc, prm);
+  proc.enable_profiling(ibs_config(256));
+  w.run();
+  const core::ThreadProfile profile = proc.merged_profile();
+  analysis::WhatIfOptions opt;
+  opt.top_n = 3;
+  WhatIfRunConfig cfg;
+  cfg.threads = 8;
+  analysis::WhatIfEngine engine(make_lulesh_whatif_runner(prm, cfg), opt);
+  const auto preds = engine.analyze(profile, proc.actx());
+  EXPECT_EQ(engine.baseline().cycles, 2237483u);
+  std::vector<std::string> labels;
+  std::vector<sim::Cycles> cycles;
+  std::vector<std::uint64_t> pages;
+  for (const auto& p : preds) {
+    labels.push_back(p.label);
+    cycles.push_back(p.cycles);
+    pages.push_back(p.pages_patched);
+  }
+  EXPECT_EQ(labels,
+            (std::vector<std::string>{
+                "f_elem: promote misses one memory level",
+                "nodeElemCornerList: promote misses one memory level",
+                "m_z: promote misses one memory level",
+                "nodeElemCornerList: make remote accesses local",
+                "m_z: make remote accesses local",
+                "m_z: interleave pages across nodes",
+                "nodeElemCornerList: interleave pages across nodes"}));
+  EXPECT_EQ(cycles, (std::vector<sim::Cycles>{1834357u, 2187720u, 2205453u,
+                                              2207525u, 2212883u, 2236660u,
+                                              2248743u}));
+  EXPECT_EQ(pages, (std::vector<std::uint64_t>{375u, 63u, 16u, 63u, 16u, 16u,
+                                               63u}));
 }
 
 TEST(DetReference, Streamcluster) {
