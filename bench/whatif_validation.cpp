@@ -3,7 +3,10 @@
 // *predicted* end-to-end speedup — an override re-run through the
 // WhatIfEngine — must agree with the *actually re-measured* optimized
 // variant within 5% relative, and each re-measured gain must land in the
-// paper's 13-53% band.
+// paper's 13-53% band. The engines use the batch runners, so each
+// threaded prediction is one simulation timing the baseline and the
+// patched spec together (the machine-variant path, DESIGN §5k); Sweep3D's
+// batch re-runs each spec.
 //
 //   AMG     NUMA fix:   interleave the matrix arrays, first-touch the
 //                       vectors (the libnuma variant). More solve
@@ -106,7 +109,7 @@ CaseResult run_amg() {
     rows = analysis::variable_table(profile, proc.actx(),
                                     core::Metric::kLatency);
   }
-  analysis::WhatIfEngine engine(wl::make_amg_whatif_runner(prm));
+  analysis::WhatIfEngine engine(wl::make_amg_whatif_batch_runner(prm));
   // The libnuma fix: interleave the master-calloc'd matrix arrays;
   // the vectors are switched to parallel first touch (perfectly local).
   analysis::WhatIfSpec spec;
@@ -139,7 +142,7 @@ CaseResult run_sweep3d() {
     rows = analysis::variable_table(*measured.profile, proc.actx(),
                                     core::Metric::kLatency);
   }
-  analysis::WhatIfEngine engine(wl::make_sweep3d_whatif_runner(prm));
+  analysis::WhatIfEngine engine(wl::make_sweep3d_whatif_batch_runner(prm));
   analysis::WhatIfSpec spec;
   spec.actions.push_back(
       {target_of(rows, "Flux"), analysis::WhatIfFix::kPromote});
@@ -166,7 +169,7 @@ CaseResult run_lulesh() {
     rows = analysis::variable_table(profile, proc.actx(),
                                     core::Metric::kLatency);
   }
-  analysis::WhatIfEngine engine(wl::make_lulesh_whatif_runner(prm));
+  analysis::WhatIfEngine engine(wl::make_lulesh_whatif_batch_runner(prm));
   // The libnuma fix interleaves every master-calloc'd heap array.
   analysis::WhatIfSpec spec;
   for (const auto& row : rows) {

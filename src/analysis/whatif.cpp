@@ -36,18 +36,52 @@ sim::OverrideEntry override_for(WhatIfFix fix) {
   return e;
 }
 
+namespace {
+
+/// The per-spec runner as a batch: one re-execution per spec.
+WhatIfBatchRunner loop_runner(WhatIfRunner runner) {
+  if (!runner) throw std::invalid_argument("WhatIfEngine needs a runner");
+  return [runner = std::move(runner)](const std::vector<WhatIfSpec>& specs) {
+    std::vector<WhatIfRun> runs;
+    runs.reserve(specs.size());
+    for (const WhatIfSpec& spec : specs) runs.push_back(runner(spec));
+    return runs;
+  };
+}
+
+}  // namespace
+
 WhatIfEngine::WhatIfEngine(WhatIfRunner runner, WhatIfOptions options)
+    : WhatIfEngine(loop_runner(std::move(runner)), options) {}
+
+WhatIfEngine::WhatIfEngine(WhatIfBatchRunner runner, WhatIfOptions options)
     : runner_(std::move(runner)), opt_(options) {
   if (!runner_) {
     throw std::invalid_argument("WhatIfEngine needs a runner");
   }
 }
 
-const WhatIfRun& WhatIfEngine::baseline() {
-  if (!have_baseline_) {
-    baseline_ = runner_(WhatIfSpec{});
-    have_baseline_ = true;
+std::vector<WhatIfRun> WhatIfEngine::run(
+    const std::vector<WhatIfSpec>& specs) {
+  std::vector<WhatIfSpec> batch;
+  if (!have_baseline_) batch.emplace_back();
+  batch.insert(batch.end(), specs.begin(), specs.end());
+  std::vector<WhatIfRun> runs = runner_(batch);
+  if (runs.size() != batch.size()) {
+    throw std::logic_error("what-if runner returned " +
+                           std::to_string(runs.size()) + " runs for " +
+                           std::to_string(batch.size()) + " specs");
   }
+  if (!have_baseline_) {
+    baseline_ = runs.front();
+    have_baseline_ = true;
+    runs.erase(runs.begin());
+  }
+  return runs;
+}
+
+const WhatIfRun& WhatIfEngine::baseline() {
+  if (!have_baseline_) run({});
   return baseline_;
 }
 
@@ -81,8 +115,14 @@ std::vector<WhatIfCandidate> WhatIfEngine::candidates(
 
 WhatIfPrediction WhatIfEngine::evaluate(const WhatIfSpec& spec,
                                         std::string label) {
-  const WhatIfRun& base = baseline();
-  const WhatIfRun run = runner_(spec);
+  const std::vector<WhatIfRun> runs = run({spec});
+  return predict(spec, std::move(label), runs.front());
+}
+
+WhatIfPrediction WhatIfEngine::predict(const WhatIfSpec& spec,
+                                       std::string label,
+                                       const WhatIfRun& run) const {
+  const WhatIfRun& base = baseline_;
   if (opt_.check_checksum) {
     const double scale = std::max(1.0, std::fabs(base.checksum));
     if (std::fabs(run.checksum - base.checksum) > 1e-9 * scale) {
@@ -108,7 +148,9 @@ WhatIfPrediction WhatIfEngine::evaluate(const WhatIfSpec& spec,
 
 std::vector<WhatIfPrediction> WhatIfEngine::analyze(
     const core::ThreadProfile& profile, const AnalysisContext& ctx) {
-  std::vector<WhatIfPrediction> out;
+  std::vector<WhatIfSpec> specs;
+  std::vector<std::string> labels;
+  std::vector<double> shares;
   for (const WhatIfCandidate& c : candidates(profile, ctx)) {
     std::vector<WhatIfFix> fixes;
     if (c.remote_samples > 0) {
@@ -119,11 +161,17 @@ std::vector<WhatIfPrediction> WhatIfEngine::analyze(
     for (const WhatIfFix fix : fixes) {
       WhatIfSpec spec;
       spec.actions.push_back(WhatIfAction{c.target, fix});
-      WhatIfPrediction p =
-          evaluate(spec, c.target.name + ": " + to_string(fix));
-      p.latency_share = c.latency_share;
-      out.push_back(std::move(p));
+      specs.push_back(std::move(spec));
+      labels.push_back(c.target.name + ": " + to_string(fix));
+      shares.push_back(c.latency_share);
     }
+  }
+  const std::vector<WhatIfRun> runs = run(specs);
+  std::vector<WhatIfPrediction> out;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    WhatIfPrediction p = predict(specs[i], std::move(labels[i]), runs[i]);
+    p.latency_share = shares[i];
+    out.push_back(std::move(p));
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const WhatIfPrediction& a, const WhatIfPrediction& b) {

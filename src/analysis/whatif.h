@@ -8,9 +8,11 @@
 // (a re-measured hypothetical), not an estimate.
 //
 // Layering: re-running requires the workloads layer, which depends on
-// analysis; the engine therefore takes a type-erased WhatIfRunner
-// callback and never links workloads itself. wl::make_whatif_runner
-// builds the standard runner for the case-study workloads.
+// analysis; the engine therefore takes a type-erased runner callback and
+// never links workloads itself. wl::make_whatif_batch_runner builds the
+// standard one for the case-study workloads: one simulation answers a
+// whole list of specs. wl::make_whatif_runner is the per-spec reference
+// (one re-execution per spec) that the batch is tested against.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +74,12 @@ struct WhatIfRun {
 /// deterministic: the same spec always yields the same cycles.
 using WhatIfRunner = std::function<WhatIfRun(const WhatIfSpec&)>;
 
+/// Answers a list of specs, returning one WhatIfRun per spec, in order;
+/// an empty spec is the unpatched baseline. Each answer must equal the
+/// per-spec runner's for that spec.
+using WhatIfBatchRunner =
+    std::function<std::vector<WhatIfRun>(const std::vector<WhatIfSpec>&)>;
+
 struct WhatIfOptions {
   /// Evaluate at most this many candidate variables.
   std::size_t top_n = 3;
@@ -102,7 +110,9 @@ struct WhatIfPrediction {
 
 class WhatIfEngine {
  public:
+  /// Per-spec runner, run as a batch that re-executes once per spec.
   explicit WhatIfEngine(WhatIfRunner runner, WhatIfOptions options = {});
+  explicit WhatIfEngine(WhatIfBatchRunner runner, WhatIfOptions options = {});
 
   /// Top-N heap/static variables of the profile by latency share.
   std::vector<WhatIfCandidate> candidates(const core::ThreadProfile& profile,
@@ -111,18 +121,27 @@ class WhatIfEngine {
   /// Evaluates every applicable fix for every candidate (placement fixes
   /// need remote samples; promotion always applies) and returns the
   /// predictions ranked by speedup, deterministic tie-break on variable
-  /// name then fix. The baseline runs once and is cached.
+  /// name then fix. Every spec, and the baseline unless it is cached,
+  /// goes to the runner in one batch.
   std::vector<WhatIfPrediction> analyze(const core::ThreadProfile& profile,
                                         const AnalysisContext& ctx);
 
-  /// Exact evaluation of one (possibly composite) spec.
+  /// Exact evaluation of one (possibly composite) spec; batched with the
+  /// baseline when that is not cached yet.
   WhatIfPrediction evaluate(const WhatIfSpec& spec, std::string label = "");
 
   /// The cached baseline re-run (executes it on first use).
   const WhatIfRun& baseline();
 
  private:
-  WhatIfRunner runner_;
+  /// Runs `specs` as one batch, with the baseline in front (and cached)
+  /// when it is not cached yet; returns the runs of `specs` only.
+  std::vector<WhatIfRun> run(const std::vector<WhatIfSpec>& specs);
+  /// `run` measured against the cached baseline (the checksum guard).
+  WhatIfPrediction predict(const WhatIfSpec& spec, std::string label,
+                           const WhatIfRun& run) const;
+
+  WhatIfBatchRunner runner_;
   WhatIfOptions opt_;
   WhatIfRun baseline_{};
   bool have_baseline_ = false;

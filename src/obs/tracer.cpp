@@ -71,10 +71,15 @@ void Tracer::set_thread_name(const std::string& name) {
 void Tracer::record_complete(const char* name, std::uint64_t ts_ns,
                              std::uint64_t dur_ns, const char* arg_name,
                              std::uint64_t arg_value) {
+  record_complete(name, ts_ns, dur_ns,
+                  TraceArgs{TraceArg{arg_name, arg_value}});
+}
+
+void Tracer::record_complete(const char* name, std::uint64_t ts_ns,
+                             std::uint64_t dur_ns, const TraceArgs& args) {
   Event e;
   e.name = name;
-  e.arg_name = arg_name;
-  e.arg_value = arg_value;
+  e.args = args;
   e.ts_ns = ts_ns;
   e.dur_ns = dur_ns;
   buf().push(e);
@@ -84,8 +89,7 @@ void Tracer::record_instant(const char* name, const char* arg_name,
                             std::uint64_t arg_value) {
   Event e;
   e.name = name;
-  e.arg_name = arg_name;
-  e.arg_value = arg_value;
+  e.args[0] = TraceArg{arg_name, arg_value};
   e.ts_ns = now_ns();
   e.instant = true;
   buf().push(e);
@@ -156,11 +160,15 @@ void Tracer::write_json(std::ostream& out) const {
       } else {
         ev += ",\"s\":\"t\"";
       }
-      if (e.arg_name != nullptr) {
-        ev += ",\"args\":{\"";
-        append_escaped(ev, e.arg_name);
-        ev += "\":" + std::to_string(e.arg_value) + '}';
+      bool any = false;
+      for (const TraceArg& a : e.args) {
+        if (a.name == nullptr) continue;
+        ev += any ? ",\"" : ",\"args\":{\"";
+        append_escaped(ev, a.name);
+        ev += "\":" + std::to_string(a.value);
+        any = true;
       }
+      if (any) ev += '}';
       ev += '}';
       emit(ev);
     }

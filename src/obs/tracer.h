@@ -4,6 +4,8 @@
 //
 //   OBS_SPAN("analyze.stream");             // RAII complete ("X") event
 //   OBS_SPAN_V("analyze.shard", "shard", w) // span with one u64 arg
+//   Tracer::global().record_complete(name, ts, dur, TraceArgs{...})
+//                                           // a span with up to 3 u64 args
 //   OBS_INSTANT("analyze.heartbeat");       // instant ("i") event
 //
 // Cost model:
@@ -18,6 +20,7 @@
 // tracer) — the ring stores the pointer, not a copy.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
@@ -27,6 +30,14 @@
 #include <vector>
 
 namespace dcprof::obs {
+
+/// One named integer argument of a trace event.
+struct TraceArg {
+  const char* name = nullptr;  ///< null marks an unused slot
+  std::uint64_t value = 0;
+};
+/// The arguments one event carries (names must outlive the tracer).
+using TraceArgs = std::array<TraceArg, 3>;
 
 class Tracer {
  public:
@@ -52,6 +63,8 @@ class Tracer {
   void record_complete(const char* name, std::uint64_t ts_ns,
                        std::uint64_t dur_ns, const char* arg_name = nullptr,
                        std::uint64_t arg_value = 0);
+  void record_complete(const char* name, std::uint64_t ts_ns,
+                       std::uint64_t dur_ns, const TraceArgs& args);
   /// Records an instant event at now on the calling thread's track.
   void record_instant(const char* name, const char* arg_name = nullptr,
                       std::uint64_t arg_value = 0);
@@ -80,8 +93,7 @@ class Tracer {
  private:
   struct Event {
     const char* name = nullptr;
-    const char* arg_name = nullptr;
-    std::uint64_t arg_value = 0;
+    TraceArgs args{};
     std::uint64_t ts_ns = 0;
     std::uint64_t dur_ns = 0;  ///< 0 + kInstant phase = instant
     bool instant = false;
@@ -109,7 +121,7 @@ class Tracer {
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<ThreadBuf>> threads_;
-  std::size_t capacity_ = 1 << 16;  ///< events per thread (~3 MB)
+  std::size_t capacity_ = 1 << 16;  ///< events per thread (~5 MB)
   std::uint64_t epoch_ns_ = 0;
 };
 

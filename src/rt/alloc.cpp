@@ -41,8 +41,7 @@ sim::Addr Allocator::malloc(ThreadCtx& ctx, std::uint64_t size, sim::Addr ip,
                             AllocPolicy policy, sim::NodeId node) {
   ctx.compute(kAllocatorInstrs, ip);
   const sim::Addr base = machine_->aspace().heap_alloc(size);
-  machine_->memory().page_table().set_policy(base, size, resolve(policy),
-                                             node);
+  machine_->memory().set_policy(base, size, resolve(policy), node);
   ++allocations_;
   if (hooks_.on_alloc) hooks_.on_alloc(ctx, base, size, ip);
   return base;
@@ -82,7 +81,7 @@ void Allocator::free(ThreadCtx& ctx, sim::Addr addr) {
   if (hooks_.on_free && size) hooks_.on_free(ctx, addr, *size);
   const std::uint64_t freed = machine_->aspace().heap_free(addr);
   // Unmap the pages so a reused range is re-placed by its next owner.
-  machine_->memory().page_table().release_range(addr, freed);
+  machine_->memory().release_range(addr, freed);
   ++frees_;
 }
 

@@ -1,5 +1,6 @@
 #include "rt/team.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace dcprof::rt {
@@ -35,18 +36,24 @@ Team::Team(sim::Machine& machine, int nthreads) : machine_(&machine) {
 }
 
 void Team::barrier() {
-  Cycles max = 0;
-  for (const auto& t : threads_) {
-    if (t->clock() > max) max = t->clock();
+  const Cycles max = now();
+  sim::MemorySystem& memory = machine_->memory();
+  if (memory.num_variants() != 0) {
+    clocks_.clear();
+    for (const auto& t : threads_) clocks_.push_back(t->clock());
+    memory.sync_variant_clocks(clocks_, max);
   }
   for (auto& t : threads_) t->set_clock(max);
   machine_->sync_observer();
 }
 
-Cycles Team::now() const {
+Cycles Team::now() const { return now(sim::MemorySystem::kPrimary); }
+
+Cycles Team::now(int variant) const {
+  const sim::MemorySystem& memory = machine_->memory();
   Cycles max = 0;
   for (const auto& t : threads_) {
-    if (t->clock() > max) max = t->clock();
+    max = std::max(max, memory.variant_clock(variant, t->tid(), t->clock()));
   }
   return max;
 }

@@ -44,14 +44,17 @@ class Team {
   ThreadCtx& thread(int t) { return *threads_[static_cast<std::size_t>(t)]; }
   ThreadCtx& master() { return *threads_[0]; }
 
-  /// Synchronizes all thread clocks to the team maximum (a barrier), and
-  /// reports the machine's quietly retired ops to its observer
-  /// (sim::Machine::sync_observer), so PMU counts are exact after every
-  /// construct.
+  /// Synchronizes all thread clocks to the team maximum (a barrier) —
+  /// and every timing variant's clocks to that variant's own maximum
+  /// (sim::MemorySystem::add_variant) — and reports the machine's
+  /// quietly retired ops to its observer (sim::Machine::sync_observer),
+  /// so PMU counts are exact after every construct.
   void barrier();
 
   /// Team wall-clock: the maximum thread clock.
   Cycles now() const;
+  /// The team wall-clock of timing variant `variant` (kPrimary: now()).
+  Cycles now(int variant) const;
 
   /// OpenMP-style static-scheduled parallel for over [begin, end).
   /// Each thread owns a contiguous block; execution interleaves one
@@ -97,6 +100,7 @@ class Team {
 
   sim::Machine* machine_;
   std::vector<std::unique_ptr<ThreadCtx>> threads_;
+  std::vector<Cycles> clocks_;  ///< barrier scratch: clocks by tid
 };
 
 /// RAII frame pushed on *every* team thread: models workers executing an

@@ -32,7 +32,7 @@ AccessResult Machine::access_full(ThreadId tid, CoreId core, Addr ip,
                                   Cycles& clock) {
   ++instructions_;
   ++mem_accesses_;
-  const AccessResult result = memory_.access(core, addr, is_store, clock);
+  const AccessResult result = memory_.access(tid, core, addr, is_store, clock);
   const Cycles at = clock;
   clock += result.latency;
   Quiet& q = quiet_[static_cast<std::size_t>(core)];

@@ -62,12 +62,6 @@ class Machine {
   AddressSpace& aspace() { return aspace_; }
   const AddressSpace& aspace() const { return aspace_; }
 
-  /// What-if placement/latency override table (sim/override.h): the
-  /// causal advisor patches a variable's page ranges here before a
-  /// re-run. Mutate only at quiescent points (no construct in flight).
-  OverrideMap& overrides() { return memory_.overrides(); }
-  const OverrideMap& overrides() const { return memory_.overrides(); }
-
   /// At most one observer (the PMU set); null detaches. Reports the old
   /// observer's quiet ops first. Attach/detach at quiescent points only
   /// (no constructs in flight).

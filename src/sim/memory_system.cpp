@@ -1,5 +1,8 @@
 #include "sim/memory_system.h"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace dcprof::sim {
 
 MemorySystem::MemorySystem(const MachineConfig& cfg)
@@ -73,28 +76,27 @@ bool MemorySystem::consult_prefetcher(CoreId core, Addr addr) {
                                                              lines_per_page);
 }
 
-NodeId MemorySystem::touch_page(Addr addr, NodeId toucher,
+NodeId MemorySystem::touch_page(PageTable& pt, Addr addr, NodeId toucher,
                                 const OverrideEntry* ov) {
   if (ov != nullptr && ov->placement == PlacementOverride::kInterleave) {
     const PlacementPolicy forced = PlacementPolicy::kInterleave;
-    return page_table_.touch(addr, toucher, &forced);
+    return pt.touch(addr, toucher, &forced);
   }
-  return page_table_.touch(addr, toucher);
+  return pt.touch(addr, toucher);
 }
 
-void MemorySystem::finish_dram(Addr addr, NodeId home, NodeId toucher,
-                               bool prefetched, Cycles now, AccessResult& r,
-                               const OverrideEntry* ov) {
-  (void)addr;
+void MemorySystem::resolve_fill(const OverrideEntry* ov, NodeId home,
+                                NodeId toucher, bool prefetched, Cycles now,
+                                std::vector<DramController>& controllers,
+                                AccessResult& r) const {
   if (ov != nullptr) {
     if (ov->latency == LatencyOverride::kZero) {
       // Oracle bound: the fill costs nothing — no DRAM time, no
-      // controller bandwidth (the TLB was bypassed in walk_caches).
+      // controller bandwidth (the TLB was bypassed).
       r.latency = 0;
       r.prefetched = false;
       r.home = home;
       r.level = MemLevel::kL3;
-      tm_.l3.inc();
       return;
     }
     if (ov->placement == PlacementOverride::kLocal) {
@@ -106,12 +108,11 @@ void MemorySystem::finish_dram(Addr addr, NodeId home, NodeId toucher,
       if (home == toucher) {
         // Local DRAM promoted to an L3 hit. (The TLB walk was never
         // charged: a layout fix that achieves this also restores
-        // translation locality, so walk_caches bypassed the TLB.)
+        // translation locality, so the TLB was bypassed.)
         r.latency += cfg_.lat.l3;
         r.prefetched = false;
         r.home = home;
         r.level = MemLevel::kL3;
-        tm_.l3.inc();
         return;
       }
       // Remote DRAM promoted one level: costs a local fill, served by
@@ -121,41 +122,158 @@ void MemorySystem::finish_dram(Addr addr, NodeId home, NodeId toucher,
   }
   r.home = home;
   const bool remote = home != toucher;
-  r.queue_wait = controllers_[static_cast<std::size_t>(home)].serve(now);
+  r.queue_wait = controllers[static_cast<std::size_t>(home)].serve(now);
   r.prefetched = prefetched;
   if (prefetched) {
     // The stream prefetcher hid most of the fill; the access still
     // consumed controller bandwidth (the serve() above).
     r.latency += cfg_.lat.prefetch_hit + r.queue_wait +
                  (remote ? cfg_.lat.prefetch_remote_extra : 0);
-    tm_.prefetched.inc();
   } else {
     r.latency += cfg_.lat.l3 + cfg_.lat.dram + r.queue_wait +
                  (remote ? cfg_.lat.remote_extra : 0);
   }
-  if (remote) {
-    r.level = MemLevel::kRemoteDram;
-    tm_.remote_dram.inc();
-  } else {
-    r.level = MemLevel::kLocalDram;
-    tm_.local_dram.inc();
+  r.level = remote ? MemLevel::kRemoteDram : MemLevel::kLocalDram;
+}
+
+AccessResult MemorySystem::access(ThreadId tid, CoreId core, Addr addr,
+                                  bool is_store, Cycles now) {
+  const OverrideEntry* ov =
+      overrides_.empty() ? nullptr : overrides_.lookup(addr);
+  const bool skip_tlb = bypasses_tlb(ov);
+  AccessResult r;
+  if (mru_hit(core, addr, is_store, skip_tlb, r) ||
+      walk_caches(core, addr, is_store, r, skip_tlb)) {
+    if (!tlb_variants_.empty()) time_hit(tid, core, addr, r);
+    return r;
+  }
+  // DRAM fill: bind the page (first touch) and pay the home controller.
+  const NodeId toucher = cfg_.node_of(core);
+  const NodeId home = touch_page(page_table_, addr, toucher, ov);
+  const bool prefetched = consult_prefetcher(core, addr);
+  resolve_fill(ov, home, toucher, prefetched, now, controllers_, r);
+  if (r.prefetched) tm_.prefetched.inc();
+  switch (r.level) {
+    case MemLevel::kLocalDram: tm_.local_dram.inc(); break;
+    case MemLevel::kRemoteDram: tm_.remote_dram.inc(); break;
+    default: tm_.l3.inc(); break;
+  }
+  if (!variants_.empty()) {
+    time_fill(tid, core, addr, toucher, home, prefetched, now, r);
+  }
+  return r;
+}
+
+void MemorySystem::time_hit(ThreadId tid, CoreId core, Addr addr,
+                            const AccessResult& r) {
+  const auto t = static_cast<std::size_t>(tid);
+  const auto walk = static_cast<std::int64_t>(cfg_.lat.tlb_walk);
+  for (Variant* v : tlb_variants_) {
+    const OverrideEntry* ov =
+        v->overrides.empty() ? nullptr : v->overrides.lookup(addr);
+    // Same cache level as the primary; only the TLB walk can differ.
+    v->offset[t] += walk * (static_cast<std::int64_t>(
+                                variant_tlb_miss(*v, core, addr, ov)) -
+                            static_cast<std::int64_t>(r.tlb_miss));
   }
 }
 
-AccessResult MemorySystem::access(CoreId core, Addr addr, bool is_store,
-                                  Cycles now) {
-  const OverrideEntry* ov =
-      overrides_.empty() ? nullptr : overrides_.lookup(addr);
-  const bool skip_tlb = ov != nullptr && ov->latency != LatencyOverride::kNone;
-  AccessResult r;
-  if (mru_hit(core, addr, is_store, skip_tlb, r)) return r;
-  if (walk_caches(core, addr, is_store, r, skip_tlb)) return r;
-  // DRAM fill: bind the page (first touch) and pay the home controller.
-  const NodeId toucher = cfg_.node_of(core);
-  const NodeId home = touch_page(addr, toucher, ov);
-  const bool prefetched = consult_prefetcher(core, addr);
-  finish_dram(addr, home, toucher, prefetched, now, r, ov);
-  return r;
+void MemorySystem::time_fill(ThreadId tid, CoreId core, Addr addr,
+                             NodeId toucher, NodeId home, bool prefetched,
+                             Cycles now, const AccessResult& r) {
+  const auto t = static_cast<std::size_t>(tid);
+  for (const auto& vp : variants_) {
+    Variant& v = *vp;
+    const OverrideEntry* ov =
+        v.overrides.empty() ? nullptr : v.overrides.lookup(addr);
+    AccessResult vr;
+    const bool tlb_miss = v.tlbs.empty() ? r.tlb_miss
+                                         : variant_tlb_miss(v, core, addr, ov);
+    if (tlb_miss) vr.latency = cfg_.lat.tlb_walk;
+    const NodeId v_home = v.page_table != nullptr
+                              ? touch_page(*v.page_table, addr, toucher, ov)
+                              : home;
+    std::int64_t& off = v.offset[t];
+    resolve_fill(ov, v_home, toucher, prefetched,
+                 now + static_cast<Cycles>(off), v.controllers, vr);
+    off += static_cast<std::int64_t>(vr.latency) -
+           static_cast<std::int64_t>(r.latency);
+  }
+}
+
+void MemorySystem::set_policy(Addr base, std::uint64_t size,
+                              PlacementPolicy policy, NodeId fixed_node) {
+  page_table_.set_policy(base, size, policy, fixed_node);
+  for (const auto& v : variants_) {
+    if (v->page_table) {
+      v->page_table->set_policy(base, size, policy, fixed_node);
+    }
+  }
+}
+
+void MemorySystem::release_range(Addr base, std::uint64_t size) {
+  page_table_.release_range(base, size);
+  for (const auto& v : variants_) {
+    if (v->page_table) v->page_table->release_range(base, size);
+  }
+}
+
+void MemorySystem::add_override(int variant, Addr base, std::uint64_t size,
+                                OverrideEntry entry) {
+  if (variant == kPrimary) {
+    if (!variants_.empty()) {
+      throw std::logic_error(
+          "primary overrides would change the state timing variants share");
+    }
+    overrides_.add_range(base, size, entry);
+    update_inline_ok();
+    return;
+  }
+  Variant& v = *variants_.at(static_cast<std::size_t>(variant));
+  if ((entry.latency != LatencyOverride::kNone && v.tlbs.empty()) ||
+      (entry.placement == PlacementOverride::kInterleave && !v.page_table)) {
+    throw std::logic_error(
+        "variant override needs state the variant does not own");
+  }
+  v.overrides.add_range(base, size, entry);
+}
+
+void MemorySystem::remove_override(int variant, Addr base,
+                                   std::uint64_t size) {
+  if (variant == kPrimary) {
+    overrides_.remove_range(base, size);
+    update_inline_ok();
+    return;
+  }
+  variants_.at(static_cast<std::size_t>(variant))
+      ->overrides.remove_range(base, size);
+}
+
+int MemorySystem::add_variant(int threads, VariantOwnership own) {
+  if (!overrides_.empty()) {
+    throw std::logic_error("timing variants need an unpatched primary");
+  }
+  auto v = std::make_unique<Variant>(cfg_.page_bytes);
+  v->offset.assign(static_cast<std::size_t>(threads), 0);
+  v->controllers = controllers_;
+  if (own.tlb) v->tlbs = tlbs_;
+  if (own.page_table) v->page_table = std::make_unique<PageTable>(page_table_);
+  if (own.tlb) tlb_variants_.push_back(v.get());
+  variants_.push_back(std::move(v));
+  update_inline_ok();
+  return static_cast<int>(variants_.size()) - 1;
+}
+
+void MemorySystem::sync_variant_clocks(std::span<const Cycles> clocks,
+                                       Cycles to) {
+  for (const auto& v : variants_) {
+    Cycles max = 0;
+    for (std::size_t t = 0; t < clocks.size(); ++t) {
+      max = std::max(max, clocks[t] + static_cast<Cycles>(v->offset[t]));
+    }
+    const auto off = static_cast<std::int64_t>(max - to);
+    for (std::size_t t = 0; t < clocks.size(); ++t) v->offset[t] = off;
+  }
 }
 
 MemLevelStats MemorySystem::stats() const {
@@ -175,6 +293,9 @@ void MemorySystem::flush_caches() {
   for (auto& c : l2_) c.clear();
   for (auto& c : l3_) c.clear();
   for (auto& t : tlbs_) t.clear();
+  for (Variant* v : tlb_variants_) {
+    for (auto& t : v->tlbs) t.clear();
+  }
 }
 
 }  // namespace dcprof::sim

@@ -6,6 +6,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "obs/registry.h"
@@ -106,39 +107,96 @@ struct MemLevelStats {
   }
 };
 
+/// What a timing variant (MemorySystem::add_variant) owns besides its
+/// per-thread clocks and its DRAM controllers. Everything else — cache
+/// tags, prefetchers, and the TLBs and page homes it does not own — it
+/// reads from the primary.
+struct VariantOwnership {
+  /// Per-core TLBs: needed by a latency override, whose pages bypass the
+  /// TLB, so the variant's TLB contents diverge from the primary's.
+  bool tlb = false;
+  /// A page table: needed by an interleave override, whose forced binding
+  /// advances the process interleave cursor every later binding reads.
+  bool page_table = false;
+};
+
 class MemorySystem {
  public:
+  /// The variant index naming the primary machine itself.
+  static constexpr int kPrimary = -1;
+
   explicit MemorySystem(const MachineConfig& cfg);
 
-  /// Resolves one access by `core` at thread-local time `now`: the
-  /// inline MRU check (access_mru), else the full walk (walk_caches, then
-  /// DRAM). The what-if override covering the address is looked up once
-  /// and serves both.
-  AccessResult access(CoreId core, Addr addr, bool is_store, Cycles now);
+  /// Resolves one access by thread `tid` on `core` at thread-local time
+  /// `now`: the inline MRU check (access_mru), else the full walk
+  /// (walk_caches, then DRAM). The what-if override covering the address
+  /// is looked up once and serves both. Every timing variant then times
+  /// the same access against its own state (see add_variant).
+  AccessResult access(ThreadId tid, CoreId core, Addr addr, bool is_store,
+                      Cycles now);
 
-  /// The inline check, for runs without overrides: resolves an L1 hit on
-  /// the MRU way of its set whose page is one of the TLB's two most
-  /// recent entries. Such a hit changes no replacement state beyond the
-  /// swap Tlb::access would make, so this is exactly access()'s outcome.
-  /// Returns false, changing nothing, for every other access.
+  /// The inline check, for runs without primary overrides or TLB-owning
+  /// variants: resolves an L1 hit on the MRU way of its set whose page
+  /// is one of the TLB's two most recent entries. Such a hit changes no
+  /// replacement state beyond the swap Tlb::access would make, and no
+  /// placement-only variant times a cache hit differently, so this is
+  /// exactly access()'s outcome. Returns false, changing nothing, for
+  /// every other access.
   bool access_mru(CoreId core, Addr addr, bool is_store, AccessResult& r) {
-    return overrides_.empty() && mru_hit(core, addr, is_store, false, r);
+    return inline_ok_ && mru_hit(core, addr, is_store, false, r);
   }
 
-  PageTable& page_table() { return page_table_; }
   const PageTable& page_table() const { return page_table_; }
+  /// The allocator's page-table calls (PageTable::set_policy and
+  /// release_range). They reach every variant's own page table too.
+  void set_policy(Addr base, std::uint64_t size, PlacementPolicy policy,
+                  NodeId fixed_node = kNoNode);
+  void release_range(Addr base, std::uint64_t size);
 
-  /// What-if override table (empty in normal runs). Entries patch the
-  /// covered pages' placement at first touch and their DRAM cost at the
-  /// home lookup; see sim/override.h. Mutate at quiescent points only.
-  OverrideMap& overrides() { return overrides_; }
-  const OverrideMap& overrides() const { return overrides_; }
-  MemLevelStats stats() const;
-  const DramController& controller(NodeId node) const {
-    return controllers_[static_cast<std::size_t>(node)];
+  /// Patch the what-if override table of the primary (kPrimary) or of a
+  /// variant (empty in normal runs). Entries patch the covered pages'
+  /// placement at first touch and their DRAM cost at the home lookup;
+  /// see sim/override.h. Mutate at quiescent points only. The primary
+  /// takes no overrides while variants exist, and a variant takes only
+  /// the kinds its VariantOwnership covers (std::logic_error otherwise).
+  void add_override(int variant, Addr base, std::uint64_t size,
+                    OverrideEntry entry);
+  void remove_override(int variant, Addr base, std::uint64_t size);
+
+  /// Adds a timing variant for threads 0..`threads`-1 and returns its
+  /// index (0, 1, ...). A variant answers "what would this run's timing
+  /// be under these overrides" without a second execution: overrides
+  /// change where a page lives and what a miss costs, never a value or an
+  /// address, so the op stream, every cache fill and every prefetcher
+  /// decision are the primary's. The variant keeps only what its
+  /// overrides can change — per-thread clock offsets from the primary,
+  /// its own DRAM controllers, and the TLBs and page table `own` names —
+  /// and starts as a copy of the primary's, so it times exactly like a
+  /// machine that ran the same ops with its overrides as primary ones.
+  /// Needs an unpatched primary (std::logic_error otherwise).
+  int add_variant(int threads, VariantOwnership own);
+  int num_variants() const { return static_cast<int>(variants_.size()); }
+
+  /// A barrier moving every thread's primary clock from `clocks[tid]` to
+  /// `to`: each variant's threads move to that variant's own maximum.
+  void sync_variant_clocks(std::span<const Cycles> clocks, Cycles to);
+  /// Thread `tid`'s clock in `variant` when its primary clock is `clock`.
+  Cycles variant_clock(int variant, ThreadId tid, Cycles clock) const {
+    if (variant == kPrimary) return clock;
+    return clock + static_cast<Cycles>(
+                       variant_at(variant).offset[static_cast<std::size_t>(
+                           tid)]);
+  }
+  const DramController& controller(NodeId node, int variant = kPrimary) const {
+    const auto& ctl =
+        variant == kPrimary ? controllers_ : variant_at(variant).controllers;
+    return ctl[static_cast<std::size_t>(node)];
   }
 
-  /// Drops all cached state (not page placements). Useful between phases.
+  MemLevelStats stats() const;
+
+  /// Drops all cached state (not page placements), the variants' own
+  /// TLBs included. Useful between phases.
   void flush_caches();
 
   /// Per-core and per-socket components, for hit/miss inspection.
@@ -156,6 +214,28 @@ class MemorySystem {
   }
 
  private:
+  /// One timing variant: the state its overrides can make differ from
+  /// the primary's (add_variant).
+  struct Variant {
+    explicit Variant(std::size_t page_bytes) : overrides(page_bytes) {}
+    OverrideMap overrides;
+    /// Per thread: this variant's clock minus the primary's. Changes only
+    /// on an access whose latency differs, and at barriers.
+    std::vector<std::int64_t> offset;
+    std::vector<DramController> controllers;  // per NUMA node
+    std::vector<Tlb> tlbs;                    // per core; empty unless owned
+    std::unique_ptr<PageTable> page_table;    // null unless owned
+  };
+
+  const Variant& variant_at(int v) const {
+    return *variants_.at(static_cast<std::size_t>(v));
+  }
+  /// Recomputes inline_ok_ after the primary's overrides or the variant
+  /// set changed.
+  void update_inline_ok() {
+    inline_ok_ = overrides_.empty() && tlb_variants_.empty();
+  }
+
   /// The state-free hit: L1 MRU way, and the TLB's two most recent
   /// entries unless `skip_tlb` (a latency override bypasses the TLB).
   bool mru_hit(CoreId core, Addr addr, bool is_store, bool skip_tlb,
@@ -173,25 +253,54 @@ class MemorySystem {
   /// TLB + L1/L2/L3 walk; fills caches on miss. Returns true when a
   /// cache satisfied the access (`r` is complete); false when it falls
   /// through to DRAM (`r` carries the TLB outcome and walk latency so
-  /// far). With `skip_tlb` the TLB is bypassed entirely — not consulted,
-  /// not charged, not filled — used for latency-overridden accesses,
-  /// whose modeled fix shrinks the variable's translation footprint to
-  /// nothing (so other variables' entries survive instead of being
-  /// thrashed).
+  /// far). With `skip_tlb` (bypasses_tlb) the TLB is not consulted,
+  /// charged or filled. Cache fills do not depend on any override.
   bool walk_caches(CoreId core, Addr addr, bool is_store, AccessResult& r,
                    bool skip_tlb);
   /// Consults (and trains) `core`'s stream prefetcher for a DRAM fill of
   /// `addr`. Config-gated; called once per fill, in issue order.
   bool consult_prefetcher(CoreId core, Addr addr);
-  /// The DRAM leg: pays the home controller at `now`, applies the
-  /// latency formula for `prefetched`, sets level + telemetry. `ov` (may
-  /// be null) is the what-if override covering this address, applied
-  /// before any cost is charged.
-  void finish_dram(Addr addr, NodeId home, NodeId toucher, bool prefetched,
-                   Cycles now, AccessResult& r, const OverrideEntry* ov);
-  /// Binds the page of `addr` honouring a placement override's forced
-  /// interleaving; plain first-touch semantics when `ov` is null.
-  NodeId touch_page(Addr addr, NodeId toucher, const OverrideEntry* ov);
+
+  // What an override changes, stated once: the primary walk and every
+  // variant apply these three.
+
+  /// The TLB-bypass rule: a latency-overridden access skips the TLB —
+  /// not consulted, not charged, not filled — because the modeled fix
+  /// shrinks the variable's translation footprint to nothing (so other
+  /// variables' entries survive instead of being thrashed).
+  static bool bypasses_tlb(const OverrideEntry* ov) {
+    return ov != nullptr && ov->latency != LatencyOverride::kNone;
+  }
+  /// Binds the page of `addr` in `pt`, honouring an interleave override's
+  /// forced binding; plain first-touch semantics when `ov` is null.
+  static NodeId touch_page(PageTable& pt, Addr addr, NodeId toucher,
+                           const OverrideEntry* ov);
+  /// The DRAM leg of a fill under `ov` (may be null): the kZero and
+  /// kNextLevel short cuts, the home a placement or latency fix serves
+  /// it from, and the queueing on that home's controller in
+  /// `controllers` at `now`. Adds the leg's latency to `r` (kZero: the
+  /// whole access costs 0) and sets its level, home, prefetched and
+  /// queue_wait.
+  void resolve_fill(const OverrideEntry* ov, NodeId home, NodeId toucher,
+                    bool prefetched, Cycles now,
+                    std::vector<DramController>& controllers,
+                    AccessResult& r) const;
+
+  /// Variant timing of a cache hit `r`: only a TLB-owning variant can
+  /// differ, by its own TLB outcome.
+  void time_hit(ThreadId tid, CoreId core, Addr addr, const AccessResult& r);
+  /// Variant timing of the DRAM fill `r` (page bound to `home` in the
+  /// primary, issued at primary time `now`).
+  void time_fill(ThreadId tid, CoreId core, Addr addr, NodeId toucher,
+                 NodeId home, bool prefetched, Cycles now,
+                 const AccessResult& r);
+  /// Whether `v`'s own TLB misses on `addr` under override `ov`.
+  static bool variant_tlb_miss(Variant& v, CoreId core, Addr addr,
+                               const OverrideEntry* ov) {
+    if (bypasses_tlb(ov)) return false;
+    Tlb& tlb = v.tlbs[static_cast<std::size_t>(core)];
+    return !tlb.access_recent(addr) && !tlb.access(addr);
+  }
 
   MachineConfig cfg_;
   std::vector<SetAssocCache> l1_;   // per core
@@ -202,6 +311,9 @@ class MemorySystem {
   std::vector<DramController> controllers_;  // per NUMA node
   PageTable page_table_;
   OverrideMap overrides_;
+  /// access_mru's single test: no primary overrides and no TLB-owning
+  /// variant.
+  bool inline_ok_ = true;
 
   // Registry-backed level counts (this instance's private cells; the
   // global registry additionally sums them machine-wide).
@@ -209,6 +321,8 @@ class MemorySystem {
     obs::Counter l1, l2, l3, local_dram, remote_dram, tlb_misses, prefetched;
   };
   Telemetry tm_;
+  std::vector<std::unique_ptr<Variant>> variants_;
+  std::vector<Variant*> tlb_variants_;  ///< the variants owning TLBs
 };
 
 }  // namespace dcprof::sim

@@ -1,60 +1,83 @@
 #include "workloads/rerun.h"
 
-#include <mutex>
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
+#include "obs/registry.h"
+#include "obs/tracer.h"
+
 namespace dcprof::wl {
 
+using analysis::WhatIfBatchRunner;
 using analysis::WhatIfRun;
 using analysis::WhatIfRunner;
 using analysis::WhatIfSpec;
 
+namespace {
+
+/// `into` with `e`'s non-none fields laid over it (one variable may carry
+/// both a placement and a latency patch in a composite spec).
+void merge_entry(sim::OverrideEntry& into, const sim::OverrideEntry& e) {
+  if (e.placement != sim::PlacementOverride::kNone) {
+    into.placement = e.placement;
+  }
+  if (e.latency != sim::LatencyOverride::kNone) into.latency = e.latency;
+}
+
+}  // namespace
+
 OverrideInstaller::OverrideInstaller(ProcessCtx& proc,
-                                     const analysis::WhatIfSpec& spec)
+                                     const std::vector<WhatIfSpec>& specs,
+                                     Timing timing)
     : proc_(&proc) {
   if (proc.profiler() != nullptr) {
     throw std::logic_error(
         "OverrideInstaller: what-if re-runs are unprofiled (the profiler "
         "owns the allocation hooks)");
   }
-  // Group the spec's actions per target, merging entries so one variable
-  // can carry both a placement and a latency patch in a composite spec.
-  for (const analysis::WhatIfAction& a : spec.actions) {
-    const sim::OverrideEntry e = analysis::override_for(a.fix);
-    if (a.target.cls == core::StorageClass::kStatic) {
-      bool merged = false;
-      for (StaticTarget& t : statics_) {
-        if (t.name == a.target.name) {
-          if (e.placement != sim::PlacementOverride::kNone) {
-            t.entry.placement = e.placement;
-          }
-          if (e.latency != sim::LatencyOverride::kNone) {
-            t.entry.latency = e.latency;
-          }
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) statics_.push_back(StaticTarget{a.target.name, e, false});
-    } else {
-      bool merged = false;
-      for (HeapTarget& t : heap_) {
-        if (t.ip == a.target.alloc_ip) {
-          if (e.placement != sim::PlacementOverride::kNone) {
-            t.entry.placement = e.placement;
-          }
-          if (e.latency != sim::LatencyOverride::kNone) {
-            t.entry.latency = e.latency;
-          }
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) heap_.push_back(HeapTarget{a.target.alloc_ip, e});
-    }
+  if (timing == Timing::kMachine && specs.size() != 1) {
+    throw std::invalid_argument(
+        "OverrideInstaller: the machine itself times exactly one spec");
   }
-  if (!heap_.empty()) {
+  bool any_heap = false;
+  for (const WhatIfSpec& spec : specs) {
+    Targets t;
+    sim::VariantOwnership own;
+    // Group the spec's actions per target, merging their entries.
+    for (const analysis::WhatIfAction& a : spec.actions) {
+      const sim::OverrideEntry e = analysis::override_for(a.fix);
+      own.tlb |= e.latency != sim::LatencyOverride::kNone;
+      own.page_table |= e.placement == sim::PlacementOverride::kInterleave;
+      if (a.target.cls == core::StorageClass::kStatic) {
+        auto it = std::find_if(
+            t.statics.begin(), t.statics.end(),
+            [&](const StaticTarget& s) { return s.name == a.target.name; });
+        if (it == t.statics.end()) {
+          t.statics.push_back(StaticTarget{a.target.name, e, false});
+        } else {
+          merge_entry(it->entry, e);
+        }
+      } else {
+        auto it = std::find_if(
+            t.heap.begin(), t.heap.end(),
+            [&](const HeapTarget& h) { return h.ip == a.target.alloc_ip; });
+        if (it == t.heap.end()) {
+          t.heap.push_back(HeapTarget{a.target.alloc_ip, e});
+        } else {
+          merge_entry(it->entry, e);
+        }
+      }
+    }
+    if (timing == Timing::kVariants && !spec.actions.empty()) {
+      t.variant = proc.machine().memory().add_variant(proc.team().size(), own);
+      owning_tlbs_ += own.tlb ? 1 : 0;
+      owning_page_tables_ += own.page_table ? 1 : 0;
+    }
+    any_heap |= !t.heap.empty();
+    specs_.push_back(std::move(t));
+  }
+  if (any_heap) {
     rt::AllocHooks hooks;
     hooks.on_alloc = [this](rt::ThreadCtx& ctx, sim::Addr base,
                             std::uint64_t size, sim::Addr ip) {
@@ -66,11 +89,11 @@ OverrideInstaller::OverrideInstaller(ProcessCtx& proc,
   }
 }
 
-void OverrideInstaller::add_range(sim::Addr base, std::uint64_t size,
-                                  sim::OverrideEntry e) {
-  proc_->machine().overrides().add_range(base, size, e);
+void OverrideInstaller::add_range(Targets& t, sim::Addr base,
+                                  std::uint64_t size, sim::OverrideEntry e) {
+  proc_->machine().memory().add_override(t.variant, base, size, e);
   const std::uint64_t pb = proc_->machine().config().page_bytes;
-  pages_patched_ += (base + size - 1) / pb - base / pb + 1;
+  t.pages_patched += (base + size - 1) / pb - base / pb + 1;
 }
 
 void OverrideInstaller::on_alloc(rt::ThreadCtx& ctx, sim::Addr base,
@@ -91,84 +114,139 @@ void OverrideInstaller::on_alloc(rt::ThreadCtx& ctx, sim::Addr base,
     }
     if (id_ip == 0) id_ip = stack.empty() ? ip : stack.back();
   }
-  for (const HeapTarget& t : heap_) {
-    if (t.ip != id_ip) continue;
-    add_range(base, size, t.entry);
-    patched_blocks_[base] = size;
-    break;
+  for (Targets& t : specs_) {
+    for (const HeapTarget& h : t.heap) {
+      if (h.ip != id_ip) continue;
+      add_range(t, base, size, h.entry);
+      t.patched_blocks[base] = size;
+      break;
+    }
   }
 }
 
 void OverrideInstaller::on_free(sim::Addr base, std::uint64_t size) {
-  const auto it = patched_blocks_.find(base);
-  if (it == patched_blocks_.end()) return;
-  // The heap reuses freed ranges; the patch must not leak onto the
-  // range's next tenant.
-  proc_->machine().overrides().remove_range(base, size);
-  patched_blocks_.erase(it);
+  for (Targets& t : specs_) {
+    const auto it = t.patched_blocks.find(base);
+    if (it == t.patched_blocks.end()) continue;
+    // The heap reuses freed ranges; the patch must not leak onto the
+    // range's next tenant.
+    proc_->machine().memory().remove_override(t.variant, base, size);
+    t.patched_blocks.erase(it);
+  }
 }
 
 void OverrideInstaller::resolve_statics() {
-  for (StaticTarget& t : statics_) {
-    if (t.resolved) continue;
-    const auto seg = proc_->machine().aspace().find_static(t.name);
-    if (!seg) continue;
-    add_range(seg->first, seg->second, t.entry);
-    t.resolved = true;
+  for (Targets& t : specs_) {
+    for (StaticTarget& s : t.statics) {
+      if (s.resolved) continue;
+      const auto seg = proc_->machine().aspace().find_static(s.name);
+      if (!seg) continue;
+      add_range(t, seg->first, seg->second, s.entry);
+      s.resolved = true;
+    }
   }
 }
 
 namespace {
 
-WhatIfRun to_whatif_run(const RunResult& r, const OverrideInstaller& inst) {
-  WhatIfRun out;
-  out.cycles = r.sim_cycles;
-  out.checksum = r.checksum;
-  out.pages_patched = inst.pages_patched();
-  return out;
+/// One simulation answered `specs` specs (registry counters
+/// whatif.simulations and whatif.specs).
+void count_simulation(std::size_t specs) {
+  obs::Registry& reg = obs::Registry::global();
+  reg.counter("whatif.simulations").inc();
+  reg.counter("whatif.specs").add(specs);
+}
+
+/// One execution of a threaded case study answering `specs`, timed as
+/// `timing` says.
+template <typename Workload, typename Params>
+std::vector<WhatIfRun> simulate(const char* exe, const Params& prm,
+                                int threads,
+                                const std::vector<WhatIfSpec>& specs,
+                                OverrideInstaller::Timing timing) {
+  ProcessCtx proc(node_config(), threads, exe);
+  OverrideInstaller inst(proc, specs, timing);
+  // The batch's span carries what its variants own (pipeline.cpp records
+  // its stage spans the same way).
+  const bool traced = timing == OverrideInstaller::Timing::kVariants &&
+                      obs::Tracer::enabled();
+  const std::uint64_t t0 = traced ? obs::Tracer::global().now_ns() : 0;
+  Workload w(proc, prm);
+  inst.resolve_statics();
+  const RunResult r = w.run();
+  std::vector<WhatIfRun> runs;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    WhatIfRun run;
+    run.cycles = proc.team().now(inst.variant(i));
+    run.checksum = r.checksum;
+    run.pages_patched = inst.pages_patched(i);
+    runs.push_back(run);
+  }
+  if (traced) {
+    obs::Tracer& tr = obs::Tracer::global();
+    tr.record_complete(
+        "whatif.batch", t0, tr.now_ns() - t0,
+        obs::TraceArgs{
+            obs::TraceArg{"specs", specs.size()},
+            obs::TraceArg{"variants_own_tlb",
+                          static_cast<std::uint64_t>(
+                              inst.variants_owning_tlbs())},
+            obs::TraceArg{"variants_own_page_table",
+                          static_cast<std::uint64_t>(
+                              inst.variants_owning_page_tables())}});
+  }
+  count_simulation(specs.size());
+  return runs;
+}
+
+template <typename Workload, typename Params>
+WhatIfRunner per_spec(const char* exe, Params prm, WhatIfRunConfig cfg) {
+  return [exe, prm, cfg](const WhatIfSpec& spec) {
+    return simulate<Workload>(exe, prm, cfg.threads, {spec},
+                              OverrideInstaller::Timing::kMachine)
+        .front();
+  };
+}
+
+template <typename Workload, typename Params>
+WhatIfBatchRunner batched(const char* exe, Params prm, WhatIfRunConfig cfg) {
+  return [exe, prm, cfg](const std::vector<WhatIfSpec>& specs) {
+    return simulate<Workload>(exe, prm, cfg.threads, specs,
+                              OverrideInstaller::Timing::kVariants);
+  };
 }
 
 }  // namespace
 
 WhatIfRunner make_amg_whatif_runner(AmgParams prm, WhatIfRunConfig cfg) {
-  return [prm, cfg](const WhatIfSpec& spec) {
-    ProcessCtx proc(node_config(), cfg.threads, "amg");
-    OverrideInstaller inst(proc, spec);
-    Amg w(proc, prm);
-    inst.resolve_statics();
-    return to_whatif_run(w.run(), inst);
-  };
+  return per_spec<Amg>("amg", prm, cfg);
 }
-
 WhatIfRunner make_lulesh_whatif_runner(LuleshParams prm, WhatIfRunConfig cfg) {
-  return [prm, cfg](const WhatIfSpec& spec) {
-    ProcessCtx proc(node_config(), cfg.threads, "lulesh");
-    OverrideInstaller inst(proc, spec);
-    Lulesh w(proc, prm);
-    inst.resolve_statics();
-    return to_whatif_run(w.run(), inst);
-  };
+  return per_spec<Lulesh>("lulesh", prm, cfg);
 }
-
 WhatIfRunner make_streamcluster_whatif_runner(StreamclusterParams prm,
                                               WhatIfRunConfig cfg) {
-  return [prm, cfg](const WhatIfSpec& spec) {
-    ProcessCtx proc(node_config(), cfg.threads, "streamcluster");
-    OverrideInstaller inst(proc, spec);
-    Streamcluster w(proc, prm);
-    inst.resolve_statics();
-    return to_whatif_run(w.run(), inst);
-  };
+  return per_spec<Streamcluster>("streamcluster", prm, cfg);
+}
+WhatIfRunner make_nw_whatif_runner(NwParams prm, WhatIfRunConfig cfg) {
+  return per_spec<Nw>("nw", prm, cfg);
 }
 
-WhatIfRunner make_nw_whatif_runner(NwParams prm, WhatIfRunConfig cfg) {
-  return [prm, cfg](const WhatIfSpec& spec) {
-    ProcessCtx proc(node_config(), cfg.threads, "nw");
-    OverrideInstaller inst(proc, spec);
-    Nw w(proc, prm);
-    inst.resolve_statics();
-    return to_whatif_run(w.run(), inst);
-  };
+WhatIfBatchRunner make_amg_whatif_batch_runner(AmgParams prm,
+                                               WhatIfRunConfig cfg) {
+  return batched<Amg>("amg", prm, cfg);
+}
+WhatIfBatchRunner make_lulesh_whatif_batch_runner(LuleshParams prm,
+                                                  WhatIfRunConfig cfg) {
+  return batched<Lulesh>("lulesh", prm, cfg);
+}
+WhatIfBatchRunner make_streamcluster_whatif_batch_runner(
+    StreamclusterParams prm, WhatIfRunConfig cfg) {
+  return batched<Streamcluster>("streamcluster", prm, cfg);
+}
+WhatIfBatchRunner make_nw_whatif_batch_runner(NwParams prm,
+                                              WhatIfRunConfig cfg) {
+  return batched<Nw>("nw", prm, cfg);
 }
 
 WhatIfRunner make_sweep3d_whatif_runner(Sweep3dParams prm) {
@@ -180,20 +258,31 @@ WhatIfRunner make_sweep3d_whatif_runner(Sweep3dParams prm) {
     std::vector<std::uint64_t> pages(n, 0);
     cluster.run([&](rt::Rank& rank) {
       ProcessCtx proc(rank, "sweep3d");
-      OverrideInstaller inst(proc, spec);
+      OverrideInstaller inst(proc, {spec},
+                             OverrideInstaller::Timing::kMachine);
       Sweep3dRank w(proc, prm, &rank);
       inst.resolve_statics();
       const RunResult r = w.run();
       const auto id = static_cast<std::size_t>(rank.id());
       checksums[id] = r.checksum;
       cycles[id] = r.sim_cycles;
-      pages[id] = inst.pages_patched();
+      pages[id] = inst.pages_patched(0);
     });
     WhatIfRun out;
     for (const auto c : cycles) out.cycles = std::max(out.cycles, c);
     for (const auto c : checksums) out.checksum += c;
     for (const auto p : pages) out.pages_patched += p;
+    count_simulation(1);
     return out;
+  };
+}
+
+WhatIfBatchRunner make_sweep3d_whatif_batch_runner(Sweep3dParams prm) {
+  return [one = make_sweep3d_whatif_runner(prm)](
+             const std::vector<WhatIfSpec>& specs) {
+    std::vector<WhatIfRun> runs;
+    for (const WhatIfSpec& spec : specs) runs.push_back(one(spec));
+    return runs;
   };
 }
 
@@ -219,6 +308,23 @@ WhatIfRunner make_whatif_runner(const std::string& workload,
   if (workload == "nw") return make_nw_whatif_runner(NwParams{}, cfg);
   if (workload == "sweep3d") {
     return make_sweep3d_whatif_runner(Sweep3dParams{});
+  }
+  throw std::invalid_argument("unknown what-if workload: " + workload +
+                              " (expected " + whatif_workload_names() + ")");
+}
+
+WhatIfBatchRunner make_whatif_batch_runner(const std::string& workload,
+                                           WhatIfRunConfig cfg) {
+  if (workload == "amg") return make_amg_whatif_batch_runner(AmgParams{}, cfg);
+  if (workload == "lulesh") {
+    return make_lulesh_whatif_batch_runner(LuleshParams{}, cfg);
+  }
+  if (workload == "streamcluster") {
+    return make_streamcluster_whatif_batch_runner(StreamclusterParams{}, cfg);
+  }
+  if (workload == "nw") return make_nw_whatif_batch_runner(NwParams{}, cfg);
+  if (workload == "sweep3d") {
+    return make_sweep3d_whatif_batch_runner(Sweep3dParams{});
   }
   throw std::invalid_argument("unknown what-if workload: " + workload +
                               " (expected " + whatif_workload_names() + ")");

@@ -6,7 +6,11 @@
 #include <bit>
 #include <list>
 #include <map>
+#include <memory>
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/machine.h"
@@ -69,10 +73,10 @@ TEST(DramController, StatsAccumulate) {
 
 TEST(MemorySystem, HierarchyFillAndHitLevels) {
   MemorySystem mem(tiny_machine());
-  const auto miss = mem.access(0, 0x100000, false, 0);
+  const auto miss = mem.access(0, 0, 0x100000, false, 0);
   EXPECT_TRUE(miss.level == MemLevel::kLocalDram ||
               miss.level == MemLevel::kRemoteDram);
-  const auto hit = mem.access(0, 0x100000, false, 100);
+  const auto hit = mem.access(0, 0, 0x100000, false, 100);
   EXPECT_EQ(hit.level, MemLevel::kL1);
   EXPECT_LT(hit.latency, miss.latency);
 }
@@ -80,22 +84,22 @@ TEST(MemorySystem, HierarchyFillAndHitLevels) {
 TEST(MemorySystem, L2HitAfterL1Eviction) {
   const MachineConfig cfg = tiny_machine();
   MemorySystem mem(cfg);
-  mem.access(0, 0x100000, false, 0);
+  mem.access(0, 0, 0x100000, false, 0);
   // Evict from L1 (1 KB, 2-way, 8 sets): fill the matching set.
-  mem.access(0, 0x100000 + 512, false, 0);
-  mem.access(0, 0x100000 + 1024, false, 0);
-  const auto r = mem.access(0, 0x100000, false, 0);
+  mem.access(0, 0, 0x100000 + 512, false, 0);
+  mem.access(0, 0, 0x100000 + 1024, false, 0);
+  const auto r = mem.access(0, 0, 0x100000, false, 0);
   EXPECT_EQ(r.level, MemLevel::kL2);
 }
 
 TEST(MemorySystem, L3SharedWithinSocketOnly) {
   MemorySystem mem(tiny_machine());
-  mem.access(0, 0x100000, false, 0);  // core 0 (socket 0) fills L3[0]
+  mem.access(0, 0, 0x100000, false, 0);  // core 0 (socket 0) fills L3[0]
   // Core 1 is on socket 0: its first access finds the line in L3.
-  const auto same_socket = mem.access(1, 0x100000, false, 0);
+  const auto same_socket = mem.access(1, 1, 0x100000, false, 0);
   EXPECT_EQ(same_socket.level, MemLevel::kL3);
   // Core 2 is on socket 1: it must go to DRAM.
-  const auto other_socket = mem.access(2, 0x100000, false, 0);
+  const auto other_socket = mem.access(2, 2, 0x100000, false, 0);
   EXPECT_TRUE(other_socket.level == MemLevel::kLocalDram ||
               other_socket.level == MemLevel::kRemoteDram);
 }
@@ -103,11 +107,11 @@ TEST(MemorySystem, L3SharedWithinSocketOnly) {
 TEST(MemorySystem, LocalVersusRemoteByFirstTouch) {
   MemorySystem mem(tiny_machine());
   // Core 0 (node 0) touches the page first: home = node 0.
-  const auto first = mem.access(0, 0x200000, false, 0);
+  const auto first = mem.access(0, 0, 0x200000, false, 0);
   EXPECT_EQ(first.level, MemLevel::kLocalDram);
   EXPECT_EQ(first.home, 0);
   // Core 2 (node 1) misses everywhere: remote fill.
-  const auto remote = mem.access(2, 0x200000, false, 0);
+  const auto remote = mem.access(2, 2, 0x200000, false, 0);
   EXPECT_EQ(remote.level, MemLevel::kRemoteDram);
   EXPECT_GT(remote.latency, first.latency - first.queue_wait);
 }
@@ -115,9 +119,9 @@ TEST(MemorySystem, LocalVersusRemoteByFirstTouch) {
 TEST(MemorySystem, TlbMissAddsWalkLatency) {
   const MachineConfig cfg = tiny_machine();
   MemorySystem mem(cfg);
-  const auto first = mem.access(0, 0x300000, false, 0);
+  const auto first = mem.access(0, 0, 0x300000, false, 0);
   EXPECT_TRUE(first.tlb_miss);
-  const auto second = mem.access(0, 0x300000, false, 0);
+  const auto second = mem.access(0, 0, 0x300000, false, 0);
   EXPECT_FALSE(second.tlb_miss);
   EXPECT_EQ(mem.stats().tlb_misses, 1u);
 }
@@ -125,9 +129,9 @@ TEST(MemorySystem, TlbMissAddsWalkLatency) {
 TEST(MemorySystem, SequentialStreamGetsPrefetched) {
   MemorySystem mem(tiny_machine());
   // Two sequential line fills arm a stream; the third is prefetched.
-  const auto a = mem.access(0, 0x400040, false, 0);
-  const auto b = mem.access(0, 0x400080, false, 0);
-  const auto c = mem.access(0, 0x4000c0, false, 0);
+  const auto a = mem.access(0, 0, 0x400040, false, 0);
+  const auto b = mem.access(0, 0, 0x400080, false, 0);
+  const auto c = mem.access(0, 0, 0x4000c0, false, 0);
   EXPECT_FALSE(a.prefetched);
   EXPECT_TRUE(b.prefetched);
   EXPECT_TRUE(c.prefetched);
@@ -139,7 +143,7 @@ TEST(MemorySystem, StridedAccessDefeatsPrefetcher) {
   // Stride of 64 lines: no stream forms.
   for (int i = 1; i < 12; ++i) {
     const auto r =
-        mem.access(0, 0x500000 + static_cast<Addr>(i) * 4096, false, 0);
+        mem.access(0, 0, 0x500000 + static_cast<Addr>(i) * 4096, false, 0);
     EXPECT_FALSE(r.prefetched) << "access " << i;
   }
 }
@@ -152,7 +156,7 @@ TEST(MemorySystem, PrefetchRearmsAtPageBoundary) {
   const Addr page = 0x600000;
   bool boundary_prefetched = true;
   for (Addr a = page; a < page + 2 * cfg.page_bytes; a += 64) {
-    const auto r = mem.access(0, a, false, 0);
+    const auto r = mem.access(0, 0, a, false, 0);
     if (a == page + cfg.page_bytes) boundary_prefetched = r.prefetched;
   }
   EXPECT_FALSE(boundary_prefetched);
@@ -161,26 +165,26 @@ TEST(MemorySystem, PrefetchRearmsAtPageBoundary) {
 TEST(MemorySystem, StoreHitsAreCheaperThanLoadHits) {
   const MachineConfig cfg = tiny_machine();
   MemorySystem mem(cfg);
-  mem.access(0, 0x700000, false, 0);
-  const auto load = mem.access(0, 0x700000, false, 0);
-  const auto store = mem.access(0, 0x700000, true, 0);
+  mem.access(0, 0, 0x700000, false, 0);
+  const auto load = mem.access(0, 0, 0x700000, false, 0);
+  const auto store = mem.access(0, 0, 0x700000, true, 0);
   EXPECT_EQ(load.latency, cfg.lat.l1);
   EXPECT_EQ(store.latency, cfg.lat.store_hit);
 }
 
 TEST(MemorySystem, FlushCachesKeepsPlacement) {
   MemorySystem mem(tiny_machine());
-  mem.access(0, 0x800000, false, 0);
+  mem.access(0, 0, 0x800000, false, 0);
   mem.flush_caches();
-  const auto r = mem.access(2, 0x800000, false, 0);
+  const auto r = mem.access(2, 2, 0x800000, false, 0);
   // Page still belongs to node 0 => remote for core 2.
   EXPECT_EQ(r.level, MemLevel::kRemoteDram);
 }
 
 TEST(MemorySystem, StatsCountEachLevel) {
   MemorySystem mem(tiny_machine());
-  mem.access(0, 0x900000, false, 0);  // DRAM
-  mem.access(0, 0x900000, false, 0);  // L1
+  mem.access(0, 0, 0x900000, false, 0);  // DRAM
+  mem.access(0, 0, 0x900000, false, 0);  // L1
   const auto& s = mem.stats();
   EXPECT_EQ(s.l1_hits, 1u);
   EXPECT_EQ(s.local_dram + s.remote_dram, 1u);
@@ -448,14 +452,14 @@ TEST_P(MemorySystemReference, MatchesListLruModel) {
       const Addr base = random_addr();
       const std::uint64_t size = 1 + pick(4 * cfg.page_bytes);
       const OverrideEntry e = kinds[pick(std::size(kinds))];
-      m.overrides().add_range(base, size, e);
+      m.memory().add_override(MemorySystem::kPrimary, base, size, e);
       ref.add_override(base, size, e);
       continue;
     }
     if (roll < 7) {
       const Addr base = random_addr();
       const std::uint64_t size = 1 + pick(6 * cfg.page_bytes);
-      m.overrides().remove_range(base, size);
+      m.memory().remove_override(MemorySystem::kPrimary, base, size);
       ref.remove_override(base, size);
       continue;
     }
@@ -529,6 +533,238 @@ TEST_P(MemorySystemReference, MatchesListLruModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MemorySystemReference,
                          ::testing::Values(1u, 2u, 3u, 4u));
+
+// --- Timing variants ---------------------------------------------------
+//
+// A machine with K timing variants must time each variant exactly as a
+// separate machine running that variant's overrides as its own: same
+// per-thread clocks after every barrier, same DRAM controller totals.
+// The stream mixes several threads (more than cores, so offsets are per
+// thread, not per core), compute blocks, every override kind added and
+// removed mid-stream, interleave and fixed placement regions that share
+// the interleave cursor, frees that release pages, and cache flushes.
+
+/// One variant: what it owns and the override entries it draws from.
+struct VariantCase {
+  VariantOwnership own;
+  std::vector<OverrideEntry> kinds;
+};
+
+std::vector<VariantCase> variant_cases(bool with_tlb_owners) {
+  using P = PlacementOverride;
+  using L = LatencyOverride;
+  std::vector<VariantCase> cases = {
+      {{false, false}, {}},  // no overrides: times exactly like the primary
+      {{false, false}, {{P::kLocal, L::kNone}}},
+      {{false, true}, {{P::kInterleave, L::kNone}, {P::kLocal, L::kNone}}},
+  };
+  if (with_tlb_owners) {
+    cases.push_back({{true, false}, {{P::kNone, L::kNextLevel}}});
+    cases.push_back({{true, false}, {{P::kNone, L::kZero}}});
+    cases.push_back(
+        {{true, false}, {{P::kLocal, L::kNextLevel}, {P::kNone, L::kZero}}});
+    cases.push_back({{true, true},
+                     {{P::kInterleave, L::kNone},
+                      {P::kNone, L::kNextLevel},
+                      {P::kInterleave, L::kZero},
+                      {P::kLocal, L::kNone}}});
+  }
+  return cases;
+}
+
+class MemorySystemVariants
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool>> {};
+
+TEST_P(MemorySystemVariants, TimeLikeSeparateMachines) {
+  const auto [seed, with_tlb_owners] = GetParam();
+  MachineConfig cfg = tiny_machine();
+  cfg.numa_nodes_per_socket = 2;  // 4 nodes, 4 controllers per machine
+  const std::vector<VariantCase> cases = variant_cases(with_tlb_owners);
+  constexpr int kThreads = 6;
+  const auto core_of = [&](int t) {
+    return static_cast<CoreId>(t % cfg.num_cores());
+  };
+
+  Machine m(cfg);
+  std::vector<std::unique_ptr<Machine>> refs;
+  for (const VariantCase& c : cases) {
+    m.memory().add_variant(kThreads, c.own);
+    refs.push_back(std::make_unique<Machine>(cfg));
+  }
+  Machine plain(cfg);  // the primary must time as if no variant existed
+
+  std::mt19937_64 rng(seed);
+  const auto pick = [&](std::uint64_t n) { return rng() % n; };
+  const Addr region = 0x10000000;
+  const std::uint64_t region_pages = 40;
+  const auto random_addr = [&] {
+    return region + pick(region_pages * cfg.page_bytes) / 8 * 8;
+  };
+
+  std::vector<Cycles> clock(kThreads, 0);
+  std::vector<Cycles> plain_clock(clock);
+  std::vector<std::vector<Cycles>> ref_clock(refs.size(), clock);
+  const auto barrier = [&] {
+    const Cycles max = *std::max_element(clock.begin(), clock.end());
+    m.memory().sync_variant_clocks(clock, max);
+    std::fill(clock.begin(), clock.end(), max);
+    const auto level = [](std::vector<Cycles>& c) {
+      std::fill(c.begin(), c.end(), *std::max_element(c.begin(), c.end()));
+    };
+    level(plain_clock);
+    for (auto& c : ref_clock) level(c);
+  };
+  const auto expect_same_timing = [&](int op) {
+    ASSERT_EQ(clock, plain_clock) << "primary, op " << op;
+    for (std::size_t k = 0; k < refs.size(); ++k) {
+      const int v = static_cast<int>(k);
+      for (int t = 0; t < kThreads; ++t) {
+        const auto ti = static_cast<std::size_t>(t);
+        ASSERT_EQ(m.memory().variant_clock(v, t, clock[ti]), ref_clock[k][ti])
+            << "variant " << k << " thread " << t << " op " << op;
+      }
+      for (NodeId n = 0; n < cfg.num_nodes(); ++n) {
+        const DramController& got = m.memory().controller(n, v);
+        const DramController& want = refs[k]->memory().controller(n);
+        ASSERT_EQ(got.accesses(), want.accesses())
+            << "variant " << k << " node " << n << " op " << op;
+        ASSERT_EQ(got.total_wait(), want.total_wait())
+            << "variant " << k << " node " << n << " op " << op;
+      }
+    }
+  };
+
+  int thread = 0;
+  int mode_left = 0;
+  Addr cursor = region;
+  Addr stride = 64;
+  constexpr int kOps = 60'000;
+  for (int op = 0; op < kOps; ++op) {
+    const std::uint64_t roll = pick(1000);
+    if (roll < 2) {
+      m.memory().flush_caches();
+      plain.memory().flush_caches();
+      for (auto& r : refs) r->memory().flush_caches();
+      continue;
+    }
+    if (roll < 8) {  // a variant patches a range
+      const auto k = static_cast<std::size_t>(pick(cases.size()));
+      if (cases[k].kinds.empty()) continue;
+      const Addr base = random_addr();
+      const std::uint64_t size = 1 + pick(4 * cfg.page_bytes);
+      const OverrideEntry e = cases[k].kinds[pick(cases[k].kinds.size())];
+      m.memory().add_override(static_cast<int>(k), base, size, e);
+      refs[k]->memory().add_override(MemorySystem::kPrimary, base, size, e);
+      continue;
+    }
+    if (roll < 11) {  // ... and drops one
+      const auto k = static_cast<std::size_t>(pick(cases.size()));
+      const Addr base = random_addr();
+      const std::uint64_t size = 1 + pick(6 * cfg.page_bytes);
+      m.memory().remove_override(static_cast<int>(k), base, size);
+      refs[k]->memory().remove_override(MemorySystem::kPrimary, base, size);
+      continue;
+    }
+    if (roll < 15) {  // the allocator declares a placement region
+      const Addr base = region + pick(region_pages) * cfg.page_bytes;
+      const std::uint64_t size = (1 + pick(6)) * cfg.page_bytes;
+      const PlacementPolicy policies[] = {PlacementPolicy::kInterleave,
+                                          PlacementPolicy::kFirstTouch,
+                                          PlacementPolicy::kFixed};
+      const PlacementPolicy policy = policies[pick(std::size(policies))];
+      const NodeId node = policy == PlacementPolicy::kFixed
+                              ? static_cast<NodeId>(pick(4))
+                              : kNoNode;
+      m.memory().set_policy(base, size, policy, node);
+      plain.memory().set_policy(base, size, policy, node);
+      for (auto& r : refs) r->memory().set_policy(base, size, policy, node);
+      continue;
+    }
+    if (roll < 18) {  // ... and frees a block, unmapping its pages
+      const Addr base = region + pick(region_pages) * cfg.page_bytes;
+      const std::uint64_t size = (1 + pick(6)) * cfg.page_bytes;
+      m.memory().release_range(base, size);
+      plain.memory().release_range(base, size);
+      for (auto& r : refs) r->memory().release_range(base, size);
+      continue;
+    }
+    if (roll < 26) {
+      barrier();
+      expect_same_timing(op);
+      if (::testing::Test::HasFatalFailure()) return;
+      continue;
+    }
+    if (mode_left-- <= 0) {
+      mode_left = 32 + static_cast<int>(pick(256));
+      thread = static_cast<int>(pick(kThreads));
+      cursor = random_addr();
+      const Addr strides[] = {0, 8, 64, 4096 + 64};
+      stride = strides[pick(std::size(strides))];
+    }
+    const int t = pick(8) == 0 ? static_cast<int>(pick(kThreads)) : thread;
+    const auto ti = static_cast<std::size_t>(t);
+    const CoreId core = core_of(t);
+    if (roll < 300) {
+      const std::uint64_t instrs = 1 + pick(40);
+      m.compute(t, core, instrs, 0x400000, clock[ti]);
+      plain.compute(t, core, instrs, 0x400000, plain_clock[ti]);
+      for (std::size_t k = 0; k < refs.size(); ++k) {
+        refs[k]->compute(t, core, instrs, 0x400000, ref_clock[k][ti]);
+      }
+      continue;
+    }
+    Addr addr = pick(4) == 0 ? random_addr() : cursor;
+    cursor += stride;
+    if (cursor >= region + region_pages * cfg.page_bytes) cursor = region;
+    const bool store = pick(4) == 0;
+    m.access(t, core, 0x400000, addr, 8, store, clock[ti]);
+    plain.access(t, core, 0x400000, addr, 8, store, plain_clock[ti]);
+    for (std::size_t k = 0; k < refs.size(); ++k) {
+      refs[k]->access(t, core, 0x400000, addr, 8, store, ref_clock[k][ti]);
+    }
+  }
+  barrier();
+  expect_same_timing(kOps);
+  // The stream must make the variants' timing actually differ.
+  std::size_t differing = 0;
+  for (std::size_t k = 0; k < refs.size(); ++k) {
+    differing += ref_clock[k] != clock ? 1 : 0;
+  }
+  EXPECT_GE(differing, cases.size() - 2);
+  const MemLevelStats s = m.memory().stats();
+  EXPECT_GT(s.local_dram, 0u);
+  EXPECT_GT(s.remote_dram, 0u);
+  EXPECT_GT(s.tlb_misses, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, MemorySystemVariants,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u), ::testing::Bool()),
+    [](const auto& info) {
+      return "seed" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_tlb_owners" : "_placement_only");
+    });
+
+TEST(MemorySystemVariants, RejectOverridesTheyCannotTime) {
+  MemorySystem mem(tiny_machine());
+  const int placement = mem.add_variant(1, {});
+  const int latency = mem.add_variant(1, {true, false});
+  const OverrideEntry promote{PlacementOverride::kNone,
+                              LatencyOverride::kNextLevel};
+  const OverrideEntry interleave{PlacementOverride::kInterleave,
+                                 LatencyOverride::kNone};
+  EXPECT_THROW(mem.add_override(placement, 0x1000, 64, promote),
+               std::logic_error);
+  EXPECT_THROW(mem.add_override(latency, 0x1000, 64, interleave),
+               std::logic_error);
+  EXPECT_NO_THROW(mem.add_override(latency, 0x1000, 64, promote));
+  // The primary is what every variant shares: it stays unpatched.
+  EXPECT_THROW(mem.add_override(MemorySystem::kPrimary, 0x1000, 64, promote),
+               std::logic_error);
+  MemorySystem patched(tiny_machine());
+  patched.add_override(MemorySystem::kPrimary, 0x1000, 64, promote);
+  EXPECT_THROW(patched.add_variant(1, {}), std::logic_error);
+}
 
 }  // namespace
 }  // namespace dcprof::sim

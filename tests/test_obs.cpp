@@ -335,6 +335,10 @@ TEST(Tracer, SpansEmitValidTraceEventJson) {
     OBS_SPAN_V("inner", "n", 42);
   }
   OBS_INSTANT("mark");
+  tracer.record_complete("batch", tracer.now_ns(), 5,
+                         obs::TraceArgs{obs::TraceArg{"specs", 10},
+                                        obs::TraceArg{"tlbs", 3},
+                                        obs::TraceArg{"tables", 2}});
   obs::Tracer::set_enabled(false);
   std::ostringstream out;
   tracer.write_json(out);
@@ -348,6 +352,8 @@ TEST(Tracer, SpansEmitValidTraceEventJson) {
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("main-test"), std::string::npos);
   EXPECT_NE(json.find("\"n\":42"), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"specs\":10,\"tlbs\":3,\"tables\":2}"),
+            std::string::npos);
   tracer.reset();
 }
 

@@ -30,7 +30,8 @@ sim::Cycles run_streamcluster_with_entry(const wl::StreamclusterParams& prm,
                                     std::uint64_t size, sim::Addr ip) {
     const auto it = pp->alloc_names().find(ip);
     if (it != pp->alloc_names().end() && it->second == var) {
-      pp->machine().overrides().add_range(base, size, entry);
+      pp->machine().memory().add_override(sim::MemorySystem::kPrimary, base,
+                                          size, entry);
     }
   };
   proc.alloc().set_hooks(std::move(hooks));

@@ -373,7 +373,8 @@ TEST(DetReference, Lulesh) {
 
 // The profile runs above leave sim::OverrideMap empty; what-if re-runs
 // patch it. Pins every prediction of a reduced LULESH, top 3: the re-run
-// cycles, the pages its overrides covered, and the ranking.
+// cycles, the pages its overrides covered, and the ranking — through the
+// per-spec re-runs and through the one batched simulation alike.
 TEST(DetReference, LuleshWhatIf) {
   LuleshParams prm;
   prm.nelem = 8'000;
@@ -387,31 +388,35 @@ TEST(DetReference, LuleshWhatIf) {
   opt.top_n = 3;
   WhatIfRunConfig cfg;
   cfg.threads = 8;
-  analysis::WhatIfEngine engine(make_lulesh_whatif_runner(prm, cfg), opt);
-  const auto preds = engine.analyze(profile, proc.actx());
-  EXPECT_EQ(engine.baseline().cycles, 2237483u);
-  std::vector<std::string> labels;
-  std::vector<sim::Cycles> cycles;
-  std::vector<std::uint64_t> pages;
-  for (const auto& p : preds) {
-    labels.push_back(p.label);
-    cycles.push_back(p.cycles);
-    pages.push_back(p.pages_patched);
+  analysis::WhatIfEngine per_spec(make_lulesh_whatif_runner(prm, cfg), opt);
+  analysis::WhatIfEngine batch(make_lulesh_whatif_batch_runner(prm, cfg), opt);
+  for (analysis::WhatIfEngine* engine : {&per_spec, &batch}) {
+    SCOPED_TRACE(engine == &batch ? "batch" : "per-spec");
+    const auto preds = engine->analyze(profile, proc.actx());
+    EXPECT_EQ(engine->baseline().cycles, 2237483u);
+    std::vector<std::string> labels;
+    std::vector<sim::Cycles> cycles;
+    std::vector<std::uint64_t> pages;
+    for (const auto& p : preds) {
+      labels.push_back(p.label);
+      cycles.push_back(p.cycles);
+      pages.push_back(p.pages_patched);
+    }
+    EXPECT_EQ(labels,
+              (std::vector<std::string>{
+                  "f_elem: promote misses one memory level",
+                  "nodeElemCornerList: promote misses one memory level",
+                  "m_z: promote misses one memory level",
+                  "nodeElemCornerList: make remote accesses local",
+                  "m_z: make remote accesses local",
+                  "m_z: interleave pages across nodes",
+                  "nodeElemCornerList: interleave pages across nodes"}));
+    EXPECT_EQ(cycles, (std::vector<sim::Cycles>{1834357u, 2187720u, 2205453u,
+                                                2207525u, 2212883u, 2236660u,
+                                                2248743u}));
+    EXPECT_EQ(pages, (std::vector<std::uint64_t>{375u, 63u, 16u, 63u, 16u,
+                                                 16u, 63u}));
   }
-  EXPECT_EQ(labels,
-            (std::vector<std::string>{
-                "f_elem: promote misses one memory level",
-                "nodeElemCornerList: promote misses one memory level",
-                "m_z: promote misses one memory level",
-                "nodeElemCornerList: make remote accesses local",
-                "m_z: make remote accesses local",
-                "m_z: interleave pages across nodes",
-                "nodeElemCornerList: interleave pages across nodes"}));
-  EXPECT_EQ(cycles, (std::vector<sim::Cycles>{1834357u, 2187720u, 2205453u,
-                                              2207525u, 2212883u, 2236660u,
-                                              2248743u}));
-  EXPECT_EQ(pages, (std::vector<std::uint64_t>{375u, 63u, 16u, 63u, 16u, 16u,
-                                               63u}));
 }
 
 TEST(DetReference, Streamcluster) {

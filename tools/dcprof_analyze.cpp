@@ -8,6 +8,7 @@
 //                  [--metrics-json <file>] [--trace-out <file>]
 //                  [--dot-out <file>] [--folded-out <file>]
 //                  [--export-var <name>] [--progress] [--overhead]
+//                  [--whatif <workload>] [--whatif-top N]
 //
 // --dot-out renders the merged CCTs as a Graphviz digraph; --folded-out
 // writes folded-stack flamegraph text (flamegraph.pl / speedscope
@@ -17,6 +18,9 @@
 // for Perfetto; --metrics-json dumps the self-telemetry registry;
 // --progress prints a heartbeat line as profiles are folded;
 // --overhead prints the analyzer's self-overhead report (kViewOverhead).
+// --whatif re-runs the named workload, with the team size of the
+// measurement's rank 0, to predict each top variable's fix payoff
+// exactly; one simulation answers every fix (stderr says how many).
 // Every exported file is written atomically (tmp + fsync + rename) and
 // an unwritable path is a hard error.
 //
@@ -32,10 +36,14 @@
 // valid record prefix into the merge (recovery mode).
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/export.h"
 #include "analysis/html_report.h"
@@ -69,6 +77,22 @@ bool export_file(const std::string& path, std::string_view bytes,
   return true;
 }
 
+/// The team size of the measurement's rank 0 — N when its thread
+/// profiles carry exactly the tids 0..N-1 — or nullopt.
+std::optional<int> measured_team_size(
+    const std::vector<analysis::ThreadRow>& threads) {
+  std::vector<std::int32_t> tids;
+  for (const auto& t : threads) {
+    if (t.rank == 0) tids.push_back(t.tid);
+  }
+  std::sort(tids.begin(), tids.end());
+  for (std::size_t i = 0; i < tids.size(); ++i) {
+    if (tids[i] != static_cast<std::int32_t>(i)) return std::nullopt;
+  }
+  if (tids.empty()) return std::nullopt;
+  return static_cast<int>(tids.size());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -91,7 +115,6 @@ int main(int argc, char** argv) {
   std::string export_var;
   std::string whatif_workload;
   int whatif_top = 3;
-  int whatif_threads = 16;
 
   cli::Parser p("dcprof_analyze",
                 "streams a measurement directory through the analysis "
@@ -123,14 +146,12 @@ int main(int argc, char** argv) {
   p.option("--export-var", &export_var,
            "restrict --dot-out/--folded-out to one variable", "NAME");
   p.option("--whatif", &whatif_workload,
-           "predict exact fix payoffs by re-running this workload "
-           "(the structure file carries no executable name, so it must "
-           "be named explicitly; use the measurement's configuration)",
+           "predict exact fix payoffs by re-running this workload with "
+           "the measurement's team size (the structure file carries no "
+           "executable name, so it must be named explicitly)",
            wl::whatif_workload_names());
   p.option("--whatif-top", &whatif_top,
            "candidate variables the what-if engine evaluates");
-  p.option("--whatif-threads", &whatif_threads,
-           "threads for what-if re-runs (match the measurement)");
   if (const auto rc = p.parse(argc, argv)) return *rc;
 
   analysis::Analyzer::Options opts;
@@ -149,10 +170,11 @@ int main(int argc, char** argv) {
   }
   if (top_n > 0) opts.with_top_n(static_cast<std::size_t>(top_n));
   // --whatif exists to attach exact predictions to the guidance, so it
-  // implies the advice view.
+  // implies the advice view; the thread view gives it the team size.
   if (advice || !whatif_workload.empty()) {
     opts.add_views(analysis::kViewAdvice);
   }
+  if (!whatif_workload.empty()) opts.add_views(analysis::kViewThreads);
   if (overhead) opts.add_views(analysis::kViewOverhead);
   if (strict) opts.with_policy(analysis::CorruptPolicy::kStrict);
   if (quarantine) opts.with_policy(analysis::CorruptPolicy::kQuarantine);
@@ -174,7 +196,6 @@ int main(int argc, char** argv) {
                    " (expected " + wl::whatif_workload_names() + ")");
   }
   if (whatif_top < 1) return p.error("--whatif-top must be >= 1");
-  if (whatif_threads < 1) return p.error("--whatif-threads must be >= 1");
   const core::Metric metric = opts.sort_metric;
   if (!metrics_json.empty()) obs::set_metrics_enabled(true);
   if (!trace_out.empty()) obs::Tracer::set_enabled(true);
@@ -295,14 +316,32 @@ int main(int argc, char** argv) {
   std::vector<analysis::WhatIfPrediction> predictions;
   if (!whatif_workload.empty()) {
     wl::WhatIfRunConfig run_cfg;
-    run_cfg.threads = whatif_threads;
+    if (const auto team = measured_team_size(r.threads)) {
+      run_cfg.threads = *team;
+    } else {
+      std::fprintf(stderr,
+                   "error: --whatif needs rank 0's thread profiles with "
+                   "tids 0..N-1 to re-run the measured team size\n");
+      return 1;
+    }
     analysis::WhatIfOptions whatif_opts;
     whatif_opts.top_n = static_cast<std::size_t>(whatif_top);
     try {
+      const auto t0 = std::chrono::steady_clock::now();
       analysis::WhatIfEngine engine(
-          wl::make_whatif_runner(whatif_workload, run_cfg), whatif_opts);
+          wl::make_whatif_batch_runner(whatif_workload, run_cfg),
+          whatif_opts);
       predictions = engine.analyze(r.merged, ctx);
       analysis::apply_predictions(r.advice, predictions);
+      const std::uint64_t sims =
+          obs::Registry::global().snapshot().value("whatif.simulations");
+      std::fprintf(stderr, "what-if: %zu fix%s in %llu simulation%s (%.1f s)\n",
+                   predictions.size(), predictions.size() == 1 ? "" : "es",
+                   static_cast<unsigned long long>(sims),
+                   sims == 1 ? "" : "s",
+                   std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: what-if analysis failed: %s\n", e.what());
       return 1;
