@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/checksum.h"
-#include "core/mapped_file.h"
 #include "core/measurement.h"
 
 namespace dcprof::analysis {
@@ -45,7 +44,7 @@ void put_u64(std::string& out, std::uint64_t v) {
   }
 }
 
-/// Bounds-checked little-endian cursor over the mapped checkpoint bytes.
+/// Bounds-checked little-endian cursor over the checkpoint's bytes.
 struct CkReader {
   std::string_view buf;
   std::size_t off = 0;
@@ -113,8 +112,8 @@ void IngestService::load_checkpoint() {
   std::error_code ec;
   if (!fs::exists(opts_.checkpoint, ec)) return;
   try {
-    core::MappedFile map(opts_.checkpoint);
-    const std::string_view bytes = map.bytes();
+    const std::string data = core::read_file(opts_.checkpoint);
+    const std::string_view bytes = data;
     if (bytes.size() < kCkFooterSize) {
       throw std::runtime_error("truncated checkpoint");
     }

@@ -6,12 +6,12 @@
 //   poll       list each watched dir (list_profile_files order), skip
 //              shards already in the manifest
 //   fold       fold_shard (analysis/pipeline.h) — the Analyzer's own
-//              per-file fold: mmap (core::MappedFile; zero heap copy of
-//              the file), one CRC32C framing check with one re-map
-//              retry, then merge_serialized straight off the mapping —
-//              so the aggregate is byte-identical to a one-shot
-//              Analyzer::run over the same shards (when shards arrive in
-//              listed order; out-of-order arrivals yield a
+//              per-file fold: read the file whole (core::read_file),
+//              one CRC32C framing check with one re-read retry, then
+//              merge_serialized straight off those bytes — so the
+//              aggregate is byte-identical to a one-shot Analyzer::run
+//              over the same shards (when shards arrive in listed
+//              order; out-of-order arrivals yield a
 //              canonically-equal aggregate that differs only in CCT node
 //              numbering). A shard whose checksum is intact but whose
 //              structure is malformed (a buggy writer, not a torn write)
@@ -63,7 +63,7 @@ struct IngestOptions {
   /// What to do with a shard that fails validation twice (or poisons a
   /// merge). kStrict throws out of poll_once; kSkip remembers the file
   /// and never retries it; kQuarantine also moves it to
-  /// <dir>/quarantine/. Shards that vanish before they are mapped are
+  /// <dir>/quarantine/. Shards that vanish before they are read are
   /// ignored under every policy.
   CorruptPolicy corrupt_policy = CorruptPolicy::kSkip;
   /// Move durably-checkpointed shards into <dir>/ingested/. Disable to
@@ -81,7 +81,7 @@ struct IngestStats {
   std::uint64_t bytes = 0;              ///< their serialized bytes
   std::uint64_t skipped = 0;            ///< failed validation twice
   std::uint64_t quarantined = 0;        ///< moved aside (kQuarantine)
-  std::uint64_t transient_retries = 0;  ///< re-maps that then validated
+  std::uint64_t transient_retries = 0;  ///< re-reads that then validated
   std::uint64_t checkpoints = 0;        ///< checkpoints written
   std::uint64_t resumes = 0;            ///< times state was restored
   std::uint64_t claimed = 0;            ///< shards moved to ingested/

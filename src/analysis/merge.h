@@ -27,8 +27,8 @@ struct ProfileSummary {
 };
 
 /// Streaming merge: parses one serialized profile spanning exactly
-/// `bytes` (an mmap'd `.dcpf` via core::MappedFile) and merges it into
-/// `dst` node-by-node, never materializing the source profile — the
+/// `bytes` (a `.dcpf` file's contents, from core::read_file) and merges
+/// it into `dst` node-by-node, never materializing the source profile — the
 /// memory-bounded fold behind both the Analyzer and the ingestion
 /// daemon. The result is byte-identical to
 /// `merge_into(dst, ThreadProfile::read(bytes))`.

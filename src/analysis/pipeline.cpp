@@ -10,7 +10,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/mapped_file.h"
 #include "core/measurement.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
@@ -89,16 +88,16 @@ ShardFold fold_shard(const fs::path& dir, const fs::path& file,
                      std::optional<core::ThreadProfile>& agg,
                      CorruptPolicy policy, bool salvage) {
   ShardFold r;
-  std::optional<core::MappedFile> map;
-  // One re-map before a shard is declared corrupt: a transient I/O error
-  // (torn read, racing writer) passes the second time; real corruption
-  // fails again.
+  std::optional<std::string> bytes;
+  // One re-read before a shard is declared corrupt: a transient I/O
+  // error (torn read, racing writer) passes the second time; real
+  // corruption fails again.
   for (int attempt = 0; attempt < 2; ++attempt) {
     try {
-      map.emplace(file);
-      r.error = core::ThreadProfile::check_framing(map->bytes());
+      bytes = core::read_file(file);
+      r.error = core::ThreadProfile::check_framing(*bytes);
     } catch (const std::exception& e) {
-      map.reset();
+      bytes.reset();
       std::error_code ec;
       if (!fs::exists(file, ec)) {
         r.outcome = FoldOutcome::kVanished;
@@ -114,19 +113,18 @@ ShardFold fold_shard(const fs::path& dir, const fs::path& file,
   }
   bool poisoned = false;
   if (r.error.empty()) {
-    const std::string_view bytes = map->bytes();
     try {
       if (!agg) {
-        agg = core::ThreadProfile::read(bytes);  // assigned only on success
+        agg = core::ThreadProfile::read(*bytes);  // assigned only on success
         r.summary = summarize_profile(*agg);
       } else {
-        r.summary = merge_serialized(*agg, bytes);
+        r.summary = merge_serialized(*agg, *bytes);
       }
-      r.bytes = bytes.size();
+      r.bytes = bytes->size();
       return r;
     } catch (const std::exception& e) {
       // Checksum-intact but structurally malformed: a buggy writer, not
-      // a torn write, so no re-map. A failed read left `agg` empty; a
+      // a torn write, so no re-read. A failed read left `agg` empty; a
       // failed merge left part of the shard in it.
       r.error = e.what();
       poisoned = agg.has_value();
@@ -136,11 +134,11 @@ ShardFold fold_shard(const fs::path& dir, const fs::path& file,
     throw std::runtime_error(file.string() + ": " + r.error);
   }
   r.outcome = poisoned ? FoldOutcome::kPoisoned : FoldOutcome::kSkipped;
-  if (salvage && map) {
+  if (salvage && bytes) {
     // A poisoned merge has already folded exactly this prefix (see
     // merge_serialized); otherwise nothing of the shard is in `agg` yet.
     core::ThreadProfile prefix =
-        core::ThreadProfile::read_salvage(map->bytes(), r.salvage);
+        core::ThreadProfile::read_salvage(*bytes, r.salvage);
     if (!poisoned && r.salvage.records_kept > 0) {
       if (!agg) {
         agg = std::move(prefix);
@@ -149,7 +147,7 @@ ShardFold fold_shard(const fs::path& dir, const fs::path& file,
       }
     }
     r.outcome = FoldOutcome::kSalvaged;
-    r.bytes = map->size();
+    r.bytes = bytes->size();
   }
   if (policy == CorruptPolicy::kQuarantine) {
     try {
@@ -202,7 +200,7 @@ AnalysisResult Analyzer::run(const fs::path& dir) const {
   // to the sorted file list, so the result is byte-identical to
   // reduce(); within a shard each worker holds exactly one deserialized
   // profile (its running partial) because every file after the first is
-  // merged straight off its mapped bytes.
+  // merged straight off the bytes read from it.
   const auto t_stream = Clock::now();
   const std::uint64_t ts_stream =
       obs::Tracer::enabled() ? obs::Tracer::global().now_ns() : 0;

@@ -5,8 +5,9 @@
 //   discover   list profile-<rank>-<tid>.dcpf files + load structure
 //   stream     `workers` host threads each fold a contiguous shard of
 //              the file list into one partial aggregate, one fold_shard
-//              call per file: mmap, one CRC32C framing check, one
-//              streaming merge off the mapping (analysis/merge.h)
+//              call per file: read it whole (core::read_file), one
+//              CRC32C framing check, one streaming merge off those
+//              bytes (analysis/merge.h)
 //   combine    fold the <= `workers` partials, in shard order
 //   views      compute the selected presentation tables
 //
@@ -53,7 +54,7 @@ enum View : unsigned {
 };
 
 /// What fold_shard does with a profile file that fails validation.
-/// Every file failing its framing check is first re-mapped once, so a
+/// Every file failing its framing check is first re-read once, so a
 /// transient I/O error (NFS hiccup, racing writer) is distinguished from
 /// real corruption: only a file that fails twice is treated as corrupt.
 enum class CorruptPolicy {
@@ -67,7 +68,7 @@ enum class FoldOutcome {
   kFolded,    ///< intact: merged whole into the aggregate
   kSalvaged,  ///< corrupt: its valid record prefix was merged (salvage)
   kSkipped,   ///< corrupt: nothing of it reached the aggregate
-  kVanished,  ///< gone before it could be mapped (a racing claim or
+  kVanished,  ///< gone before it could be read (a racing claim or
               ///< quarantine); nothing merged, no policy applied
   kPoisoned,  ///< framing and CRC intact but structurally malformed, and
               ///< detected part-way through the merge: the aggregate
@@ -79,17 +80,17 @@ struct ShardFold {
   FoldOutcome outcome = FoldOutcome::kFolded;
   std::string error;           ///< why the shard did not fold whole
   std::uint64_t bytes = 0;     ///< shard size if folded or salvaged, else 0
-  bool retried = false;        ///< a re-map cleared a framing failure
+  bool retried = false;        ///< a re-read cleared a framing failure
   std::string quarantined_to;  ///< destination, when moved (kQuarantine)
   core::SalvageResult salvage; ///< kept/dropped records (kSalvaged)
   ProfileSummary summary;      ///< header fields + node total (kFolded)
 };
 
 /// The one validate-and-fold path for a `.dcpf` shard, shared by the
-/// Analyzer's stream stage and the ingestion daemon. Maps `file`
-/// (core::MappedFile, no heap copy), runs ThreadProfile::check_framing
-/// (re-mapping once if it fails), then folds the shard straight off the
-/// mapping: `agg = read(bytes)` when `agg` is empty, else
+/// Analyzer's stream stage and the ingestion daemon. Reads `file` whole
+/// (core::read_file), runs ThreadProfile::check_framing (re-reading once
+/// if it fails), then folds the shard straight off those bytes:
+/// `agg = read(bytes)` when `agg` is empty, else
 /// `merge_serialized(*agg, bytes)` — the order that makes every fold
 /// byte-identical to `reduce` over the same files. A corrupt shard then
 /// follows `policy`: kStrict throws std::runtime_error naming the file;
@@ -142,7 +143,7 @@ struct AnalysisResult {
   std::vector<std::string> skipped;         ///< "path: reason" per skip
   std::size_t files_quarantined = 0;        ///< moved (kQuarantine policy)
   std::vector<std::string> quarantined;     ///< "src -> dest" per move
-  std::size_t transient_retries = 0;        ///< re-maps that then passed
+  std::size_t transient_retries = 0;        ///< re-reads that then passed
   // Recovery-mode accounting (Options::salvage): corrupt files whose
   // valid record prefix was folded into the merge anyway.
   std::size_t files_salvaged = 0;
@@ -195,7 +196,7 @@ class Analyzer {
     unsigned views = kViewSummary | kViewVariables | kViewHotAccesses |
                      kViewFunctions | kViewThreads | kViewMemLevels |
                      kViewReuse | kViewStrides;
-    /// What to do with files that fail validation (after one re-map to
+    /// What to do with files that fail validation (after one re-read to
     /// rule out transient I/O errors), or that vanish between listing
     /// and folding (kStrict throws; otherwise they are listed in
     /// `skipped`). The merged output is unaffected by the choice between

@@ -10,6 +10,11 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x64637374;  // "dcst"
 
+/// Cap on a string length read from disk, the same as the `.dcpf`
+/// reader's (core/profile.cpp): a corrupt length must fail with a clear
+/// error before it costs a zero-filled allocation of up to 4 GiB.
+constexpr std::uint32_t kMaxStringBytes = 1u << 24;
+
 void put_u32(std::ostream& o, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) o.put(static_cast<char>((v >> (8 * i)) & 0xff));
 }
@@ -45,6 +50,10 @@ void require(std::istream& in, const char* what) {
 std::string get_str(std::istream& in) {
   const std::uint32_t len = get_u32(in);
   require(in, "string length");
+  if (len > kMaxStringBytes) {
+    throw std::runtime_error(
+        "corrupt structure file: implausible string length");
+  }
   std::string s(len, '\0');
   in.read(s.data(), static_cast<std::streamsize>(len));
   require(in, "string data");

@@ -1,6 +1,7 @@
 #include "core/measurement.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,7 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/mapped_file.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
 
@@ -25,6 +25,19 @@ namespace {
   throw std::runtime_error(what + " " + path.string() + ": " +
                            std::strerror(errno));
 }
+
+/// Closes a descriptor when its scope exits, by return or by exception
+/// (a failed buffer allocation included).
+class FdCloser {
+ public:
+  explicit FdCloser(int fd) : fd_(fd) {}
+  ~FdCloser() { ::close(fd_); }
+  FdCloser(const FdCloser&) = delete;
+  FdCloser& operator=(const FdCloser&) = delete;
+
+ private:
+  int fd_;
+};
 
 /// True for names a measurement directory accumulates that are not
 /// profiles: atomic-writer leftovers and editor backup/lock files.
@@ -81,6 +94,27 @@ void write_file_atomic(const fs::path& path, std::string_view bytes) {
     throw std::runtime_error("cannot rename " + tmp.string() + " to " +
                              path.string() + ": " + ec.message());
   }
+}
+
+std::string read_file(const fs::path& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) throw_errno("cannot open", path);
+  const FdCloser closer(fd);
+  struct stat st = {};
+  if (::fstat(fd, &st) != 0) throw_errno("cannot stat", path);
+  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("cannot read", path);
+    }
+    if (n == 0) break;  // shrank since the fstat
+    got += static_cast<std::size_t>(n);
+  }
+  bytes.resize(got);
+  return bytes;
 }
 
 std::uint64_t write_measurement_dir(const fs::path& dir,
@@ -155,9 +189,9 @@ std::vector<fs::path> list_profile_files(const fs::path& dir) {
 }
 
 ThreadProfile read_profile_file(const fs::path& path) {
-  const MappedFile map(path);
+  const std::string bytes = read_file(path);
   try {
-    return ThreadProfile::read(map.bytes());
+    return ThreadProfile::read(bytes);
   } catch (const std::exception& e) {
     throw std::runtime_error(path.string() + ": " + e.what());
   }
@@ -165,8 +199,7 @@ ThreadProfile read_profile_file(const fs::path& path) {
 
 ThreadProfile read_profile_file_salvage(const fs::path& path,
                                         SalvageResult& out) {
-  const MappedFile map(path);
-  ThreadProfile p = ThreadProfile::read_salvage(map.bytes(), out);
+  ThreadProfile p = ThreadProfile::read_salvage(read_file(path), out);
   if (!out.error.empty()) out.error = path.string() + ": " + out.error;
   return p;
 }

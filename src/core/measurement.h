@@ -43,6 +43,14 @@ inline constexpr const char* kIngestedDirName = "ingested";
 void write_file_atomic(const std::filesystem::path& path,
                        std::string_view bytes);
 
+/// Reads the whole of `path` into memory: open, fstat the opened
+/// descriptor to size the buffer, then read() to the end (EINTR-safe).
+/// The bytes come from the inode that was opened, so a file replaced by
+/// rename mid-read is read whole as it was; one that shrinks yields a
+/// short buffer (which a `.dcpf` framing check then rejects). Throws
+/// std::runtime_error naming the file on any failure.
+std::string read_file(const std::filesystem::path& path);
+
 /// Writes profiles + structure into `dir` (created if absent), each file
 /// via `write_file_atomic`. Returns the total bytes written.
 std::uint64_t write_measurement_dir(const std::filesystem::path& dir,
@@ -67,10 +75,10 @@ std::uint64_t write_measurement_dir(const std::filesystem::path& dir,
 std::vector<std::filesystem::path> list_profile_files(
     const std::filesystem::path& dir);
 
-/// Reads one profile file (mmap'd via core::MappedFile, parsed in
-/// place). Throws std::runtime_error naming the file on open failure,
-/// truncation, checksum mismatch, an unsupported version, or trailing
-/// bytes after the serialized profile.
+/// Reads one profile file (read_file, then ThreadProfile::read). Throws
+/// std::runtime_error naming the file on open failure, truncation,
+/// checksum mismatch, an unsupported version, or trailing bytes after
+/// the serialized profile.
 ThreadProfile read_profile_file(const std::filesystem::path& path);
 
 /// Recovery-mode read: salvages the valid record prefix of a truncated

@@ -26,8 +26,8 @@ void put_u64(std::ostream& o, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) o.put(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
-/// Decodes straight out of an in-memory byte image (an mmap'd file) with
-/// no stream machinery and no intermediate buffer. Payload reads run the
+/// Decodes straight out of an in-memory byte image (a file's contents)
+/// with no stream machinery and no intermediate buffer. Payload reads run the
 /// CRC32C and byte count the footer is checked against; footer reads are
 /// raw (the footer checksums the bytes before it, not itself). A short
 /// read sets a sticky fail flag, consumes nothing, and yields zeros, so

@@ -12,7 +12,7 @@
 // The footer is what makes the measurement->analysis handoff crash-safe:
 // a torn or bit-flipped file fails the checksum instead of silently
 // poisoning the merged profile. Every reader works on an in-memory byte
-// image (an mmap'd file via core::MappedFile, or a string the caller
+// image (a file read whole by core::read_file, or a string the caller
 // already holds). Only version 4 is read: any other version word
 // (v2's pre-footer layout, v3's 8-slot nodes, a future v5) is rejected
 // with an error naming the version and the remedy, re-recording — see
@@ -124,9 +124,9 @@ struct ThreadProfile {
   std::uint64_t total_samples() const;
 
   void write(std::ostream& out) const;
-  /// Deserializes a profile that must span exactly `bytes` (an mmap'd
-  /// `.dcpf` via MappedFile, or a checkpoint-embedded copy); trailing
-  /// bytes are rejected. Throws std::runtime_error on any format error.
+  /// Deserializes a profile that must span exactly `bytes` (a `.dcpf`
+  /// file's contents, or a checkpoint-embedded copy); trailing bytes
+  /// are rejected. Throws std::runtime_error on any format error.
   static ThreadProfile read(std::string_view bytes);
 
   /// Cheap integrity check of one serialized profile spanning exactly
@@ -142,7 +142,7 @@ struct ThreadProfile {
 
   /// Streaming parse: walks one serialized profile and feeds `visitor`
   /// without building a ThreadProfile. Record payloads are decoded
-  /// straight out of `bytes` (zero-copy over an mmap'd file). Validates
+  /// straight out of `bytes`, with no intermediate buffer. Validates
   /// the format as it goes (magic/version, truncation, node ordering,
   /// string references, pattern-key ordering, and the footer CRC32C)
   /// and throws std::runtime_error on the first inconsistency; events

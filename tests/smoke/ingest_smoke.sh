@@ -24,6 +24,11 @@ fail() {
 [ -s "$tmpdir/ingest.json" ] || fail "stats json missing or empty"
 grep -q '"shards": 300' "$tmpdir/ingest.json" \
     || fail "stats json does not report 300 shards"
+# Throughput figures carry the host's core count and the build type.
+grep -Eq '"cores": [1-9][0-9]*,' "$tmpdir/ingest.json" \
+    || fail "stats json does not report cores"
+grep -Eq '"build_type": "[A-Za-z]+"' "$tmpdir/ingest.json" \
+    || fail "stats json does not report the build type"
 
 # 2. Kill/resume: ingest half the corpus in bounded polls, "crash" (the
 # --once exit writes a checkpoint; a harsher kill is covered by the

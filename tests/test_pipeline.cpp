@@ -191,6 +191,9 @@ TEST(Pipeline, CorruptFilesAreSkippedAndCounted) {
   ASSERT_EQ(files.size(), 8u);
   truncate_file(files[2]);
   scribble_magic(files[5]);
+  // An empty shard, listed after the others.
+  const fs::path empty = dir.path / "profile-1-0.dcpf";
+  std::ofstream(empty, std::ios::binary).close();
 
   // Expected: reduce over the still-readable files only.
   std::vector<ThreadProfile> good;
@@ -204,13 +207,15 @@ TEST(Pipeline, CorruptFilesAreSkippedAndCounted) {
     Analyzer::Options opts;
     opts.workers = workers;
     const AnalysisResult r = Analyzer(opts).run(dir.path);
-    EXPECT_EQ(r.files_discovered, 8u);
+    EXPECT_EQ(r.files_discovered, 9u);
     EXPECT_EQ(r.files_read, 6u);
-    EXPECT_EQ(r.files_skipped, 2u);
-    ASSERT_EQ(r.skipped.size(), 2u);
+    EXPECT_EQ(r.files_skipped, 3u);
+    ASSERT_EQ(r.skipped.size(), 3u);
     EXPECT_NE(r.skipped[0].find(files[2].filename().string()),
               std::string::npos);
     EXPECT_NE(r.skipped[1].find(files[5].filename().string()),
+              std::string::npos);
+    EXPECT_NE(r.skipped[2].find(empty.filename().string()),
               std::string::npos);
     EXPECT_EQ(serialized(r.merged), expected) << workers << " workers";
   }
@@ -377,6 +382,60 @@ TEST(Pipeline, FileVanishingAfterListingIsSkippedNotFatal) {
         << r.skipped[0];
     EXPECT_EQ(r.files_quarantined, 0u);
     EXPECT_EQ(serialized(r.merged), expected);
+  }
+}
+
+// A shard re-published by atomic rename after listing is folded as it
+// stands when its worker reads it, whether the new bytes are longer
+// (several pages) or shorter than the old: nothing is skipped or
+// retried, and the aggregate equals reduce() over the files as they
+// are afterwards.
+TEST(Pipeline, ShardReplacedAfterListingIsFoldedAsReplaced) {
+  for (const bool larger : {true, false}) {
+    SCOPED_TRACE(larger ? "larger replacement" : "smaller replacement");
+    TempDir dir;
+    write_synthetic_dir(dir.path, 5);
+    const auto files = core::list_profile_files(dir.path);
+    ASSERT_EQ(files.size(), 5u);
+    // A re-recording of file 3's thread with more or fewer samples.
+    ThreadProfile next = make_profile(3);
+    if (larger) {
+      Cct& heap = next.cct(StorageClass::kHeap);
+      for (std::uint64_t v = 0; v < 400; ++v) {
+        heap.add_metrics(heap.child(Cct::kRootId, NodeKind::kLeafInstr,
+                                    0x7000 + v),
+                         metrics(v + 1, v % 3, 4 * v));
+      }
+    } else {
+      next = ThreadProfile{};
+      next.rank = make_profile(3).rank;
+      next.tid = make_profile(3).tid;
+      Cct& unknown = next.cct(StorageClass::kUnknown);
+      unknown.add_metrics(
+          unknown.child(Cct::kRootId, NodeKind::kLeafInstr, 0x900),
+          metrics(1));
+    }
+    const std::string replacement = serialized(next);
+    const std::uint64_t before = fs::file_size(files[3]);
+    if (larger) {
+      EXPECT_GT(replacement.size(), 4 * before);
+    } else {
+      EXPECT_LT(replacement.size(), before);
+    }
+
+    Analyzer::Options opts;
+    opts.workers = 1;
+    // After the first file folds, a re-recording replaces file 3.
+    opts.progress = [&](std::size_t done, std::size_t) {
+      if (done == 1) core::write_file_atomic(files[3], replacement);
+    };
+    const AnalysisResult r = Analyzer(opts).run(dir.path);
+    EXPECT_EQ(fs::file_size(files[3]), replacement.size());
+    EXPECT_EQ(r.files_read, 5u);
+    EXPECT_EQ(r.files_skipped, 0u);
+    EXPECT_EQ(r.transient_retries, 0u);
+    EXPECT_EQ(serialized(r.merged),
+              serialized(reduce(read_all_profiles(dir.path))));
   }
 }
 
@@ -567,6 +626,17 @@ TEST(MeasurementStreaming, ReadProfileFileErrorsNameTheFile) {
         << e.what();
   }
 
+  // Missing file: error names it.
+  const fs::path missing = dir.path / "profile-9-9.dcpf";
+  try {
+    core::read_profile_file(missing);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(missing.string()),
+              std::string::npos)
+        << e.what();
+  }
+
   // Trailing garbage after a valid profile is rejected.
   {
     std::ofstream out(files[1], std::ios::binary | std::ios::app);
@@ -578,6 +648,22 @@ TEST(MeasurementStreaming, ReadProfileFileErrorsNameTheFile) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("trailing"), std::string::npos)
         << e.what();
+  }
+}
+
+// read_file returns every byte of a file of any size: empty, one byte,
+// and many pages with a ragged tail.
+TEST(MeasurementStreaming, ReadFileReturnsEveryByte) {
+  TempDir dir;
+  fs::create_directories(dir.path);
+  for (const std::size_t size : {0ul, 1ul, 3 * 65536ul + 123}) {
+    std::string bytes(size, '\0');
+    for (std::size_t i = 0; i < size; ++i) {
+      bytes[i] = static_cast<char>((i * 131 + 7) & 0xff);
+    }
+    const fs::path path = dir.path / ("f" + std::to_string(size));
+    core::write_file_atomic(path, bytes);
+    EXPECT_EQ(core::read_file(path), bytes) << size << " bytes";
   }
 }
 

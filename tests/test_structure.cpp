@@ -1,9 +1,12 @@
 #include "binfmt/structure.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <sstream>
 
+#include "core/measurement.h"
 #include "sim/address_space.h"
 
 namespace dcprof::binfmt {
@@ -93,6 +96,50 @@ TEST(StructureData, TruncatedStreamRejected) {
   bytes.resize(bytes.size() - 10);
   std::stringstream truncated(bytes);
   EXPECT_THROW(StructureData::read(truncated), std::runtime_error);
+}
+
+// A string length past the `.dcpf` reader's 16 MiB cap is corruption:
+// rejected before anything is allocated for it, not zero-filled and
+// then reported as truncated.
+TEST(StructureData, ImplausibleStringLengthRejected) {
+  ModuleRegistry empty;
+  std::stringstream header;
+  StructureData::capture(empty).write(header);
+  std::string bytes = header.str().substr(0, 4);  // the magic
+  const auto put = [&bytes](std::uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) {
+      bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  put(1, 4);                    // one instruction
+  put(0x1000, 8);               // its ip
+  put((1u << 24) + 1, 4);       // function name: 16 MiB + 1 bytes claimed,
+  bytes.append("main");         // 4 present
+  std::stringstream in(bytes);
+  try {
+    StructureData::read(in);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "corrupt structure file: implausible string length");
+  }
+
+  // Read from a measurement directory, the error names the file.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("dcprof-structure-" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  core::write_file_atomic(dir / "structure.dcst", bytes);
+  try {
+    core::read_structure_file(dir);
+    ADD_FAILURE() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("structure.dcst"), std::string::npos) << what;
+    EXPECT_NE(what.find("implausible string length"), std::string::npos)
+        << what;
+  }
+  fs::remove_all(dir);
 }
 
 TEST(StructureData, EmptyRegistryRoundTrips) {

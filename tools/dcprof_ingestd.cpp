@@ -10,11 +10,12 @@
 //
 // Watches the given measurement directories and folds every arriving
 // `.dcpf` shard into one incremental aggregate (analysis::IngestService):
-// shards are validated and merged straight off an mmap of their bytes,
-// the running state checkpoints atomically every --checkpoint-every
-// folds, and durably-checkpointed shards are retired into
-// <dir>/ingested/. Kill the daemon at any point and restart it with the
-// same --checkpoint: it resumes exactly where the checkpoint left off.
+// each shard is read whole, framing-checked and merged by the batch
+// Analyzer's own fold (analysis::fold_shard), the running state
+// checkpoints atomically every --checkpoint-every folds, and
+// durably-checkpointed shards are retired into <dir>/ingested/. Kill the
+// daemon at any point and restart it with the same --checkpoint: it
+// resumes exactly where the checkpoint left off.
 //
 // The daemon runs until SIGINT/SIGTERM (writing a final checkpoint on
 // the way out), or exits on its own under --once (a single poll) or
@@ -371,7 +372,9 @@ int main(int argc, char** argv) {
           << "  \"batch_shards_per_sec\": " << batch_rate << ",\n"
           << "  \"ingest_vs_batch\": "
           << (batch_rate > 0 ? service.shards_per_sec() / batch_rate : 0)
-          << "\n}\n";
+          << ",\n"
+          << "  \"cores\": " << std::thread::hardware_concurrency() << ",\n"
+          << "  \"build_type\": \"" << DCPROF_BUILD_TYPE << "\"\n}\n";
       if (!out) {
         std::fprintf(stderr, "dcprof_ingestd: cannot write %s\n",
                      stats_json.c_str());

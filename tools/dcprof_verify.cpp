@@ -27,11 +27,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli.h"
+#include "core/measurement.h"
 #include "verify/differential.h"
 #include "verify/fuzz_dcpf.h"
 #include "verify/trace_gen.h"
@@ -50,12 +50,7 @@ std::vector<std::string> load_corpus_dir(const std::string& dir) {
     }
   }
   std::sort(paths.begin(), paths.end());  // deterministic corpus order
-  for (const auto& path : paths) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    out.push_back(std::move(ss).str());
-  }
+  for (const auto& path : paths) out.push_back(core::read_file(path));
   return out;
 }
 
@@ -129,7 +124,14 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> extra_corpus;
-  if (!corpus_dir.empty()) extra_corpus = load_corpus_dir(corpus_dir);
+  if (!corpus_dir.empty()) {
+    try {
+      extra_corpus = load_corpus_dir(corpus_dir);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
+  }
 
   int failures = 0;
 

@@ -3,8 +3,9 @@
 #   BENCH_hotpath.json  attribution-hot-path trajectory (micro_profiler)
 #   BENCH_ingest.json   fleet-scale continuous ingestion (dcprof_ingestd
 #                       over a 10k-shard synthetic corpus): sustained
-#                       shards/sec, peak RSS, and the ingest-vs-batch
-#                       throughput ratio, gated >= 1.0x (the daemon must
+#                       shards/sec, peak RSS, the ingest-vs-batch
+#                       throughput ratio, cores and build type, with
+#                       the ratio gated >= 1.0x (the daemon must
 #                       not lose to the batch analyzer running the same
 #                       fold) with a bounded-RSS sanity gate
 # (google-benchmark JSON, except BENCH_ingest.json which dcprof_ingestd
@@ -75,12 +76,12 @@ EOF
 # one-shot batch Analyzer::run over the identical corpus. Retirement is
 # off so the batch comparison sees the same files, and periodic
 # checkpointing is off (one final checkpoint only): the gate compares
-# the zero-copy fold path against the batch fold path, and a periodic
+# the daemon's fold loop against the batch analyzer's, and a periodic
 # checkpoint's serialize+fsync is a durability cost the batch analyzer
 # never pays (its cadence is the deployment's loss-window knob, not a
 # property of the ingest path). Gates:
 #   * sustained ingest throughput >= 1.0x the batch analyzer's (both
-#     run the same zero-copy mmap fold, analysis::fold_shard, so the
+#     read and fold each shard through analysis::fold_shard, so the
 #     daemon's per-shard bookkeeping must not make it lose);
 #   * peak RSS stays bounded — the aggregate plus one transient shard,
 #     never proportional to the 10k-shard corpus (<= 512 MiB here, two
