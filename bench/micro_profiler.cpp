@@ -342,4 +342,14 @@ BENCHMARK(BM_ProfileSerialize);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus one context entry: the JSON context's
+// library_build_type describes the google-benchmark library, not
+// dcprof, so dcprof's own build type is recorded beside it.
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("dcprof_build_type", DCPROF_BENCH_BUILD_TYPE);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,7 +1,6 @@
 #include "analysis/ingest.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -80,13 +79,6 @@ struct CkReader {
   }
 };
 
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 }  // namespace
 
 IngestService::IngestService(std::vector<fs::path> dirs, IngestOptions opts)
@@ -97,8 +89,7 @@ IngestService::IngestService(std::vector<fs::path> dirs, IngestOptions opts)
       ctr_checkpoints_(obs::Registry::global().counter("ingest.checkpoints")),
       ctr_resumes_(obs::Registry::global().counter("ingest.resumes")),
       ctr_skipped_(obs::Registry::global().counter("ingest.skipped")),
-      ctr_claimed_(obs::Registry::global().counter("ingest.claimed")),
-      gauge_rate_(obs::Registry::global().gauge("ingest.shards_per_sec")) {
+      ctr_claimed_(obs::Registry::global().counter("ingest.claimed")) {
   if (opts_.checkpoint.empty()) {
     throw std::runtime_error("ingest: checkpoint path must be set");
   }
@@ -210,7 +201,6 @@ std::size_t IngestService::poll_once() {
     for (const fs::path& file : files) {
       if (opts_.max_files_per_poll != 0 &&
           folded >= opts_.max_files_per_poll) {
-        update_rate_gauge();
         return folded;
       }
       if (file == opts_.checkpoint) continue;
@@ -228,12 +218,10 @@ std::size_t IngestService::poll_once() {
         // the rest of this poll's listing is stale (un-checkpointed
         // folds must re-enter in sorted order before anything newer).
         rolled_back_ = false;
-        update_rate_gauge();
         return folded;
       }
     }
   }
-  update_rate_gauge();
   return folded;
 }
 
@@ -256,9 +244,6 @@ bool IngestService::ingest_file(const fs::path& dir, const fs::path& file) {
       stats_.bytes += r.bytes;
       ctr_files_.inc();
       ctr_bytes_.add(r.bytes);
-      const std::uint64_t now = now_ns();
-      if (first_fold_ns_ == 0) first_fold_ns_ = now;
-      last_fold_ns_ = now;
       return true;
     }
     case FoldOutcome::kVanished:
@@ -354,27 +339,12 @@ void IngestService::checkpoint() {
       manifest_.erase(key);
     }
   }
-  update_rate_gauge();
 }
 
 IngestStats IngestService::stats() const {
   IngestStats out = stats_;
   out.manifest = manifest_.size();
   return out;
-}
-
-double IngestService::shards_per_sec() const {
-  if (last_fold_ns_ <= first_fold_ns_) return 0.0;
-  // ctr_files_ is this process's private cell: exactly the folds this
-  // service performed since start, excluding checkpoint-restored totals.
-  const double folds = static_cast<double>(ctr_files_.value());
-  const double secs =
-      static_cast<double>(last_fold_ns_ - first_fold_ns_) / 1e9;
-  return folds / secs;
-}
-
-void IngestService::update_rate_gauge() {
-  gauge_rate_.set(static_cast<std::uint64_t>(shards_per_sec()));
 }
 
 }  // namespace dcprof::analysis

@@ -122,11 +122,6 @@ class IngestService {
 
   IngestStats stats() const;
 
-  /// Sustained folds/sec over this process's lifetime (first fold to
-  /// last fold; 0 before the second fold). Mirrors the
-  /// `ingest.shards_per_sec` gauge.
-  double shards_per_sec() const;
-
  private:
   void load_checkpoint();
   /// Discards the in-memory aggregate and re-loads the last durable
@@ -138,7 +133,6 @@ class IngestService {
   bool ingest_file(const std::filesystem::path& dir,
                    const std::filesystem::path& file);
   void note_skip(const std::filesystem::path& file, const std::string& why);
-  void update_rate_gauge();
 
   std::vector<std::filesystem::path> dirs_;
   IngestOptions opts_;
@@ -155,8 +149,6 @@ class IngestService {
   bool rolled_back_ = false;
 
   IngestStats stats_;
-  std::uint64_t first_fold_ns_ = 0;  ///< steady-clock ns of first fold
-  std::uint64_t last_fold_ns_ = 0;
 
   obs::Counter ctr_files_;
   obs::Counter ctr_bytes_;
@@ -164,7 +156,6 @@ class IngestService {
   obs::Counter ctr_resumes_;
   obs::Counter ctr_skipped_;
   obs::Counter ctr_claimed_;
-  obs::Gauge gauge_rate_;
 };
 
 }  // namespace dcprof::analysis

@@ -123,13 +123,13 @@ WhatIfPrediction WhatIfEngine::predict(const WhatIfSpec& spec,
                                        std::string label,
                                        const WhatIfRun& run) const {
   const WhatIfRun& base = baseline_;
-  if (opt_.check_checksum) {
-    const double scale = std::max(1.0, std::fabs(base.checksum));
-    if (std::fabs(run.checksum - base.checksum) > 1e-9 * scale) {
-      throw std::logic_error(
-          "what-if run diverged from baseline checksum — overrides must "
-          "patch latency only, never program values");
-    }
+  // The engine's exactness guard: overrides patch latency, never
+  // values, so every what-if run must reproduce the baseline checksum.
+  const double scale = std::max(1.0, std::fabs(base.checksum));
+  if (std::fabs(run.checksum - base.checksum) > 1e-9 * scale) {
+    throw std::logic_error(
+        "what-if run diverged from baseline checksum — overrides must "
+        "patch latency only, never program values");
   }
   WhatIfPrediction p;
   p.spec = spec;

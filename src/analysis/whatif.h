@@ -85,9 +85,6 @@ struct WhatIfOptions {
   std::size_t top_n = 3;
   /// A candidate must carry at least this share of total latency.
   double min_share = 0.02;
-  /// Overrides patch latency, never values: every what-if run must
-  /// reproduce the baseline checksum (the engine's exactness guard).
-  bool check_checksum = true;
 };
 
 struct WhatIfCandidate {

@@ -51,6 +51,14 @@ bool is_non_profile_name(const std::string& name) {
 }  // namespace
 
 void write_file_atomic(const fs::path& path, std::string_view bytes) {
+  // rename() replaces whatever the target is: a FIFO, a device node, or
+  // a symlink itself rather than the file it points to. Only a regular
+  // file (or nothing) may be replaced.
+  struct stat st = {};
+  if (::lstat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+    throw std::runtime_error("cannot write " + path.string() +
+                             ": not a regular file");
+  }
   // The temp name must be unique per writer: with a shared `<path>.tmp`,
   // two concurrent writers to the same target (a fleet of measured
   // ranks, or a daemon checkpoint racing a late writer) interleave their

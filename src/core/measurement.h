@@ -39,7 +39,9 @@ inline constexpr const char* kIngestedDirName = "ingested";
 /// atomically renamed onto `path`. Safe to call concurrently for the
 /// same target — each writer owns its temp file, so the last rename
 /// wins with complete bytes. Throws std::runtime_error naming the file
-/// on any failure (the temp file is removed on a write/fsync error).
+/// on any failure (the temp file is removed on a write/fsync error),
+/// including a `path` that exists and is not a regular file (a FIFO,
+/// device, directory or symlink), which it leaves untouched.
 void write_file_atomic(const std::filesystem::path& path,
                        std::string_view bytes);
 

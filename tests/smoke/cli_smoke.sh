@@ -3,8 +3,9 @@
 # directory, dcprof_analyze consumes it. Asserts exit codes, that the
 # measurement directory has profiles, and that --metrics-json wrote
 # non-empty JSON from both tools. Also checks dcprof_measure's bad-input
-# paths: --threads 0 is a usage error (exit 2), and an out-dir it cannot
-# create fails with exit 1 before any simulation runs.
+# paths: --threads 0 is a usage error (exit 2), an out-dir it cannot
+# create fails with exit 1 before any simulation runs, and an unwritable
+# --metrics-json fails with exit 1 instead of reporting it was written.
 #
 #   cli_smoke.sh <dcprof_measure> <dcprof_analyze>
 set -u
@@ -52,6 +53,17 @@ grep -q '^error: ' "$tmpdir/baddir.out" \
     || fail "unwritable out-dir printed no error line"
 if grep -q 'simulated cycles' "$tmpdir/baddir.out"; then
   fail "unwritable out-dir ran the workload before failing"
+fi
+
+"$measure" streamcluster "$tmpdir/meas-badjson" --threads 4 --period 256 \
+    --metrics-json "$tmpdir/no/such/dir/m.json" \
+    > "$tmpdir/badjson.out" 2>&1
+rc=$?
+[ "$rc" -eq 1 ] || fail "unwritable --metrics-json exited $rc, expected 1"
+grep -q '^error: ' "$tmpdir/badjson.out" \
+    || fail "unwritable --metrics-json printed no error line"
+if grep -q 'wrote metrics snapshot' "$tmpdir/badjson.out"; then
+  fail "unwritable --metrics-json reported the snapshot written"
 fi
 
 echo "cli_smoke OK"

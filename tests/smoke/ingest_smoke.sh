@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Continuous-ingestion smoke test: dcprof_ingestd drains a synthetic
-# fleet, proves its aggregate byte-identical to a one-shot batch
-# analysis, survives a kill-and-resume, and retires claimed shards into
-# ingested/.
+# Continuous-ingestion smoke test on real shards: dcprof_measure writes
+# an 8-shard nw measurement, dcprof_ingestd drains it, stops and resumes
+# from its checkpoint on a copy, and retires the claimed shards into
+# ingested/. Flags of the removed synthetic benchmark are usage errors.
 #
-#   ingest_smoke.sh <dcprof_ingestd>
+#   ingest_smoke.sh <dcprof_measure> <dcprof_ingestd>
 set -u
 
-ingestd=$1
+measure=$1
+ingestd=$2
 
 tmpdir=$(mktemp -d) || exit 1
 trap 'rm -rf "$tmpdir"' EXIT
@@ -17,41 +18,49 @@ fail() {
   exit 1
 }
 
-# 1. Drain a synthetic fleet and verify against the batch analyzer.
-"$ingestd" "$tmpdir/meas" --simulate-shards 300 --drain --verify-batch \
-    --stats-json "$tmpdir/ingest.json" \
-    || fail "drain + verify run exited $?"
-[ -s "$tmpdir/ingest.json" ] || fail "stats json missing or empty"
-grep -q '"shards": 300' "$tmpdir/ingest.json" \
-    || fail "stats json does not report 300 shards"
-# Throughput figures carry the host's core count and the build type.
-grep -Eq '"cores": [1-9][0-9]*,' "$tmpdir/ingest.json" \
-    || fail "stats json does not report cores"
-grep -Eq '"build_type": "[A-Za-z]+"' "$tmpdir/ingest.json" \
-    || fail "stats json does not report the build type"
+"$measure" nw "$tmpdir/meas" --threads 8 > "$tmpdir/measure.out" 2>&1 \
+    || fail "dcprof_measure exited $?"
+shards=$(ls "$tmpdir/meas"/*.dcpf 2>/dev/null | wc -l)
+[ "$shards" -eq 8 ] || fail "expected 8 measured shards, got $shards"
+cp -r "$tmpdir/meas" "$tmpdir/copy" || fail "cannot copy the measurement"
 
-# 2. Kill/resume: ingest half the corpus in bounded polls, "crash" (the
-# --once exit writes a checkpoint; a harsher kill is covered by the
-# randomized unit test), then resume and finish. The daemon must report
-# the resume and end with every shard ingested exactly once.
-"$ingestd" "$tmpdir/meas2" --simulate-shards 200 --simulate-only \
-    || fail "corpus generation exited $?"
-"$ingestd" "$tmpdir/meas2" --once --max-files-per-poll 120 \
+# 1. Drain the measurement.
+"$ingestd" "$tmpdir/meas" --drain --idle-polls 1 2> "$tmpdir/drain.err" \
+    || fail "drain exited $?"
+grep -q '^dcprof_ingestd: 8 shards (' "$tmpdir/drain.err" \
+    || fail "drain summary does not report 8 shards"
+
+# 2. Stop and resume on the copy: one bounded poll (its exit writes a
+# checkpoint; a harsher kill is covered by the randomized unit test),
+# then a drain that must resume from it and end with every shard
+# ingested exactly once.
+"$ingestd" "$tmpdir/copy" --once --max-files-per-poll 3 \
+    2> "$tmpdir/once.err" \
     || fail "first (interrupted) run exited $?"
-"$ingestd" "$tmpdir/meas2" --drain --stats-json "$tmpdir/resume.json" \
-    2> "$tmpdir/resume.err" \
+"$ingestd" "$tmpdir/copy" --drain 2> "$tmpdir/resume.err" \
     || fail "resumed run exited $?"
-grep -q "resumed from" "$tmpdir/resume.err" \
-    || fail "resumed run did not load the checkpoint"
-grep -q '"shards": 200' "$tmpdir/resume.json" \
+grep -q '^dcprof_ingestd: resumed from .* (3 shards already ingested)$' \
+    "$tmpdir/resume.err" \
+    || fail "resumed run did not load the 3-shard checkpoint"
+grep -q '^dcprof_ingestd: 8 shards (' "$tmpdir/resume.err" \
     || fail "resume lost or duplicated shards"
-grep -q '"resumes": 1' "$tmpdir/resume.json" \
-    || fail "resume not recorded in stats"
 
 # 3. Claimed shards retired out of the watched directory.
-leftover=$(ls "$tmpdir/meas2"/*.dcpf 2>/dev/null | wc -l)
+leftover=$(ls "$tmpdir/copy"/*.dcpf 2>/dev/null | wc -l)
 [ "$leftover" -eq 0 ] || fail "$leftover shards left unclaimed"
-retired=$(ls "$tmpdir/meas2/ingested"/*.dcpf 2>/dev/null | wc -l)
-[ "$retired" -eq 200 ] || fail "expected 200 retired shards, got $retired"
+retired=$(ls "$tmpdir/copy/ingested"/*.dcpf 2>/dev/null | wc -l)
+[ "$retired" -eq 8 ] || fail "expected 8 retired shards, got $retired"
+
+# 4. The removed synthetic-fleet and benchmark flags are usage errors.
+# Options carry a value and every run adds --once, so a flag that still
+# parsed would run one poll and exit 0.
+for flag in "--simulate-shards 10" "--arrival-rate 5" "--seed 1" \
+            "--simulate-only" "--verify-batch" "--bench-compare" \
+            "--stats-json $tmpdir/out.json"; do
+  # shellcheck disable=SC2086  # split the flag from its value
+  "$ingestd" "$tmpdir/meas" $flag --once > /dev/null 2>&1
+  rc=$?
+  [ "$rc" -eq 2 ] || fail "$flag exited $rc, expected usage error 2"
+done
 
 echo "ingest_smoke OK"

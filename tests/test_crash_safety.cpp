@@ -9,6 +9,7 @@
 // mid-record position). The strict reader must reject each prefix, and
 // the salvaging reader must keep exactly the records whose bytes fully
 // arrived — no more, no less.
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -283,6 +284,41 @@ TEST(CrashSafety, AtomicWriteIsDurableAndLeavesNoTemporary) {
   core::write_file_atomic(target, "second contents");
   EXPECT_EQ(read_bytes(target), "second contents");
   EXPECT_FALSE(fs::exists(target.string() + ".tmp"));
+}
+
+TEST(CrashSafety, AtomicWriteRefusesNonRegularTarget) {
+  TempDir dir;
+  fs::create_directories(dir.path);
+  const fs::path fifo = dir.path / "metrics.fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0644), 0);
+  const fs::path real = dir.path / "real.json";
+  write_bytes(real, "original");
+  const fs::path link = dir.path / "link.json";
+  fs::create_symlink(real, link);
+  const fs::path subdir = dir.path / "subdir";
+  fs::create_directory(subdir);
+
+  // rename() would swap each of these for a regular file (the link
+  // itself, not its target); the writer must refuse without touching it.
+  for (const fs::path& target : {fifo, link, subdir}) {
+    try {
+      core::write_file_atomic(target, "replacement");
+      ADD_FAILURE() << "no error writing over " << target;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(target.string()), std::string::npos) << what;
+      EXPECT_NE(what.find("not a regular file"), std::string::npos) << what;
+    }
+  }
+  EXPECT_TRUE(fs::is_fifo(fs::symlink_status(fifo)));
+  EXPECT_TRUE(fs::is_symlink(fs::symlink_status(link)));
+  EXPECT_EQ(fs::read_symlink(link), real);
+  EXPECT_EQ(read_bytes(real), "original");
+  EXPECT_TRUE(fs::is_directory(fs::symlink_status(subdir)));
+  for (const auto& e : fs::directory_iterator(dir.path)) {
+    EXPECT_EQ(e.path().filename().string().find(".tmp."), std::string::npos)
+        << e.path();
+  }
 }
 
 TEST(CrashSafety, InterruptedWriteOutIsInvisibleToAnalysis) {

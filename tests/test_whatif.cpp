@@ -153,11 +153,6 @@ TEST(WhatIf, ChecksumDivergenceThrows) {
   spec.actions.push_back({WhatIfTarget{"v", StorageClass::kHeap, 1},
                           WhatIfFix::kLocal});
   EXPECT_THROW(engine.evaluate(spec), std::logic_error);
-
-  WhatIfOptions relaxed;
-  relaxed.check_checksum = false;
-  WhatIfEngine tolerant(fake, relaxed);
-  EXPECT_NO_THROW(tolerant.evaluate(spec));
 }
 
 TEST(WhatIf, MissingRunnerIsAnError) {

@@ -3,8 +3,23 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+
+#include "core/measurement.h"
 
 namespace dcprof::cli {
+
+bool export_file(const std::string& path, std::string_view bytes,
+                 const char* what) {
+  try {
+    core::write_file_atomic(path, bytes);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return false;
+  }
+  std::printf("wrote %s to %s\n", what, path.c_str());
+  return true;
+}
 
 Parser::Parser(std::string prog, std::string summary)
     : prog_(std::move(prog)), summary_(std::move(summary)) {}

@@ -15,14 +15,25 @@
 // on success. Value validation beyond "is a number" stays in the tools:
 // enumerated values (e.g. --event ibs|rmem) are checked after parsing,
 // where the tool can map them to its own types.
+//
+// export_file() is the one writer of the tools' output files.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dcprof::cli {
+
+/// Writes a tool's output file atomically and fsynced
+/// (core::write_file_atomic), then prints "wrote <what> to <path>".
+/// Returns false after printing "error: ..." when the path is
+/// unwritable, so the tool exits nonzero instead of reporting success
+/// next to a missing or truncated file.
+bool export_file(const std::string& path, std::string_view bytes,
+                 const char* what);
 
 class Parser {
  public:

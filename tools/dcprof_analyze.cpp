@@ -52,7 +52,6 @@
 #include "analysis/report.h"
 #include "analysis/views.h"
 #include "analysis/whatif.h"
-#include "core/measurement.h"
 #include "core/profile.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
@@ -61,21 +60,6 @@
 using namespace dcprof;
 
 namespace {
-
-/// Atomic, fsynced export; returns false (after printing the error) when
-/// the path is unwritable — the CLI exits nonzero instead of silently
-/// reporting success next to a missing or truncated file.
-bool export_file(const std::string& path, std::string_view bytes,
-                 const char* what) {
-  try {
-    core::write_file_atomic(path, bytes);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return false;
-  }
-  std::printf("wrote %s to %s\n", what, path.c_str());
-  return true;
-}
 
 /// The team size of the measurement's rank 0 — N when its thread
 /// profiles carry exactly the tids 0..N-1 — or nullopt.
@@ -363,9 +347,9 @@ int main(int argc, char** argv) {
     analysis::HtmlReportOptions opt;
     opt.title = "dcprof report: " + dir;
     opt.metric = metric;
-    if (!export_file(html_path,
-                     analysis::render_html_report(r.merged, ctx, opt),
-                     "HTML report")) {
+    if (!cli::export_file(html_path,
+                          analysis::render_html_report(r.merged, ctx, opt),
+                          "HTML report")) {
       return 1;
     }
   }
@@ -374,15 +358,15 @@ int main(int argc, char** argv) {
   export_opts.metric = metric;
   export_opts.variable_filter = export_var;
   if (!dot_out.empty() &&
-      !export_file(dot_out,
-                   analysis::render_dot(r.merged, ctx, export_opts),
-                   "Graphviz dot")) {
+      !cli::export_file(dot_out,
+                        analysis::render_dot(r.merged, ctx, export_opts),
+                        "Graphviz dot")) {
     return 1;
   }
   if (!folded_out.empty() &&
-      !export_file(folded_out,
-                   analysis::render_folded(r.merged, ctx, export_opts),
-                   "folded stacks")) {
+      !cli::export_file(folded_out,
+                        analysis::render_folded(r.merged, ctx, export_opts),
+                        "folded stacks")) {
     return 1;
   }
 
@@ -390,15 +374,16 @@ int main(int argc, char** argv) {
     std::printf("%s", r.overhead_report.c_str());
   }
   if (!metrics_json.empty() &&
-      !export_file(metrics_json,
-                   obs::to_json(obs::Registry::global().snapshot()),
-                   "metrics snapshot")) {
+      !cli::export_file(metrics_json,
+                        obs::to_json(obs::Registry::global().snapshot()),
+                        "metrics snapshot")) {
     return 1;
   }
   if (!trace_out.empty()) {
     std::ostringstream trace;
     obs::Tracer::global().write_json(trace);
-    if (!export_file(trace_out, trace.str(), "event trace (open in Perfetto)")) {
+    if (!cli::export_file(trace_out, trace.str(),
+                          "event trace (open in Perfetto)")) {
       return 1;
     }
   }

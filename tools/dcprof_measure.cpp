@@ -14,7 +14,8 @@
 // --metrics-json enables the self-telemetry registry, dumps its
 // snapshot as JSON, and prints the Table-1-style overhead report;
 // --trace-out enables the runtime event tracer and writes Chrome
-// trace_event JSON (loadable in Perfetto / chrome://tracing);
+// trace_event JSON (loadable in Perfetto / chrome://tracing). Both are
+// written atomically, and an unwritable path exits 1;
 // --throttle-budget enables graceful degradation under overload: when
 // mean sample-handling latency exceeds N ns, the sampling period is
 // raised (recorded in the profiles so the analyzer can rescale).
@@ -24,8 +25,8 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
+#include <sstream>
 #include <string>
 
 #include "cli.h"
@@ -125,27 +126,21 @@ int measure(int argc, char** argv) {
             .count();
     if (!metrics_json.empty()) {
       const obs::Snapshot snap = obs::Registry::global().snapshot();
-      std::ofstream out(metrics_json);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     metrics_json.c_str());
+      if (!cli::export_file(metrics_json, obs::to_json(snap),
+                            "metrics snapshot")) {
         return 1;
       }
-      out << obs::to_json(snap);
-      std::printf("wrote metrics snapshot to %s\n", metrics_json.c_str());
       std::printf("%s", obs::account_overhead(snap, wall_ms)
                             .to_table(name)
                             .c_str());
     }
     if (!trace_out.empty()) {
-      std::ofstream out(trace_out);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n", trace_out.c_str());
+      std::ostringstream trace;
+      obs::Tracer::global().write_json(trace);
+      if (!cli::export_file(trace_out, trace.str(),
+                            "event trace (open in Perfetto)")) {
         return 1;
       }
-      obs::Tracer::global().write_json(out);
-      std::printf("wrote event trace to %s (open in Perfetto)\n",
-                  trace_out.c_str());
     }
     return 0;
   };

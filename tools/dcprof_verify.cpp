@@ -25,8 +25,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -59,13 +59,11 @@ int write_corpus(const std::string& dir) {
   const auto corpus = verify::builtin_corpus();
   const auto names = verify::builtin_corpus_names();
   for (std::size_t i = 0; i < corpus.size(); ++i) {
-    const std::filesystem::path path =
-        std::filesystem::path(dir) / names[i];
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(corpus[i].data(),
-              static_cast<std::streamsize>(corpus[i].size()));
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    try {
+      core::write_file_atomic(std::filesystem::path(dir) / names[i],
+                              corpus[i]);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
       return 1;
     }
   }
