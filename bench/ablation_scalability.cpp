@@ -86,48 +86,32 @@ int main() {
   lulesh.run();
   const auto base_profiles = proc.take_profiles();
 
-  analysis::Table merge_table(
-      {"profiles merged", "merge time (ms)", "parallel x4 (ms)",
-       "ms/profile", "merged CCT nodes"});
+  analysis::Table merge_table({"profiles merged", "merge time (ms)",
+                               "ms/profile", "merged CCT nodes"});
   for (std::size_t count : {16, 32, 64, 128, 256}) {
     std::vector<core::ThreadProfile> inputs;
     inputs.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       inputs.push_back(base_profiles[i % base_profiles.size()]);
     }
-    std::vector<core::ThreadProfile> inputs2 = inputs;
     const auto t0 = std::chrono::steady_clock::now();
     core::ThreadProfile merged = analysis::reduce(std::move(inputs));
     const double ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
             .count();
-    const auto t1 = std::chrono::steady_clock::now();
-    core::ThreadProfile merged2 =
-        analysis::reduce_parallel(std::move(inputs2), 4);
-    const double par_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t1)
-            .count();
-    (void)merged2;
     std::size_t nodes = 0;
     for (const auto& cct : merged.ccts) nodes += cct.size();
     char msbuf[32];
-    char parbuf[32];
     char per[32];
     std::snprintf(msbuf, sizeof msbuf, "%.2f", ms);
-    std::snprintf(parbuf, sizeof parbuf, "%.2f", par_ms);
     std::snprintf(per, sizeof per, "%.3f", ms / static_cast<double>(count));
-    merge_table.add_row({std::to_string(count), msbuf, parbuf, per,
+    merge_table.add_row({std::to_string(count), msbuf, per,
                          analysis::format_count(nodes)});
   }
   std::printf("%s\n", merge_table.render().c_str());
   std::printf("(merge cost grows linearly with the number of profiles; "
-              "the merged result stays compact. The parallel column runs "
-              "each round's independent merges on 4 worker threads — on "
-              "a multi-core analysis host they proceed simultaneously; "
-              "this container has one core, so it only shows the thread "
-              "overhead.)\n\n");
+              "the merged result stays compact)\n\n");
 
   std::printf("Ablation A2c: streaming pipeline vs. load-all analysis\n\n");
   // The same replicated profile set, written to disk and analyzed two

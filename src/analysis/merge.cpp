@@ -1,8 +1,6 @@
 #include "analysis/merge.h"
 
-#include <atomic>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -127,39 +125,6 @@ ThreadProfile reduce(std::vector<ThreadProfile> profiles) {
   for (std::size_t stride = 1; stride < profiles.size(); stride *= 2) {
     for (std::size_t i = 0; i + stride < profiles.size(); i += 2 * stride) {
       merge_into(profiles[i], profiles[i + stride]);
-    }
-  }
-  return std::move(profiles.front());
-}
-
-ThreadProfile reduce_parallel(std::vector<ThreadProfile> profiles,
-                              int workers) {
-  if (profiles.empty()) {
-    throw std::invalid_argument("reduce_parallel: no profiles");
-  }
-  if (workers < 1) workers = 1;
-  for (std::size_t stride = 1; stride < profiles.size(); stride *= 2) {
-    // The merges of one round touch disjoint pairs: run them on a
-    // worker pool, exactly as ranks merge concurrently under MPI.
-    std::vector<std::size_t> pairs;
-    for (std::size_t i = 0; i + stride < profiles.size(); i += 2 * stride) {
-      pairs.push_back(i);
-    }
-    std::atomic<std::size_t> next{0};
-    const auto drain = [&] {
-      for (std::size_t p = next.fetch_add(1); p < pairs.size();
-           p = next.fetch_add(1)) {
-        merge_into(profiles[pairs[p]], profiles[pairs[p] + stride]);
-      }
-    };
-    const int n = std::min<int>(workers, static_cast<int>(pairs.size()));
-    if (n <= 1) {
-      drain();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(n));
-      for (int w = 0; w < n; ++w) pool.emplace_back(drain);
-      for (auto& t : pool) t.join();
     }
   }
   return std::move(profiles.front());

@@ -47,11 +47,4 @@ ProfileSummary merge_serialized(core::ThreadProfile& dst,
 /// via pairwise reduction-tree rounds. Consumes the input.
 core::ThreadProfile reduce(std::vector<core::ThreadProfile> profiles);
 
-/// The same reduction tree with the pairwise merges of each round
-/// executed concurrently on `workers` host threads — the analog of the
-/// paper's MPI-parallelized post-mortem merge. Merges within a round are
-/// independent, so the result is identical to `reduce`.
-core::ThreadProfile reduce_parallel(
-    std::vector<core::ThreadProfile> profiles, int workers);
-
 }  // namespace dcprof::analysis

@@ -150,8 +150,9 @@ struct AnalysisResult {
   std::size_t records_salvaged = 0;         ///< records kept across files
   std::size_t records_dropped = 0;          ///< declared but unreadable
   std::vector<std::string> salvaged;        ///< "path: kept K, dropped D"
-  /// Profiles written under overload degradation ("path: period P -> Q");
-  /// their sample-derived metrics are scaled by Q/P relative to the rest.
+  /// Profiles whose header records a raised period ("path: period P ->
+  /// Q"), as earlier builds wrote under overload degradation; their
+  /// sample-derived metrics are scaled by Q/P relative to the rest.
   std::vector<std::string> throttled;
   /// Profile + structure bytes streamed, salvaged files included (their
   /// bytes were read and their valid prefix merged — that work counts).

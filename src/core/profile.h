@@ -50,9 +50,10 @@ inline constexpr std::uint32_t kProfileFormatVersion = 4;
 
 /// Header flag bits.
 enum ProfileFlags : std::uint32_t {
-  /// The sampling period was raised mid-run because the sample handler
-  /// fell behind its latency budget; effective_period records the final
-  /// period so the analyzer can rescale sample-count-derived metrics.
+  /// effective_period differs from sampling_period: the samples were
+  /// taken at a raised period. Earlier builds set it when they raised
+  /// the period mid-run; this build stamps both periods equal and never
+  /// sets it, but readers still accept and report such files.
   kProfileFlagThrottled = 1u << 0,
 };
 
@@ -61,7 +62,7 @@ enum ProfileFlags : std::uint32_t {
 struct ProfileFraming {
   std::uint32_t flags = 0;
   std::uint64_t sampling_period = 0;   ///< configured PMU period
-  std::uint64_t effective_period = 0;  ///< period after any throttling
+  std::uint64_t effective_period = 0;  ///< period the samples were taken at
 };
 
 /// Callbacks for ThreadProfile::scan — a pull-free streaming parse of the
@@ -100,8 +101,9 @@ struct SalvageResult {
 struct ThreadProfile {
   std::int32_t rank = 0;
   std::int32_t tid = 0;
-  /// Configured / post-throttling PMU sampling period, written into the
-  /// file header (0 = unknown; see ProfileFraming).
+  /// Configured PMU sampling period and the period the samples were
+  /// taken at, written into the file header (0 = unknown; see
+  /// ProfileFraming). The profiler stamps both with the same value.
   std::uint64_t sampling_period = 0;
   std::uint64_t effective_period = 0;
   StringTable strings;

@@ -47,7 +47,6 @@ Profiler::Telemetry::Telemetry() {
   sample_ns = reg.counter("profiler.sample_ns");
   cct_nodes = reg.counter("profiler.cct_nodes");
   cct_bytes = reg.counter("profiler.cct_bytes");
-  throttle_events = reg.counter("profiler.throttle_events");
   sample_ns_hist = reg.histogram("profiler.sample_ns_hist");
 }
 
@@ -79,8 +78,6 @@ ProfilerStats Profiler::stats() const {
           .value();
   s.memo_frames_reused = tm_.memo_reused.value();
   s.memo_frames_walked = tm_.memo_walked.value();
-  s.throttle_events = throttle_events_;
-  s.period_scale = throttle_scale_;
   return s;
 }
 
@@ -173,53 +170,29 @@ void Profiler::handle_sample(const pmu::Sample& sample) {
   ThreadProfile& tp = profile(sample.tid);
   ThreadAttrState& as = attr_state(tid);
   tm_.handled.inc();
-  const bool metrics = obs::metrics_enabled();
-  const bool throttling = cfg_.throttle.budget_ns != 0 && pmu_ != nullptr;
-  if (!metrics && !throttling) {
+  if (!obs::metrics_enabled()) {
     attribute_sample(sample, ctx, tp, as);
     return;
   }
   // Metrics on: time the handler and account CCT growth across every
-  // class (anchor nodes included). Throttling needs the same wall-clock
-  // reads even with metrics off, so both share one timed path.
+  // class (anchor nodes included).
   std::size_t nodes0 = 0;
-  if (metrics) {
-    for (std::size_t c = 0; c < kNumStorageClasses; ++c) {
-      nodes0 += tp.cct(static_cast<StorageClass>(c)).size();
-    }
+  for (std::size_t c = 0; c < kNumStorageClasses; ++c) {
+    nodes0 += tp.cct(static_cast<StorageClass>(c)).size();
   }
   const std::uint64_t t0 = steady_ns();
   attribute_sample(sample, ctx, tp, as);
   const std::uint64_t dt = steady_ns() - t0;
-  if (metrics) {
-    tm_.sample_ns.add(dt);
-    tm_.sample_ns_hist.record(dt);
-    std::size_t nodes1 = 0;
-    for (std::size_t c = 0; c < kNumStorageClasses; ++c) {
-      nodes1 += tp.cct(static_cast<StorageClass>(c)).size();
-    }
-    if (nodes1 > nodes0) {
-      tm_.cct_nodes.add(nodes1 - nodes0);
-      tm_.cct_bytes.add((nodes1 - nodes0) * sizeof(Cct::Node));
-    }
+  tm_.sample_ns.add(dt);
+  tm_.sample_ns_hist.record(dt);
+  std::size_t nodes1 = 0;
+  for (std::size_t c = 0; c < kNumStorageClasses; ++c) {
+    nodes1 += tp.cct(static_cast<StorageClass>(c)).size();
   }
-  if (throttling) {
-    throttle_window_ns_ += dt;
-    if (++throttle_window_n_ >= cfg_.throttle.window) maybe_throttle();
+  if (nodes1 > nodes0) {
+    tm_.cct_nodes.add(nodes1 - nodes0);
+    tm_.cct_bytes.add((nodes1 - nodes0) * sizeof(Cct::Node));
   }
-}
-
-void Profiler::maybe_throttle() {
-  const std::uint64_t mean = throttle_window_ns_ / throttle_window_n_;
-  throttle_window_ns_ = 0;
-  throttle_window_n_ = 0;
-  if (mean <= cfg_.throttle.budget_ns) return;
-  if (throttle_scale_ >= cfg_.throttle.max_scale) return;
-  throttle_scale_ = std::min<std::uint64_t>(throttle_scale_ * 2,
-                                            cfg_.throttle.max_scale);
-  pmu_->set_period_scale(throttle_scale_);
-  ++throttle_events_;
-  tm_.throttle_events.inc();
 }
 
 void Profiler::attribute_sample(const pmu::Sample& sample, rt::ThreadCtx& ctx,
@@ -322,18 +295,17 @@ void Profiler::attribute_sample(const pmu::Sample& sample, rt::ThreadCtx& ctx,
 }
 
 std::vector<ThreadProfile> Profiler::take_profiles() {
-  // Stamp the sampling rate the profile was actually taken at, so the
-  // analyzer can rescale sample-derived metrics after degradation.
-  std::uint64_t base_period = 0, eff_period = 0;
+  // Stamp the sampling period into each profile header. Samples are
+  // taken at the configured period throughout, so both fields are equal.
+  std::uint64_t period = 0;
   if (pmu_ != nullptr && !pmu_->configs().empty()) {
-    base_period = pmu_->configs()[0].period;
-    eff_period = pmu_->effective_period(0);
+    period = pmu_->configs()[0].period;
   }
   std::vector<ThreadProfile> out;
   for (auto& p : profiles_) {
     if (p) {
-      p->sampling_period = base_period;
-      p->effective_period = eff_period;
+      p->sampling_period = period;
+      p->effective_period = period;
       out.push_back(std::move(*p));
     }
   }

@@ -33,22 +33,8 @@
 
 namespace dcprof::core {
 
-/// Graceful degradation under overload: when the mean sample-handling
-/// latency over a window exceeds `budget_ns`, the PMU sampling period is
-/// doubled (up to `max_scale`x the configured period) instead of letting
-/// an overloaded handler grow CCTs without bound. The final period is
-/// recorded in the profile header so the analyzer can rescale
-/// sample-derived metrics. Disabled (budget_ns == 0) by default; the
-/// disabled cost on the hot path is a single branch.
-struct ThrottleConfig {
-  std::uint64_t budget_ns = 0;   ///< mean ns/sample budget; 0 = off
-  std::uint64_t window = 1024;   ///< samples per evaluation window
-  std::uint64_t max_scale = 64;  ///< cap on the cumulative period factor
-};
-
 struct ProfilerConfig {
   TrackerConfig tracker;
-  ThrottleConfig throttle;
   /// Attribute to the PMU's precise IP (true, the paper's approach) or to
   /// the skidded signal IP (false; the ablation baseline).
   bool use_precise_ip = true;
@@ -85,9 +71,6 @@ struct ProfilerStats {
   // a fully repeated context re-walks 0 frames and reuses all of them.
   std::uint64_t memo_frames_reused = 0;  ///< resumed from the cached path
   std::uint64_t memo_frames_walked = 0;  ///< walked through the CCT index
-  // Overload degradation (ThrottleConfig).
-  std::uint64_t throttle_events = 0;  ///< times the period was doubled
-  std::uint64_t period_scale = 1;     ///< current cumulative period factor
 };
 
 class Profiler {
@@ -161,20 +144,10 @@ class Profiler {
                          std::span<const sim::Addr> stack,
                          sim::Addr leaf_ip, const MetricVec& m);
 
-  /// Evaluates one throttle window: doubles the PMU period when the mean
-  /// handling latency exceeded the budget (cold path, once per window).
-  void maybe_throttle();
-
   binfmt::ModuleRegistry* modules_;
   ProfilerConfig cfg_;
   std::int32_t rank_;
-  pmu::PmuSet* pmu_ = nullptr;  ///< set by attach_pmu; throttle target
-  // Throttle window accumulators (single simulated process — the sim
-  // delivers samples on one host thread, like the real signal handler).
-  std::uint64_t throttle_window_ns_ = 0;
-  std::uint64_t throttle_window_n_ = 0;
-  std::uint64_t throttle_scale_ = 1;
-  std::uint64_t throttle_events_ = 0;
+  pmu::PmuSet* pmu_ = nullptr;  ///< set by attach_pmu; stamps the period
   HeapVarMap var_map_;
   AllocPathSet paths_;
   AllocTracker tracker_;
@@ -192,7 +165,6 @@ class Profiler {
     obs::Counter sample_ns;       ///< total handling time (overhead report)
     obs::Counter cct_nodes;       ///< CCT growth, nodes
     obs::Counter cct_bytes;       ///< CCT growth, approx bytes
-    obs::Counter throttle_events; ///< overload-degradation period raises
     obs::Histogram sample_ns_hist;
     obs::Histogram attr_depth[kNumStorageClasses];
     Telemetry();

@@ -45,15 +45,6 @@ std::uint64_t PmuSet::events_counted(std::size_t cfg_index) const {
   return event_counts_.at(cfg_index).value();
 }
 
-void PmuSet::set_period_scale(std::uint64_t scale) {
-  if (scale == 0) throw std::invalid_argument("PMU period scale must be > 0");
-  period_scale_.store(scale, std::memory_order_relaxed);
-}
-
-std::uint64_t PmuSet::effective_period(std::size_t cfg_index) const {
-  return configs_.at(cfg_index).period * period_scale();
-}
-
 bool PmuSet::event_matches(const PmuConfig& cfg,
                            const sim::MemAccess& a) const {
   switch (cfg.event) {
@@ -79,16 +70,14 @@ void PmuSet::emit(const PmuConfig& cfg, const Sample& sample) {
 
 std::uint64_t PmuSet::next_period(std::size_t cfg_index, sim::CoreId core) {
   const PmuConfig& cfg = configs_[cfg_index];
-  if (cfg.jitter == 0) return cfg.period * period_scale();
-  // xorshift64*: deterministic, per-core stream. The throttle scale
-  // multiplies the jittered value, so the relative randomization window
-  // is preserved while the mean period grows.
+  if (cfg.jitter == 0) return cfg.period;
+  // xorshift64*: deterministic, per-core stream.
   auto& s = rng_state_[cfg_index * cores_ + static_cast<std::size_t>(core)];
   s ^= s >> 12;
   s ^= s << 25;
   s ^= s >> 27;
   const std::uint64_t r = s * 0x2545f4914f6cdd1dull;
-  return (cfg.period - cfg.jitter + r % (2 * cfg.jitter + 1)) * period_scale();
+  return cfg.period - cfg.jitter + r % (2 * cfg.jitter + 1);
 }
 
 void PmuSet::on_access(const sim::MemAccess& a) {
@@ -145,8 +134,8 @@ void PmuSet::on_compute(sim::ThreadId tid, sim::CoreId core,
 std::uint64_t PmuSet::quiet_budget(sim::CoreId core) {
   if (!ibs_only_) return 0;
   // Every countdown stays >= 1 through the quiet ops, so none of them
-  // could have taken a sample (or drawn jitter, or re-armed a throttled
-  // period): the next delivered op is the one that does.
+  // could have taken a sample (or drawn jitter): the next delivered op
+  // is the one that does.
   std::uint64_t budget = ~std::uint64_t{0};
   for (std::size_t i = 0; i < configs_.size(); ++i) {
     budget = std::min(

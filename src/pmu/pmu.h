@@ -5,7 +5,6 @@
 // handler, exactly the tuple the paper's hardware provides.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -77,19 +76,6 @@ class PmuSet : public sim::AccessObserver {
 
   void set_handler(SampleHandler handler) { handler_ = std::move(handler); }
 
-  /// Graceful-degradation hook: multiplies every configured period by
-  /// `scale` (>= 1) the next time a countdown is re-armed. The sample
-  /// handler raises this when it falls behind its latency budget, so an
-  /// overloaded run degrades resolution instead of growing CCTs without
-  /// bound. Recorded in the profile header for post-mortem rescaling.
-  void set_period_scale(std::uint64_t scale);
-  std::uint64_t period_scale() const {
-    return period_scale_.load(std::memory_order_relaxed);
-  }
-  /// `configs()[cfg_index].period * period_scale()` — the period new
-  /// samples are actually taken at.
-  std::uint64_t effective_period(std::size_t cfg_index) const;
-
   // sim::AccessObserver:
   void on_access(const sim::MemAccess& access) override;
   void on_compute(sim::ThreadId tid, sim::CoreId core, std::uint64_t instrs,
@@ -121,10 +107,6 @@ class PmuSet : public sim::AccessObserver {
   std::vector<obs::Counter> event_counts_;  // per cfg
   SampleHandler handler_;
   bool ibs_only_ = true;  ///< no marked config: skip-ahead applies
-  // Written by the overload-throttle path, read by stats readers on
-  // other threads — atomic (relaxed: the value is advisory, no ordering
-  // with other state is implied).
-  std::atomic<std::uint64_t> period_scale_{1};
   obs::Counter samples_;
 };
 

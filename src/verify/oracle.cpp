@@ -293,16 +293,15 @@ void OracleProfiler::handle_sample(const pmu::Sample& sample) {
 }
 
 std::vector<ThreadProfile> OracleProfiler::take_profiles() {
-  std::uint64_t base_period = 0, eff_period = 0;
+  std::uint64_t period = 0;
   if (pmu_ != nullptr && !pmu_->configs().empty()) {
-    base_period = pmu_->configs()[0].period;
-    eff_period = pmu_->effective_period(0);
+    period = pmu_->configs()[0].period;
   }
   std::vector<ThreadProfile> out;
   for (auto& p : profiles_) {
     if (p) {
-      p->sampling_period = base_period;
-      p->effective_period = eff_period;
+      p->sampling_period = period;
+      p->effective_period = period;
       out.push_back(p->to_profile());
     }
   }

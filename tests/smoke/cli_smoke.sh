@@ -6,6 +6,9 @@
 # paths: --threads 0 is a usage error (exit 2), an out-dir it cannot
 # create fails with exit 1 before any simulation runs, and an unwritable
 # --metrics-json fails with exit 1 instead of reporting it was written.
+# A numeric value that would wrap or truncate (--threads 2^32+1,
+# --period -1, dcprof_analyze --workers 2^32+1) is a usage error too, as
+# is the removed --throttle-budget option.
 #
 #   cli_smoke.sh <dcprof_measure> <dcprof_analyze>
 set -u
@@ -65,5 +68,25 @@ grep -q '^error: ' "$tmpdir/badjson.out" \
 if grep -q 'wrote metrics snapshot' "$tmpdir/badjson.out"; then
   fail "unwritable --metrics-json reported the snapshot written"
 fi
+
+# expect_usage_error <pattern> <command...>: exit 2, stderr names why.
+expect_usage_error() {
+  local pattern=$1
+  shift
+  "$@" > "$tmpdir/usage.out" 2>&1
+  local rc=$?
+  [ "$rc" -eq 2 ] || fail "$* exited $rc, expected usage error 2"
+  grep -q -- "$pattern" "$tmpdir/usage.out" \
+      || fail "$* printed no '$pattern' line"
+}
+
+expect_usage_error 'bad value for --threads' \
+    "$measure" nw "$tmpdir/bad" --threads 4294967297
+expect_usage_error 'bad value for --period' \
+    "$measure" nw "$tmpdir/bad" --period -1
+expect_usage_error 'bad value for --workers' \
+    "$analyze" "$tmpdir/meas" --workers 4294967297
+expect_usage_error 'unknown option --throttle-budget' \
+    "$measure" nw "$tmpdir/bad" --throttle-budget 1
 
 echo "cli_smoke OK"

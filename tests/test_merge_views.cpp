@@ -109,30 +109,6 @@ TEST(Reduce, SingleProfilePassesThrough) {
   EXPECT_EQ(merged.total_samples(), 8u);
 }
 
-TEST(ReduceParallel, MatchesSequentialReduce) {
-  const auto build = [] {
-    std::vector<ThreadProfile> inputs;
-    for (std::uint64_t i = 1; i <= 13; ++i) {
-      inputs.push_back(make_profile(i % 3, 0x2, "t" + std::to_string(i % 4),
-                                    i));
-    }
-    return inputs;
-  };
-  const ThreadProfile seq = reduce(build());
-  for (const int workers : {1, 2, 4, 16}) {
-    const ThreadProfile par = reduce_parallel(build(), workers);
-    EXPECT_EQ(par.total_samples(), seq.total_samples()) << workers;
-    for (std::size_t c = 0; c < core::kNumStorageClasses; ++c) {
-      EXPECT_EQ(par.ccts[c].size(), seq.ccts[c].size()) << workers;
-      EXPECT_EQ(par.ccts[c].total().v, seq.ccts[c].total().v) << workers;
-    }
-  }
-}
-
-TEST(ReduceParallel, EmptyInputThrows) {
-  EXPECT_THROW(reduce_parallel({}, 4), std::invalid_argument);
-}
-
 TEST(Summarize, FractionsPerStorageClass) {
   const ThreadProfile p = make_profile(0x1, 0x2, "t", 4);
   const ClassSummary s = summarize(p);

@@ -1,8 +1,8 @@
 // Streaming analysis pipeline: Analyzer::run must produce a merged
 // profile byte-identical to the load-all reduce() path while holding at
-// most workers+1 profiles resident, skip-and-count corrupt, poisoned and
-// vanished files, and keep the deprecated free-function/overload entry
-// points equivalent.
+// most workers+1 profiles resident, and skip-and-count corrupt, poisoned
+// and vanished files. Also checks that the profiler's attach_pmu /
+// attach_allocator hooks deliver samples.
 #include "analysis/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -678,7 +678,7 @@ TEST(MeasurementStreaming, ListOrderIsDeterministicAcrossReads) {
   EXPECT_EQ(core::list_profile_files(dir.path), files);
 }
 
-// --- deprecated-wrapper equivalence -----------------------------------
+// --- profiler attach hooks --------------------------------------------
 
 sim::MachineConfig tiny() {
   sim::MachineConfig cfg;

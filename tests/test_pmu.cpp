@@ -196,7 +196,6 @@ INSTANTIATE_TEST_SUITE_P(
 struct QuietCase {
   std::string name;
   std::vector<PmuConfig> cfgs;
-  bool throttle = false;  ///< set_period_scale(3) halfway through
 };
 
 std::string quiet_case_name(const ::testing::TestParamInfo<QuietCase>& i) {
@@ -259,7 +258,6 @@ TEST_P(PmuQuietPath, MatchesOpByOpDelivery) {
   std::mt19937_64 rng(7);
   const auto pick = [&](std::uint64_t n) { return rng() % n; };
   constexpr int kOps = 60'000;
-  const int throttle_at = qc.throttle ? kOps / 2 : -1;
 
   // Run 1: the PmuSet attached to the machine (skip-ahead).
   const auto before_a = pmu_series();
@@ -272,7 +270,6 @@ TEST_P(PmuQuietPath, MatchesOpByOpDelivery) {
     std::vector<sim::Cycles> clock(4, 0);
     std::uint64_t remote = 0;
     for (int op = 0; op < kOps; ++op) {
-      if (op == throttle_at) pmu.set_period_scale(3);
       const auto core = static_cast<sim::CoreId>(pick(4));
       const auto tid = static_cast<sim::ThreadId>(core + 4 * pick(2));
       sim::Cycles& clk = clock[static_cast<std::size_t>(core)];
@@ -326,7 +323,6 @@ TEST_P(PmuQuietPath, MatchesOpByOpDelivery) {
     PmuSet pmu(mcfg, qc.cfgs);
     pmu.set_handler([&](const Sample& smp) { want.push_back(smp); });
     for (int op = 0; op < kOps; ++op) {
-      if (op == throttle_at) pmu.set_period_scale(3);
       const RecordedOp& rec = ops[static_cast<std::size_t>(op)];
       if (rec.is_access) {
         pmu.on_access(rec.access);
@@ -356,10 +352,9 @@ INSTANTIATE_TEST_SUITE_P(
         QuietCase{"IbsPlusRmem",
                   {PmuConfig{EventKind::kIbsOp, 50, 2, 6},
                    PmuConfig{EventKind::kMarkedDataFromRMem, 4, 2, 1}}},
-        QuietCase{"TwoIbsThrottled",
+        QuietCase{"TwoIbs",
                   {PmuConfig{EventKind::kIbsOp, 64, 2, 8},
-                   PmuConfig{EventKind::kIbsOp, 97, 0, 0}},
-                  true}),
+                   PmuConfig{EventKind::kIbsOp, 97, 0, 0}}}),
     quiet_case_name);
 
 // After a workload's run() — before take_profiles() ends the session —

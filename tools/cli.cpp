@@ -1,13 +1,32 @@
 #include "cli.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <system_error>
 
 #include "core/measurement.h"
 
 namespace dcprof::cli {
+
+namespace {
+
+/// Stores `s` into *out when it is a whole decimal number inside T's
+/// range. std::from_chars takes no leading blanks or '+', and a '-' only
+/// for a signed T, so "-1" cannot wrap to 2^64-1 and 2^32+1 cannot
+/// truncate to an int.
+template <typename T>
+bool parse_number(const std::string& s, T* out) {
+  T v{};
+  const char* last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(s.data(), last, v);
+  if (ec != std::errc() || end != last) return false;
+  *out = v;
+  return true;
+}
+
+}  // namespace
 
 bool export_file(const std::string& path, std::string_view bytes,
                  const char* what) {
@@ -148,20 +167,10 @@ bool Parser::store(Opt& opt, const std::string& value) const {
     case Kind::kOptionalValue:
       *opt.s = value;
       return true;
-    case Kind::kUint: {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') return false;
-      *opt.u = static_cast<std::uint64_t>(v);
-      return true;
-    }
-    case Kind::kInt: {
-      char* end = nullptr;
-      const long v = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') return false;
-      *opt.i = static_cast<int>(v);
-      return true;
-    }
+    case Kind::kUint:
+      return parse_number(value, opt.u);
+    case Kind::kInt:
+      return parse_number(value, opt.i);
     case Kind::kFlag:
       return false;  // flags never take values
   }

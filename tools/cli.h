@@ -12,9 +12,11 @@
 //
 // parse() returns 0 after printing --help, 2 after printing a usage
 // error (matching the tools' historical exit codes), and std::nullopt
-// on success. Value validation beyond "is a number" stays in the tools:
-// enumerated values (e.g. --event ibs|rmem) are checked after parsing,
-// where the tool can map them to its own types.
+// on success. A numeric option takes only a decimal number that fits
+// its type (no sign for an unsigned one); anything else is a usage
+// error. Other validation stays in the tools: enumerated values (e.g.
+// --event ibs|rmem) are checked after parsing, where the tool can map
+// them to its own types.
 //
 // export_file() is the one writer of the tools' output files.
 #pragma once

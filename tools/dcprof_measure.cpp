@@ -5,7 +5,6 @@
 // Usage:
 //   dcprof_measure <amg|lulesh|streamcluster|nw|sweep3d> <out-dir>
 //                  [--event ibs|rmem] [--period N] [--threads N]
-//                  [--throttle-budget N]
 //                  [--metrics-json <file>] [--trace-out <file>]
 //
 // The out-dir is created before the workload runs, so an unwritable
@@ -15,10 +14,9 @@
 // snapshot as JSON, and prints the Table-1-style overhead report;
 // --trace-out enables the runtime event tracer and writes Chrome
 // trace_event JSON (loadable in Perfetto / chrome://tracing). Both are
-// written atomically, and an unwritable path exits 1;
-// --throttle-budget enables graceful degradation under overload: when
-// mean sample-handling latency exceeds N ns, the sampling period is
-// raised (recorded in the profiles so the analyzer can rescale).
+// written atomically, and an unwritable path exits 1. Every sample is
+// taken at the --period given (or the event's default), so the written
+// profiles depend only on the workload, team size, event and period.
 
 #include <chrono>
 #include <cstdio>
@@ -52,29 +50,36 @@ double pct(std::uint64_t hits, std::uint64_t misses) {
                                 static_cast<double>(total);
 }
 
-/// End-of-run effectiveness of the measurement-side caches (must be read
-/// before write_measurements ends the profiling session).
-void print_cache_stats(core::Profiler& prof) {
-  const core::ProfilerStats& s = prof.stats();
-  if (s.throttle_events > 0) {
-    std::printf("overload degradation: period raised %llux "
-                "(%llu throttle event%s)\n",
-                static_cast<unsigned long long>(s.period_scale),
-                static_cast<unsigned long long>(s.throttle_events),
-                s.throttle_events == 1 ? "" : "s");
+/// End-of-run effectiveness of the measurement-side caches, summed over
+/// every profiler of the run (add() must see each profiler before
+/// write_measurements ends its profiling session).
+struct CacheStats {
+  std::uint64_t memo_reused = 0, memo_walked = 0;
+  std::uint64_t mru_hits = 0, mru_misses = 0;
+
+  void add(core::Profiler& prof) {
+    const core::ProfilerStats s = prof.stats();
+    const core::VarMapStats v = prof.heap_map().stats();
+    memo_reused += s.memo_frames_reused;
+    memo_walked += s.memo_frames_walked;
+    mru_hits += v.mru_hits;
+    mru_misses += v.mru_misses;
   }
-  const core::VarMapStats& v = prof.heap_map().stats();
-  std::printf("attribution memo: %llu frames reused, %llu walked "
-              "(%.1f%% hit rate)\n",
-              static_cast<unsigned long long>(s.memo_frames_reused),
-              static_cast<unsigned long long>(s.memo_frames_walked),
-              pct(s.memo_frames_reused, s.memo_frames_walked));
-  std::printf("var-map MRU: %llu hits, %llu tree probes "
-              "(%.1f%% hit rate)\n",
-              static_cast<unsigned long long>(v.mru_hits),
-              static_cast<unsigned long long>(v.mru_misses),
-              pct(v.mru_hits, v.mru_misses));
-}
+
+  /// `scope` ends each line's parenthesis (e.g. ", all ranks").
+  void print(const char* scope) const {
+    std::printf("attribution memo: %llu frames reused, %llu walked "
+                "(%.1f%% hit rate%s)\n",
+                static_cast<unsigned long long>(memo_reused),
+                static_cast<unsigned long long>(memo_walked),
+                pct(memo_reused, memo_walked), scope);
+    std::printf("var-map MRU: %llu hits, %llu tree probes "
+                "(%.1f%% hit rate%s)\n",
+                static_cast<unsigned long long>(mru_hits),
+                static_cast<unsigned long long>(mru_misses),
+                pct(mru_hits, mru_misses), scope);
+  }
+};
 
 int measure(int argc, char** argv) {
   std::string workload;
@@ -82,7 +87,6 @@ int measure(int argc, char** argv) {
   std::string event = "ibs";
   std::uint64_t period = 0;
   int threads = 16;
-  core::ProfilerConfig prof_cfg;
   std::string metrics_json;
   std::string trace_out;
 
@@ -94,8 +98,6 @@ int measure(int argc, char** argv) {
   p.option("--event", &event, "sampled PMU event", "ibs|rmem");
   p.option("--period", &period, "sampling period (0 = event default)");
   p.option("--threads", &threads, "team size for threaded workloads");
-  p.option("--throttle-budget", &prof_cfg.throttle.budget_ns,
-           "mean ns/sample budget for overload degradation (0 = off)");
   p.option("--metrics-json", &metrics_json,
            "enable self-telemetry; write the snapshot JSON here", "FILE");
   p.option("--trace-out", &trace_out,
@@ -152,50 +154,20 @@ int measure(int argc, char** argv) {
     wl::Sweep3dParams prm;
     std::mutex mu;
     std::uint64_t bytes = 0;
-    core::ProfilerStats cluster_stats;
-    core::VarMapStats cluster_var_stats;
+    CacheStats cache;
     cluster.run([&](rt::Rank& rank) {
       wl::ProcessCtx proc(rank, "sweep3d");
-      proc.enable_profiling(pmu_cfg, prof_cfg, rank.id());
+      proc.enable_profiling(pmu_cfg, {}, rank.id());
       wl::Sweep3dRank w(proc, prm, &rank);
       w.run();
       std::lock_guard lock(mu);
-      const core::ProfilerStats& s = proc.profiler()->stats();
-      cluster_stats.memo_frames_reused += s.memo_frames_reused;
-      cluster_stats.memo_frames_walked += s.memo_frames_walked;
-      cluster_stats.throttle_events += s.throttle_events;
-      cluster_stats.period_scale =
-          std::max(cluster_stats.period_scale, s.period_scale);
-      const core::VarMapStats& v = proc.profiler()->heap_map().stats();
-      cluster_var_stats.mru_hits += v.mru_hits;
-      cluster_var_stats.mru_misses += v.mru_misses;
+      cache.add(*proc.profiler());
       bytes += proc.write_measurements(dir);
     });
     std::printf("sweep3d: wrote %llu bytes of measurement data (8 ranks) "
                 "to %s\n",
                 static_cast<unsigned long long>(bytes), dir.c_str());
-    if (cluster_stats.throttle_events > 0) {
-      std::printf("overload degradation: period raised up to %llux "
-                  "(%llu throttle events, all ranks)\n",
-                  static_cast<unsigned long long>(cluster_stats.period_scale),
-                  static_cast<unsigned long long>(
-                      cluster_stats.throttle_events));
-    }
-    std::printf("attribution memo: %llu frames reused, %llu walked "
-                "(%.1f%% hit rate, all ranks)\n",
-                static_cast<unsigned long long>(
-                    cluster_stats.memo_frames_reused),
-                static_cast<unsigned long long>(
-                    cluster_stats.memo_frames_walked),
-                pct(cluster_stats.memo_frames_reused,
-                    cluster_stats.memo_frames_walked));
-    std::printf("var-map MRU: %llu hits, %llu tree probes "
-                "(%.1f%% hit rate, all ranks)\n",
-                static_cast<unsigned long long>(cluster_var_stats.mru_hits),
-                static_cast<unsigned long long>(
-                    cluster_var_stats.mru_misses),
-                pct(cluster_var_stats.mru_hits,
-                    cluster_var_stats.mru_misses));
+    cache.print(", all ranks");
     std::printf("analyze with: dcprof_analyze %s --metric %s\n",
                 dir.c_str(), event == "ibs" ? "latency" : "rdram");
     return dump_telemetry("sweep3d");
@@ -205,23 +177,25 @@ int measure(int argc, char** argv) {
   wl::RunResult result;
   if (workload == "amg") {
     wl::Amg w(proc, wl::AmgParams{});
-    proc.enable_profiling(pmu_cfg, prof_cfg);
+    proc.enable_profiling(pmu_cfg);
     result = w.run();
   } else if (workload == "lulesh") {
     wl::Lulesh w(proc, wl::LuleshParams{});
-    proc.enable_profiling(pmu_cfg, prof_cfg);
+    proc.enable_profiling(pmu_cfg);
     result = w.run();
   } else if (workload == "streamcluster") {
     wl::Streamcluster w(proc, wl::StreamclusterParams{});
-    proc.enable_profiling(pmu_cfg, prof_cfg);
+    proc.enable_profiling(pmu_cfg);
     result = w.run();
   } else {  // nw
     wl::Nw w(proc, wl::NwParams{});
-    proc.enable_profiling(pmu_cfg, prof_cfg);
+    proc.enable_profiling(pmu_cfg);
     result = w.run();
   }
 
-  print_cache_stats(*proc.profiler());
+  CacheStats cache;
+  cache.add(*proc.profiler());
+  cache.print("");
   const std::uint64_t bytes = proc.write_measurements(dir);
   std::printf("%s: %llu simulated cycles, checksum %.6g\n",
               workload.c_str(),
