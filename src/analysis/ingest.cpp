@@ -192,20 +192,20 @@ std::size_t IngestService::poll_once() {
     // Watched directories may not exist yet (the fleet has not started
     // writing); that is idle, not an error.
     if (!fs::is_directory(dir, ec)) continue;
-    std::vector<fs::path> files;
+    std::vector<std::string> files;
     try {
       files = core::list_profile_files(dir);
     } catch (const std::exception&) {
       continue;  // directory vanished between the check and the listing
     }
-    for (const fs::path& file : files) {
+    for (const std::string& key : files) {
       if (opts_.max_files_per_poll != 0 &&
           folded >= opts_.max_files_per_poll) {
         return folded;
       }
-      if (file == opts_.checkpoint) continue;
-      const std::string key = file.string();
       if (manifest_.count(key) != 0 || skipped_.count(key) != 0) continue;
+      const fs::path file(key);
+      if (file == opts_.checkpoint) continue;
       if (ingest_file(dir, file)) {
         ++folded;
         if (opts_.checkpoint_every != 0 &&

@@ -188,7 +188,7 @@ AnalysisResult Analyzer::run(const fs::path& dir) const {
     result.structure = core::read_structure_file(dir);
     result.bytes_streamed += fs::file_size(dir / "structure.dcst");
   }
-  const std::vector<fs::path> files = core::list_profile_files(dir);
+  const std::vector<std::string> files = core::list_profile_files(dir);
   result.files_discovered = files.size();
   if (files.empty()) {
     throw std::runtime_error("no profiles in " + dir.string());
@@ -241,7 +241,7 @@ AnalysisResult Analyzer::run(const fs::path& dir) const {
             if (ps.sampling_period != 0 && ps.effective_period != 0 &&
                 ps.effective_period != ps.sampling_period) {
               out.throttled.push_back(
-                  files[i].string() + ": period " +
+                  files[i] + ": period " +
                   std::to_string(ps.sampling_period) + " -> " +
                   std::to_string(ps.effective_period));
             }
@@ -259,7 +259,7 @@ AnalysisResult Analyzer::run(const fs::path& dir) const {
             out.records_salvaged += r.salvage.records_kept;
             out.records_dropped += r.salvage.records_dropped;
             out.salvaged.push_back(
-                files[i].string() + ": kept " +
+                files[i] + ": kept " +
                 std::to_string(r.salvage.records_kept) + ", dropped " +
                 std::to_string(r.salvage.records_dropped));
             break;
@@ -272,14 +272,14 @@ AnalysisResult Analyzer::run(const fs::path& dir) const {
               if (fold_shard(dir, files[j], out.partial,
                              CorruptPolicy::kStrict, false)
                       .outcome != FoldOutcome::kFolded) {
-                throw std::runtime_error(files[j].string() +
+                throw std::runtime_error(files[j] +
                                          ": changed during analysis");
               }
             }
             break;
           case FoldOutcome::kVanished:
             if (policy == CorruptPolicy::kStrict) {
-              throw std::runtime_error(files[i].string() + ": " + r.error);
+              throw std::runtime_error(files[i] + ": " + r.error);
             }
             break;
           case FoldOutcome::kSkipped:
@@ -288,10 +288,10 @@ AnalysisResult Analyzer::run(const fs::path& dir) const {
         if (!had_partial && out.partial) gauge.add(1);
         out.bytes += r.bytes;
         if (r.outcome != FoldOutcome::kFolded) {
-          out.skipped.push_back(files[i].string() + ": " + r.error);
+          out.skipped.push_back(files[i] + ": " + r.error);
         }
         if (!r.quarantined_to.empty()) {
-          out.quarantined.push_back(files[i].string() + " -> " +
+          out.quarantined.push_back(files[i] + " -> " +
                                     r.quarantined_to);
         }
         if (progress) progress(++files_done, files.size());

@@ -1,6 +1,12 @@
 #include "core/checksum.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define DCPROF_CRC32C_SSE42 1
+#endif
 
 namespace dcprof::core {
 
@@ -37,11 +43,40 @@ std::uint32_t load_le32(const unsigned char* p) {
          static_cast<std::uint32_t>(p[3]) << 24;
 }
 
+#if DCPROF_CRC32C_SSE42
+/// The CRC32 instruction computes the same reflected Castagnoli CRC as
+/// the tables; x86 is little-endian, so a memcpy'd u64 holds the next
+/// eight bytes in stream order.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    const unsigned char* p, std::size_t len) {
+  std::uint64_t crc = 0xffffffffu;
+  for (; len >= 8; p += 8, len -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  while (len-- > 0) crc32 = _mm_crc32_u8(crc32, *p++);
+  return crc32 ^ 0xffffffffu;
+}
+
+bool have_sse42() {
+  // __builtin_cpu_supports reads what __builtin_cpu_init fills in; run
+  // before the CPU-feature constructor (e.g. from a namespace-scope
+  // initializer) it reports false, so init explicitly.
+  static const bool yes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return yes;
+}
+#endif
+
 }  // namespace
 
-void Crc32c::update(const void* data, std::size_t len) {
+std::uint32_t crc32c_slice8(const void* data, std::size_t len) {
   const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = state_;
+  std::uint32_t crc = 0xffffffffu;
   while (len >= 8) {
     const std::uint32_t lo = load_le32(p) ^ crc;
     const std::uint32_t hi = load_le32(p + 4);
@@ -55,13 +90,16 @@ void Crc32c::update(const void* data, std::size_t len) {
   while (len-- > 0) {
     crc = (crc >> 8) ^ kTables[0][(crc ^ *p++) & 0xff];
   }
-  state_ = crc;
+  return crc ^ 0xffffffffu;
 }
 
 std::uint32_t crc32c(const void* data, std::size_t len) {
-  Crc32c c;
-  c.update(data, len);
-  return c.value();
+#if DCPROF_CRC32C_SSE42
+  if (have_sse42()) {
+    return crc32c_sse42(static_cast<const unsigned char*>(data), len);
+  }
+#endif
+  return crc32c_slice8(data, len);
 }
 
 }  // namespace dcprof::core

@@ -1,8 +1,11 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41) over byte buffers — the
-// integrity check framing every `.dcpf` profile file. Pure software
-// slice-by-8 implementation: no SSE4.2/ARM CRC instructions, so the
-// bytes a file carries are identical on every host. Used only at profile
-// write-out and analysis read-in (never on the per-sample hot path).
+// integrity check framing every `.dcpf` profile file and `.dcck`
+// checkpoint. The polynomial alone fixes the value, so every host writes
+// and accepts the same stored CRCs. `crc32c` picks its implementation
+// once per process from CPUID: the SSE4.2 CRC32 instruction (8 bytes per
+// step) on x86-64 CPUs that report SSE4.2, else the portable slice-by-8
+// tables. Used only at profile write-out and analysis read-in (never on
+// the per-sample hot path).
 #pragma once
 
 #include <cstddef>
@@ -11,26 +14,15 @@
 
 namespace dcprof::core {
 
-/// Streaming CRC32C: feed chunks with `update`, read `value` at any
-/// point. Equivalent to one `crc32c` call over the concatenated bytes.
-class Crc32c {
- public:
-  void update(const void* data, std::size_t len);
-  void update(std::string_view bytes) { update(bytes.data(), bytes.size()); }
-
-  /// Finalized CRC of everything fed so far (does not reset state).
-  std::uint32_t value() const { return state_ ^ 0xffffffffu; }
-
-  void reset() { state_ = 0xffffffffu; }
-
- private:
-  std::uint32_t state_ = 0xffffffffu;
-};
-
-/// One-shot convenience over a whole buffer.
+/// CRC32C of `len` bytes at `data`.
 std::uint32_t crc32c(const void* data, std::size_t len);
 inline std::uint32_t crc32c(std::string_view bytes) {
   return crc32c(bytes.data(), bytes.size());
 }
+
+/// The slice-by-8 table implementation on every host: the only path on
+/// CPUs without SSE4.2, and the reference the hardware path is tested
+/// against.
+std::uint32_t crc32c_slice8(const void* data, std::size_t len);
 
 }  // namespace dcprof::core

@@ -160,12 +160,12 @@ std::uint64_t write_measurement_dir(const fs::path& dir,
   return bytes;
 }
 
-std::vector<fs::path> list_profile_files(const fs::path& dir) {
+std::vector<std::string> list_profile_files(const fs::path& dir) {
   std::error_code ec;
   if (!fs::is_directory(dir, ec)) {
     throw std::runtime_error("no measurement directory at " + dir.string());
   }
-  std::vector<fs::path> profile_paths;
+  std::vector<std::string> profile_paths;
   // The listing runs while writers are still publishing and a concurrent
   // analyzer's quarantine/cleanup may be unlinking entries, so every
   // filesystem call uses the error_code overloads: a vanished entry is
@@ -190,7 +190,7 @@ std::vector<fs::path> list_profile_files(const fs::path& dir) {
     if (!entry.is_regular_file(ec)) continue;
     if (entry.path().extension() != ".dcpf") continue;
     if (is_non_profile_name(entry.path().filename().string())) continue;
-    profile_paths.push_back(entry.path());
+    profile_paths.push_back(entry.path().string());
   }
   std::sort(profile_paths.begin(), profile_paths.end());
   return profile_paths;
@@ -238,18 +238,25 @@ fs::path quarantine_profile_file(const fs::path& dir, const fs::path& file) {
 std::optional<fs::path> claim_profile_file(const fs::path& dir,
                                            const fs::path& file) {
   const fs::path cdir = dir / kIngestedDirName;
+  const auto fail = [&](const std::error_code& ec) {
+    return std::runtime_error("cannot claim " + file.string() + " into " +
+                              cdir.string() + ": " + ec.message());
+  };
   std::error_code ec;
   fs::create_directories(cdir, ec);
+  if (ec) throw fail(ec);
   const fs::path dest = cdir / file.filename();
   fs::rename(file, dest, ec);
   if (!ec) return dest;
-  if (ec == std::errc::no_such_file_or_directory) {
-    // Another claimer (or a cleanup) moved the file first: losing the
-    // race is a normal outcome, not an error.
+  // ENOENT names either end of the rename. Only a source that is gone
+  // means another claimer (or a cleanup) moved the file first: losing
+  // that race is a normal outcome, not an error.
+  std::error_code stat_ec;
+  if (ec == std::errc::no_such_file_or_directory &&
+      fs::symlink_status(file, stat_ec).type() == fs::file_type::not_found) {
     return std::nullopt;
   }
-  throw std::runtime_error("cannot claim " + file.string() + ": " +
-                           ec.message());
+  throw fail(ec);
 }
 
 binfmt::StructureData read_structure_file(const fs::path& dir) {

@@ -65,8 +65,13 @@ std::uint64_t write_measurement_dir(const std::filesystem::path& dir,
 // want everything at once loop over `list_profile_files` themselves;
 // the all-at-once `read_measurement_dir` wrapper is gone.
 
-/// The `.dcpf` profile files in `dir`, sorted by path so every consumer
-/// sees the same deterministic order. Skips anything that is not a
+/// The `.dcpf` profile files in `dir`, as full path strings (`dir`
+/// joined with each file name) sorted as strings. Every entry shares
+/// the `dir/` prefix, so that is the file-name order every consumer
+/// folds in. Strings, not `std::filesystem::path`s: a path also carries
+/// a parsed component list, several times the string's heap, and a
+/// fleet directory lists ten thousand shards; callers build a path for
+/// the one shard they are working on. Skips anything that is not a
 /// plausible profile: subdirectories (including `quarantine/` and
 /// `ingested/`), the atomic writer's temp-file leftovers, and editor
 /// backup/lock droppings (`.#file.dcpf`, `#file.dcpf#`, `file.dcpf~`).
@@ -74,8 +79,7 @@ std::uint64_t write_measurement_dir(const std::filesystem::path& dir,
 /// a racing quarantine/claim): entries that vanish mid-listing are
 /// skipped, not thrown. Throws std::runtime_error if the directory does
 /// not exist.
-std::vector<std::filesystem::path> list_profile_files(
-    const std::filesystem::path& dir);
+std::vector<std::string> list_profile_files(const std::filesystem::path& dir);
 
 /// Reads one profile file (read_file, then ThreadProfile::read). Throws
 /// std::runtime_error naming the file on open failure, truncation,
@@ -101,12 +105,16 @@ std::filesystem::path quarantine_profile_file(
 
 /// Claims `file` for ingestion by moving it into `dir`'s `ingested/`
 /// subdirectory (created on first use) and returns its new path — or
-/// std::nullopt when the file vanished first (a concurrent claimer or
+/// std::nullopt when `file` itself is gone (a concurrent claimer or
 /// cleanup won the race; not an error). The ingestion daemon calls this
 /// only after the shard's contribution has been durably checkpointed,
 /// so a crash between ingest and claim merely re-ingests an
 /// already-manifested file (idempotent), never loses one. Throws
-/// std::runtime_error naming the file on any other failure.
+/// std::runtime_error naming the file and `ingested/` on any other
+/// failure — `ingested/` cannot be created, is a dangling link, or the
+/// move fails while `file` is still there — because a shard that stays
+/// listed after its manifest entry is dropped would be folded again on
+/// every poll.
 std::optional<std::filesystem::path> claim_profile_file(
     const std::filesystem::path& dir, const std::filesystem::path& file);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -16,23 +15,27 @@ namespace {
 constexpr std::uint32_t kMagic = 0x64637066;        // "dcpf"
 constexpr std::uint32_t kFooterMagic = 0x64637074;  // "dcpt"
 
-void put_u8(std::ostream& o, std::uint8_t v) {
-  o.put(static_cast<char>(v));
+void put_u8(std::string& o, std::uint8_t v) {
+  o.push_back(static_cast<char>(v));
 }
-void put_u32(std::ostream& o, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) o.put(static_cast<char>((v >> (8 * i)) & 0xff));
+void put_u32(std::string& o, std::uint32_t v) {
+  char b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  o.append(b, 4);
 }
-void put_u64(std::ostream& o, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) o.put(static_cast<char>((v >> (8 * i)) & 0xff));
+void put_u64(std::string& o, std::uint64_t v) {
+  char b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  o.append(b, 8);
 }
 
 /// Decodes straight out of an in-memory byte image (a file's contents)
-/// with no stream machinery and no intermediate buffer. Payload reads run the
-/// CRC32C and byte count the footer is checked against; footer reads are
-/// raw (the footer checksums the bytes before it, not itself). A short
-/// read sets a sticky fail flag, consumes nothing, and yields zeros, so
-/// `require` throws "truncated profile" at the first record that did not
-/// fully arrive.
+/// with no stream machinery and no intermediate buffer. It does not hash
+/// what it reads: the footer check hashes the whole payload in one
+/// `crc32c` call over the bytes before the footer. A short read sets a
+/// sticky fail flag, consumes nothing, and yields zeros, so `require`
+/// throws "truncated profile" at the first record that did not fully
+/// arrive.
 class ViewReader {
  public:
   explicit ViewReader(std::string_view bytes) : bytes_(bytes) {}
@@ -54,12 +57,7 @@ class ViewReader {
     }
   }
 
-  std::uint32_t raw_u32() { return le<std::uint32_t>(raw_take(4)); }
-  std::uint64_t raw_u64() { return le<std::uint64_t>(raw_take(8)); }
-  bool raw_ok() const { return !fail_; }
-
-  std::uint32_t crc() const { return crc_.value(); }
-  std::uint64_t count() const { return count_; }
+  std::string_view bytes() const { return bytes_; }
   std::size_t offset() const { return off_; }
 
  private:
@@ -72,17 +70,8 @@ class ViewReader {
     }
     return v;
   }
-  /// Consumes `n` payload bytes (hashed into the running CRC), or sets
-  /// the fail flag and consumes nothing.
+  /// Consumes `n` bytes, or sets the fail flag and consumes nothing.
   const char* take(std::size_t n) {
-    const char* p = raw_take(n);
-    if (p) {
-      crc_.update(p, n);
-      count_ += n;
-    }
-    return p;
-  }
-  const char* raw_take(std::size_t n) {
     if (fail_ || bytes_.size() - off_ < n) {
       fail_ = true;
       return nullptr;
@@ -95,8 +84,6 @@ class ViewReader {
   std::string_view bytes_;
   std::size_t off_ = 0;
   bool fail_ = false;
-  Crc32c crc_;
-  std::uint64_t count_ = 0;
 };
 
 /// The one message for a version word this build does not read, shared
@@ -111,7 +98,7 @@ std::string unsupported_version(std::uint32_t version) {
 /// a clear error instead of a multi-gigabyte allocation attempt.
 constexpr std::uint32_t kMaxStringBytes = 1u << 24;
 
-void write_cct(std::ostream& o, const Cct& cct) {
+void write_cct(std::string& o, const Cct& cct) {
   put_u32(o, static_cast<std::uint32_t>(cct.size()));
   for (const auto& n : cct.nodes()) {
     put_u8(o, static_cast<std::uint8_t>(n.kind));
@@ -121,7 +108,7 @@ void write_cct(std::ostream& o, const Cct& cct) {
   }
 }
 
-void write_patterns(std::ostream& o, const AccessPatternTable& patterns) {
+void write_patterns(std::string& o, const AccessPatternTable& patterns) {
   put_u32(o, static_cast<std::uint32_t>(patterns.size()));
   for (const auto& [key, p] : patterns.vars()) {
     put_u8(o, key.cls);
@@ -135,6 +122,34 @@ void write_patterns(std::ostream& o, const AccessPatternTable& patterns) {
     for (auto v : p.reuse) put_u64(o, v);
     for (auto v : p.stride) put_u64(o, v);
   }
+}
+
+/// Header, body and footer in one buffer. The footer carries a CRC32C
+/// over the header and body bytes already appended before it.
+std::string serialize(const ThreadProfile& p) {
+  std::string out;
+  put_u32(out, kMagic);
+  put_u32(out, kProfileFormatVersion);
+  put_u32(out, p.throttled() ? kProfileFlagThrottled : 0u);
+  put_u64(out, p.sampling_period);
+  put_u64(out, p.effective_period);
+  put_u32(out, static_cast<std::uint32_t>(p.rank));
+  put_u32(out, static_cast<std::uint32_t>(p.tid));
+  put_u32(out, static_cast<std::uint32_t>(p.strings.size()));
+  for (std::size_t i = 0; i < p.strings.size(); ++i) {
+    const std::string& s = p.strings.str(i);
+    put_u32(out, static_cast<std::uint32_t>(s.size()));
+    out += s;
+  }
+  for (const auto& c : p.ccts) write_cct(out, c);
+  write_patterns(out, p.patterns);
+
+  const std::size_t payload_bytes = out.size();
+  const std::uint32_t crc = crc32c(out);
+  put_u32(out, kFooterMagic);
+  put_u64(out, static_cast<std::uint64_t>(payload_bytes));
+  put_u32(out, crc);
+  return out;
 }
 
 }  // namespace
@@ -157,31 +172,8 @@ std::uint64_t ThreadProfile::total_samples() const {
 }
 
 void ThreadProfile::write(std::ostream& out) const {
-  // Header + body are serialized to a buffer first: the footer carries a
-  // CRC32C over those exact bytes. Write-out is cold (once per thread per
-  // run), so the extra copy never touches the sample hot path.
-  std::ostringstream payload;
-  put_u32(payload, kMagic);
-  put_u32(payload, kProfileFormatVersion);
-  put_u32(payload, throttled() ? kProfileFlagThrottled : 0u);
-  put_u64(payload, sampling_period);
-  put_u64(payload, effective_period);
-  put_u32(payload, static_cast<std::uint32_t>(rank));
-  put_u32(payload, static_cast<std::uint32_t>(tid));
-  put_u32(payload, static_cast<std::uint32_t>(strings.size()));
-  for (std::size_t i = 0; i < strings.size(); ++i) {
-    const std::string& s = strings.str(i);
-    put_u32(payload, static_cast<std::uint32_t>(s.size()));
-    payload.write(s.data(), static_cast<std::streamsize>(s.size()));
-  }
-  for (const auto& c : ccts) write_cct(payload, c);
-  write_patterns(payload, patterns);
-
-  const std::string bytes = std::move(payload).str();
+  const std::string bytes = serialize(*this);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  put_u32(out, kFooterMagic);
-  put_u64(out, static_cast<std::uint64_t>(bytes.size()));
-  put_u32(out, crc32c(bytes));
 }
 
 namespace {
@@ -307,18 +299,19 @@ void scan_profile(ViewReader& r, ProfileVisitor& visitor) {
     have_prev = true;
     visitor.on_pattern(cls, id, p);
   }
-  // Footer: not part of the checksummed payload, read raw.
-  const std::uint32_t footer_magic = r.raw_u32();
-  const std::uint64_t payload_bytes = r.raw_u64();
-  const std::uint32_t crc = r.raw_u32();
-  if (!r.raw_ok()) throw std::runtime_error("truncated profile: footer");
+  // Footer: checksums every byte before it, in one pass.
+  const std::size_t payload_end = r.offset();
+  const std::uint32_t footer_magic = r.u32();
+  const std::uint64_t payload_bytes = r.u64();
+  const std::uint32_t crc = r.u32();
+  r.require("footer");
   if (footer_magic != kFooterMagic) {
     throw std::runtime_error("corrupt profile: bad footer magic");
   }
-  if (payload_bytes != r.count()) {
+  if (payload_bytes != payload_end) {
     throw std::runtime_error("corrupt profile: payload length mismatch");
   }
-  if (crc != r.crc()) {
+  if (crc != crc32c(r.bytes().data(), payload_end)) {
     throw std::runtime_error("corrupt profile: checksum mismatch");
   }
 }
@@ -485,9 +478,7 @@ ThreadProfile ThreadProfile::read_salvage(std::string_view bytes,
 }
 
 std::uint64_t ThreadProfile::serialized_bytes() const {
-  std::ostringstream os;
-  write(os);
-  return static_cast<std::uint64_t>(os.str().size());
+  return static_cast<std::uint64_t>(serialize(*this).size());
 }
 
 }  // namespace dcprof::core

@@ -2,7 +2,8 @@
 # Continuous-ingestion smoke test on real shards: dcprof_measure writes
 # an 8-shard nw measurement, dcprof_ingestd drains it, stops and resumes
 # from its checkpoint on a copy, and retires the claimed shards into
-# ingested/. Flags of the removed synthetic benchmark are usage errors.
+# ingested/; a claim that cannot land stops it with an error. Flags of
+# the removed synthetic benchmark are usage errors.
 #
 #   ingest_smoke.sh <dcprof_measure> <dcprof_ingestd>
 set -u
@@ -23,6 +24,7 @@ fail() {
 shards=$(ls "$tmpdir/meas"/*.dcpf 2>/dev/null | wc -l)
 [ "$shards" -eq 8 ] || fail "expected 8 measured shards, got $shards"
 cp -r "$tmpdir/meas" "$tmpdir/copy" || fail "cannot copy the measurement"
+cp -r "$tmpdir/meas" "$tmpdir/noclaim" || fail "cannot copy the measurement"
 
 # 1. Drain the measurement.
 "$ingestd" "$tmpdir/meas" --drain --idle-polls 1 2> "$tmpdir/drain.err" \
@@ -51,7 +53,19 @@ leftover=$(ls "$tmpdir/copy"/*.dcpf 2>/dev/null | wc -l)
 retired=$(ls "$tmpdir/copy/ingested"/*.dcpf 2>/dev/null | wc -l)
 [ "$retired" -eq 8 ] || fail "expected 8 retired shards, got $retired"
 
-# 4. The removed synthetic-fleet and benchmark flags are usage errors.
+# 4. A claim that cannot land (ingested/ is a dangling link) stops the
+# daemon with exit 1 naming the claim; it must not drop the shards from
+# its manifest and fold them again on every poll, which never drains.
+ln -s "$tmpdir/missing" "$tmpdir/noclaim/ingested" || fail "cannot link"
+timeout 60 "$ingestd" "$tmpdir/noclaim" --drain --idle-polls 1 \
+    --checkpoint-every 4 --checkpoint "$tmpdir/noclaim.dcck" \
+    2> "$tmpdir/noclaim.err"
+rc=$?
+[ "$rc" -eq 1 ] || fail "unclaimable drain exited $rc, expected 1"
+grep -q 'cannot claim .*ingested' "$tmpdir/noclaim.err" \
+    || fail "unclaimable drain did not name the claim"
+
+# 5. The removed synthetic-fleet and benchmark flags are usage errors.
 # Options carry a value and every run adds --once, so a flag that still
 # parsed would run one poll and exit 0.
 for flag in "--simulate-shards 10" "--arrival-rate 5" "--seed 1" \

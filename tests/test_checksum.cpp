@@ -1,5 +1,6 @@
-// CRC32C: known-answer vectors, streaming/one-shot equivalence, and the
-// error-detection properties the .dcpf footer relies on.
+// CRC32C: known-answer vectors, the dispatched path against the
+// slice-by-8 tables, and the error-detection properties the .dcpf footer
+// relies on.
 #include "core/checksum.h"
 
 #include <gtest/gtest.h>
@@ -27,32 +28,33 @@ TEST(Crc32c, KnownAnswerVectors) {
   EXPECT_EQ(crc32c(ascending), 0x46dd794eu);
 }
 
-TEST(Crc32c, StreamingMatchesOneShotAtEverySplit) {
-  std::string data;
-  for (int i = 0; i < 300; ++i) {
-    data.push_back(static_cast<char>((i * 31 + 7) & 0xff));
-  }
-  const std::uint32_t expected = crc32c(data);
-  for (std::size_t split = 0; split <= data.size(); split += 13) {
-    Crc32c crc;
-    crc.update(data.data(), split);
-    crc.update(data.data() + split, data.size() - split);
-    EXPECT_EQ(crc.value(), expected) << "split at " << split;
-  }
-  // Byte-at-a-time (exercises the tail loop exclusively).
-  Crc32c crc;
-  for (const char c : data) crc.update(&c, 1);
-  EXPECT_EQ(crc.value(), expected);
-}
+// `crc32c` runs the SSE4.2 instruction where the CPU has it; the
+// slice-by-8 tables are the reference. Every length up to well past the
+// 8-byte step, from every alignment, covers the word loop, the byte
+// tail and unaligned loads.
+TEST(Crc32c, DispatchedPathMatchesSliceBy8Tables) {
+  // The RFC 3720 vectors of KnownAnswerVectors, on the tables.
+  EXPECT_EQ(crc32c_slice8("123456789", 9), 0xe3069283u);
+  EXPECT_EQ(crc32c_slice8("", 0), 0x00000000u);
+  const std::string zeros(32, '\0');
+  EXPECT_EQ(crc32c_slice8(zeros.data(), zeros.size()), 0x8a9136aau);
+  const std::string ones(32, '\xff');
+  EXPECT_EQ(crc32c_slice8(ones.data(), ones.size()), 0x62a8ab43u);
+  std::string ascending;
+  for (int i = 0; i < 32; ++i) ascending.push_back(static_cast<char>(i));
+  EXPECT_EQ(crc32c_slice8(ascending.data(), ascending.size()), 0x46dd794eu);
 
-TEST(Crc32c, ValueIsNonDestructiveAndResetRestarts) {
-  Crc32c crc;
-  crc.update("123456789");
-  EXPECT_EQ(crc.value(), 0xe3069283u);
-  EXPECT_EQ(crc.value(), 0xe3069283u);  // reading twice is idempotent
-  crc.reset();
-  crc.update("123456789");
-  EXPECT_EQ(crc.value(), 0xe3069283u);
+  std::string data;
+  for (int i = 0; i < 1100 + 8; ++i) {
+    data.push_back(static_cast<char>((i * 131 + 17) & 0xff));
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const char* p = data.data() + start;
+      ASSERT_EQ(crc32c(p, len), crc32c_slice8(p, len))
+          << "start " << start << " length " << len;
+    }
+  }
 }
 
 TEST(Crc32c, DetectsSingleBitFlipsAnywhere) {

@@ -46,6 +46,12 @@ using core::SalvageResult;
 using core::StorageClass;
 using core::ThreadProfile;
 
+/// The file name of a `list_profile_files` entry (a full path string):
+/// what every error and report line about that shard names.
+std::string name_of(const std::string& listed) {
+  return fs::path(listed).filename().string();
+}
+
 struct TempDir {
   TempDir() {
     path = fs::temp_directory_path() /
@@ -365,7 +371,7 @@ TEST(CrashSafety, StrictReadNamesTheFileAtEveryFailureKind) {
       core::read_profile_file(files[0]);
       FAIL() << "expected failure: " << what;
     } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(files[0].filename().string()),
+      EXPECT_NE(std::string(e.what()).find(name_of(files[0])),
                 std::string::npos)
           << what << ": " << e.what();
     }
@@ -383,7 +389,7 @@ TEST(CrashSafety, StrictReadNamesTheFileAtEveryFailureKind) {
   SalvageResult sr;
   core::read_profile_file_salvage(files[0], sr);
   EXPECT_FALSE(sr.clean);
-  EXPECT_NE(sr.error.find(files[0].filename().string()), std::string::npos);
+  EXPECT_NE(sr.error.find(name_of(files[0])), std::string::npos);
   EXPECT_EQ(sr.records_kept, 1u);
 }
 
@@ -423,10 +429,10 @@ TEST(CrashSafety, QuarantineMatchesSkipByteIdenticallyAndMovesTheShard) {
   EXPECT_EQ(r.files_skipped, 1u);
   ASSERT_EQ(r.files_quarantined, 1u);
   ASSERT_EQ(r.quarantined.size(), 1u);
-  EXPECT_NE(r.quarantined[0].find(files[2].filename().string()),
+  EXPECT_NE(r.quarantined[0].find(name_of(files[2])),
             std::string::npos);
   const fs::path dest =
-      dir.path / core::kQuarantineDirName / files[2].filename();
+      dir.path / core::kQuarantineDirName / fs::path(files[2]).filename();
   EXPECT_FALSE(fs::exists(files[2]));
   EXPECT_TRUE(fs::exists(dest));
 

@@ -335,6 +335,48 @@ TEST(Ingest, ClaimRetiresShardsAndBoundsManifest) {
   EXPECT_TRUE(fs::exists(dir.path / "structure.dcst"));
 }
 
+// A claim that cannot land (here `ingested` is a dangling link, as when
+// the watched directory is read-only) is an error, not a lost race: the
+// shard is still listed, so dropping its manifest entry would fold it
+// again on every poll. The checkpoint written before the claim stays
+// valid, and a service resuming from it once the directory is fixed
+// folds each shard exactly once.
+TEST(Ingest, ClaimThatCannotLandThrowsAndResumesExactlyOnce) {
+  TempDir dir;
+  TempDir pristine;
+  TempDir ck;
+  write_fleet(dir.path, 8, &pristine.path);
+  fs::create_directories(ck.path);
+  IngestOptions opts;
+  opts.checkpoint = ck.path / "ingest.dcck";
+  opts.checkpoint_every = 4;
+  const fs::path ingested = dir.path / core::kIngestedDirName;
+  fs::create_directory_symlink(dir.path / "missing", ingested);
+  {
+    IngestService service(dir.path, opts);
+    try {
+      service.poll_once();
+      FAIL() << "a claim into a dangling ingested/ must throw";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("cannot claim"), std::string::npos) << what;
+      EXPECT_NE(what.find(ingested.string()), std::string::npos) << what;
+    }
+  }
+  EXPECT_EQ(count_files(dir.path, ".dcpf"), 8u);
+
+  fs::remove(ingested);
+  IngestService resumed(dir.path, opts);
+  EXPECT_EQ(resumed.stats().files, 4u);
+  while (resumed.poll_once() != 0) {
+  }
+  resumed.checkpoint();
+  EXPECT_EQ(resumed.stats().files, 8u);
+  EXPECT_EQ(resumed.stats().claimed, 8u);
+  ASSERT_NE(resumed.merged(), nullptr);
+  EXPECT_EQ(serialized(*resumed.merged()), batch_merged_bytes(pristine.path));
+}
+
 TEST(Ingest, CorruptShardSkippedOncePolicySkip) {
   TempDir dir;
   write_fleet(dir.path, 5);

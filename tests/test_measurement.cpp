@@ -208,7 +208,7 @@ TEST(Measurement, ListSurvivesRacingDeletes) {
     }
   });
   for (int round = 0; round < 200; ++round) {
-    std::vector<fs::path> files;
+    std::vector<std::string> files;
     ASSERT_NO_THROW(files = list_profile_files(dir.path));
     // Never fewer than the survivors, never more than the start set.
     EXPECT_GE(files.size(), static_cast<std::size_t>(kFiles / 2));

@@ -32,6 +32,12 @@ using core::NodeKind;
 using core::StorageClass;
 using core::ThreadProfile;
 
+/// The file name of a `list_profile_files` entry (a full path string):
+/// what every error and report line about that shard names.
+std::string name_of(const std::string& listed) {
+  return fs::path(listed).filename().string();
+}
+
 struct TempDir {
   TempDir() {
     path = fs::temp_directory_path() /
@@ -211,9 +217,9 @@ TEST(Pipeline, CorruptFilesAreSkippedAndCounted) {
     EXPECT_EQ(r.files_read, 6u);
     EXPECT_EQ(r.files_skipped, 3u);
     ASSERT_EQ(r.skipped.size(), 3u);
-    EXPECT_NE(r.skipped[0].find(files[2].filename().string()),
+    EXPECT_NE(r.skipped[0].find(name_of(files[2])),
               std::string::npos);
-    EXPECT_NE(r.skipped[1].find(files[5].filename().string()),
+    EXPECT_NE(r.skipped[1].find(name_of(files[5])),
               std::string::npos);
     EXPECT_NE(r.skipped[2].find(empty.filename().string()),
               std::string::npos);
@@ -232,7 +238,7 @@ TEST(Pipeline, StrictModeThrowsNamingTheCorruptFile) {
     Analyzer(opts).run(dir.path);
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(files[1].filename().string()),
+    EXPECT_NE(std::string(e.what()).find(name_of(files[1])),
               std::string::npos)
         << e.what();
   }
@@ -366,7 +372,7 @@ TEST(Pipeline, FileVanishingAfterListingIsSkippedNotFatal) {
         Analyzer(opts).run(dir.path);
         FAIL() << "expected std::runtime_error";
       } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find(files[3].filename().string()),
+        EXPECT_NE(std::string(e.what()).find(name_of(files[3])),
                   std::string::npos)
             << e.what();
       }
@@ -376,7 +382,7 @@ TEST(Pipeline, FileVanishingAfterListingIsSkippedNotFatal) {
     EXPECT_EQ(r.files_read, 4u);
     EXPECT_EQ(r.files_skipped, 1u);
     ASSERT_EQ(r.skipped.size(), 1u);
-    EXPECT_NE(r.skipped[0].find(files[3].filename().string()),
+    EXPECT_NE(r.skipped[0].find(name_of(files[3])),
               std::string::npos);
     EXPECT_NE(r.skipped[0].find("vanished after listing"), std::string::npos)
         << r.skipped[0];
@@ -490,9 +496,9 @@ TEST(Pipeline, PoisonedShardIsRefoldedAroundUnderEveryPolicy) {
       EXPECT_EQ(r.files_read, kFiles - 2);
       EXPECT_EQ(r.files_skipped, 2u);
       ASSERT_EQ(r.skipped.size(), 2u);
-      EXPECT_NE(r.skipped[0].find(files[kTorn].filename().string()),
+      EXPECT_NE(r.skipped[0].find(name_of(files[kTorn])),
                 std::string::npos);
-      EXPECT_NE(r.skipped[1].find(files[kPoison].filename().string()),
+      EXPECT_NE(r.skipped[1].find(name_of(files[kPoison])),
                 std::string::npos);
       EXPECT_EQ(r.threads.size(), kFiles - 2);
       EXPECT_EQ(r.transient_retries, 0u);
@@ -513,7 +519,7 @@ TEST(Pipeline, PoisonedShardIsRefoldedAroundUnderEveryPolicy) {
           ++moved;
         }
         EXPECT_EQ(moved, 2u);  // each moved exactly once
-        EXPECT_TRUE(fs::exists(qdir / files[kPoison].filename()));
+        EXPECT_TRUE(fs::exists(qdir / fs::path(files[kPoison]).filename()));
         EXPECT_FALSE(fs::exists(files[kPoison]));
       } else {
         EXPECT_TRUE(r.quarantined.empty());
@@ -570,7 +576,7 @@ TEST(Pipeline, PoisonedShardIsRefoldedAroundUnderEveryPolicy) {
         FAIL() << "expected std::runtime_error";
       } catch (const std::runtime_error& e) {
         EXPECT_NE(
-            std::string(e.what()).find(files[kPoison].filename().string()),
+            std::string(e.what()).find(name_of(files[kPoison])),
             std::string::npos)
             << e.what();
       }
@@ -599,8 +605,8 @@ TEST(MeasurementStreaming, ListProfileFilesIsSortedAndFiltered) {
     EXPECT_LT(files[i - 1], files[i]);
   }
   for (const auto& f : files) {
-    EXPECT_EQ(f.extension(), ".dcpf");
-    EXPECT_NE(f.filename().string().front(), '.');
+    EXPECT_EQ(fs::path(f).extension(), ".dcpf");
+    EXPECT_NE(fs::path(f).filename().string().front(), '.');
   }
   EXPECT_THROW(core::list_profile_files("/nonexistent/dcprof-dir"),
                std::runtime_error);
@@ -621,7 +627,7 @@ TEST(MeasurementStreaming, ReadProfileFileErrorsNameTheFile) {
     core::read_profile_file(files[0]);
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(files[0].filename().string()),
+    EXPECT_NE(std::string(e.what()).find(name_of(files[0])),
               std::string::npos)
         << e.what();
   }
