@@ -57,7 +57,7 @@ int main() {
     std::uint64_t bytes = 0;
     for (const auto& p : profiles) {
       samples += p.total_samples();
-      bytes += p.serialized_bytes();
+      bytes += p.serialize().size();
     }
     // The same run recorded by the implemented MemProf-style tracer.
     const std::uint64_t trace = traced_bytes(prm);

@@ -334,7 +334,7 @@ void BM_ProfileSerialize(benchmark::State& state) {
     cct.add_metrics(leaf, m);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(profile.serialized_bytes());
+    benchmark::DoNotOptimize(profile.serialize().size());
   }
   state.SetItemsProcessed(state.iterations());
 }

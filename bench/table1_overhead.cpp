@@ -42,7 +42,7 @@ ProfiledStats collect(std::vector<core::ThreadProfile> profiles) {
   ProfiledStats s;
   for (const auto& p : profiles) {
     s.samples += p.total_samples();
-    s.bytes += p.serialized_bytes();
+    s.bytes += p.serialize().size();
   }
   return s;
 }
@@ -91,7 +91,7 @@ Row run_sweep3d(bool profiled) {
   (profiled ? row.profiled_seconds : row.plain_seconds) = secs;
   if (result.profile) {
     row.samples = result.profile->total_samples();
-    row.profile_bytes = result.profile->serialized_bytes();
+    row.profile_bytes = result.profile->serialize().size();
   }
   return row;
 }

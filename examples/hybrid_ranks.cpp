@@ -5,7 +5,6 @@
 
 #include <cstdio>
 #include <mutex>
-#include <sstream>
 
 #include "analysis/merge.h"
 #include "analysis/report.h"
@@ -34,12 +33,11 @@ int main() {
 
     // Each rank writes its merged per-process profile to "disk".
     core::ThreadProfile profile = proc.merged_profile();
-    std::ostringstream out;
-    profile.write(out);
+    std::string out = profile.serialize();
     std::lock_guard lock(mu);
     rank_samples[static_cast<std::size_t>(rank.id())] =
         profile.total_samples();
-    serialized[static_cast<std::size_t>(rank.id())] = out.str();
+    serialized[static_cast<std::size_t>(rank.id())] = std::move(out);
   });
 
   // Post-mortem: load every rank's profile and reduce.

@@ -1,11 +1,10 @@
 #include "analysis/ingest.h"
 
 #include <algorithm>
-#include <cstring>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "binfmt/bytes.h"
 #include "core/checksum.h"
 #include "core/measurement.h"
 
@@ -16,68 +15,15 @@ namespace fs = std::filesystem;
 namespace {
 
 // Checkpoint framing, in the house style of the `.dcpf` files it
-// aggregates: little-endian payload, then a footer of
-// {magic, payload byte count, CRC32C(payload)} so a torn or bit-flipped
-// checkpoint is always detected before any of it is trusted.
+// aggregates: a little-endian payload (binfmt/bytes.h) sealed by the
+// footer of core::seal, so a torn or bit-flipped checkpoint is always
+// detected before any of it is trusted.
 constexpr std::uint32_t kCkMagic = 0x6463636bu;        // "dcck"
 constexpr std::uint32_t kCkFooterMagic = 0x64636b74u;  // "dckt"
 constexpr std::uint32_t kCkVersion = 1;
-constexpr std::size_t kCkFooterSize = 4 + 8 + 4;
 
 /// Cap on IngestStats::skip_reasons — `skipped` stays exact beyond it.
 constexpr std::size_t kMaxSkipReports = 64;
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-/// Bounds-checked little-endian cursor over the checkpoint's bytes.
-struct CkReader {
-  std::string_view buf;
-  std::size_t off = 0;
-
-  void need(std::size_t n) const {
-    if (buf.size() - off < n) {
-      throw std::runtime_error("truncated checkpoint");
-    }
-  }
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(buf[off++]);
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    std::memcpy(&v, buf.data() + off, 4);
-    off += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    std::memcpy(&v, buf.data() + off, 8);
-    off += 8;
-    return v;
-  }
-  std::string_view take(std::size_t n) {
-    need(n);
-    std::string_view v = buf.substr(off, n);
-    off += n;
-    return v;
-  }
-};
 
 }  // namespace
 
@@ -104,30 +50,27 @@ void IngestService::load_checkpoint() {
   if (!fs::exists(opts_.checkpoint, ec)) return;
   try {
     const std::string data = core::read_file(opts_.checkpoint);
-    const std::string_view bytes = data;
-    if (bytes.size() < kCkFooterSize) {
+    if (data.size() < core::kSealBytes) {
       throw std::runtime_error("truncated checkpoint");
     }
     // Footer first: nothing in the payload is trusted until the length
     // and CRC check out.
-    CkReader footer{bytes, bytes.size() - kCkFooterSize};
-    if (footer.u32() != kCkFooterMagic) {
-      throw std::runtime_error("bad checkpoint footer magic");
-    }
-    const std::uint64_t payload_size = footer.u64();
-    if (payload_size != bytes.size() - kCkFooterSize) {
-      throw std::runtime_error("checkpoint payload size mismatch");
-    }
-    const std::string_view payload = bytes.substr(0, payload_size);
-    if (footer.u32() != core::crc32c(payload)) {
-      throw std::runtime_error("checkpoint checksum mismatch");
+    const std::size_t payload_end = data.size() - core::kSealBytes;
+    if (const std::string why =
+            core::check_seal(data, payload_end, kCkFooterMagic);
+        !why.empty()) {
+      throw std::runtime_error(why);
     }
 
-    CkReader r{payload};
-    if (r.u32() != kCkMagic) {
+    binfmt::ByteReader r(std::string_view(data).substr(0, payload_end),
+                         "checkpoint");
+    const std::uint32_t magic = r.u32();
+    const std::uint32_t version = r.u32();
+    r.require("header");
+    if (magic != kCkMagic) {
       throw std::runtime_error("bad checkpoint magic");
     }
-    if (const std::uint32_t version = r.u32(); version != kCkVersion) {
+    if (version != kCkVersion) {
       throw std::runtime_error("unsupported checkpoint version " +
                                std::to_string(version));
     }
@@ -137,9 +80,10 @@ void IngestService::load_checkpoint() {
     stats_.resumes = r.u64();
     stats_.claimed = r.u64();
     const std::uint32_t manifest_count = r.u32();
+    r.require("counters");
     for (std::uint32_t i = 0; i < manifest_count; ++i) {
-      const std::uint32_t len = r.u32();
-      std::string key(r.take(len));
+      std::string key;
+      r.str(key);
       // A checkpoint lists its shards *before* claiming them, so the
       // claims it then performed are only on disk as moved files. A
       // listed shard that is gone now was claimed (or cleaned up) after
@@ -151,9 +95,14 @@ void IngestService::load_checkpoint() {
         ++stats_.claimed;
       }
     }
-    if (r.u8() != 0) {
+    const bool has_profile = r.u8() != 0;
+    r.require("aggregate flag");
+    if (has_profile) {
       const std::uint64_t profile_size = r.u64();
-      merged_ = core::ThreadProfile::read(r.take(profile_size));
+      r.require("aggregate size");
+      const std::string_view profile = r.view(profile_size);
+      r.require("aggregate");
+      merged_ = core::ThreadProfile::read(profile);
     }
   } catch (const std::exception& e) {
     // A checkpoint published through write_file_atomic is complete or
@@ -181,32 +130,47 @@ void IngestService::rollback_to_checkpoint() {
   stats_.checkpoints = 0;
   stats_.resumes = 0;
   stats_.claimed = 0;
+  listing_.clear();
+  listing_next_ = 0;
   load_checkpoint();
+}
+
+void IngestService::list_dir(std::size_t i) {
+  listing_.clear();
+  listing_next_ = 0;
+  listing_dir_ = i;
+  std::error_code ec;
+  // Watched directories may not exist yet (the fleet has not started
+  // writing); that is idle, not an error.
+  if (!fs::is_directory(dirs_[i], ec)) return;
+  try {
+    listing_ = core::list_profile_files(dirs_[i]);
+  } catch (const std::exception&) {
+    // The directory vanished between the check and the listing.
+  }
 }
 
 std::size_t IngestService::poll_once() {
   ++stats_.polls;
+  if (dirs_.empty()) return 0;
   std::size_t folded = 0;
-  for (const fs::path& dir : dirs_) {
-    std::error_code ec;
-    // Watched directories may not exist yet (the fleet has not started
-    // writing); that is idle, not an error.
-    if (!fs::is_directory(dir, ec)) continue;
-    std::vector<std::string> files;
-    try {
-      files = core::list_profile_files(dir);
-    } catch (const std::exception&) {
-      continue;  // directory vanished between the check and the listing
-    }
-    for (const std::string& key : files) {
+  // A poll that stopped at max_files_per_poll left the rest of its
+  // listing: resume there. A resumed poll runs on into one fresh pass
+  // over every directory once that rest is used up, so a poll that
+  // folds nothing has listed them all.
+  bool fresh = listing_next_ == listing_.size();
+  if (fresh) list_dir(0);
+  for (;;) {
+    while (listing_next_ < listing_.size()) {
       if (opts_.max_files_per_poll != 0 &&
           folded >= opts_.max_files_per_poll) {
         return folded;
       }
+      const std::string key = std::move(listing_[listing_next_++]);
       if (manifest_.count(key) != 0 || skipped_.count(key) != 0) continue;
       const fs::path file(key);
       if (file == opts_.checkpoint) continue;
-      if (ingest_file(dir, file)) {
+      if (ingest_file(dirs_[listing_dir_], file)) {
         ++folded;
         if (opts_.checkpoint_every != 0 &&
             ++folds_since_checkpoint_ >= opts_.checkpoint_every) {
@@ -214,15 +178,22 @@ std::size_t IngestService::poll_once() {
         }
       }
       if (rolled_back_) {
-        // A poison shard rewound the aggregate to the last checkpoint:
-        // the rest of this poll's listing is stale (un-checkpointed
-        // folds must re-enter in sorted order before anything newer).
+        // A poison shard rewound the aggregate to the last checkpoint
+        // and dropped the listing: un-checkpointed folds must re-enter
+        // in sorted order before anything newer.
         rolled_back_ = false;
         return folded;
       }
     }
+    if (listing_dir_ + 1 < dirs_.size()) {
+      list_dir(listing_dir_ + 1);
+    } else if (!fresh) {
+      fresh = true;
+      list_dir(0);
+    } else {
+      return folded;
+    }
   }
-  return folded;
 }
 
 bool IngestService::ingest_file(const fs::path& dir, const fs::path& file) {
@@ -294,6 +265,8 @@ void IngestService::checkpoint() {
   manifest_ = std::unordered_set<std::string>(live.begin(), live.end());
 
   ++stats_.checkpoints;
+  using binfmt::put_u32;
+  using binfmt::put_u64;
   std::string payload;
   put_u32(payload, kCkMagic);
   put_u32(payload, kCkVersion);
@@ -303,23 +276,14 @@ void IngestService::checkpoint() {
   put_u64(payload, stats_.resumes);
   put_u64(payload, stats_.claimed);
   put_u32(payload, static_cast<std::uint32_t>(live.size()));
-  for (const std::string& key : live) {
-    put_u32(payload, static_cast<std::uint32_t>(key.size()));
-    payload += key;
-  }
-  put_u8(payload, merged_ ? 1 : 0);
+  for (const std::string& key : live) binfmt::put_str(payload, key);
+  binfmt::put_u8(payload, merged_ ? 1 : 0);
   if (merged_) {
-    std::ostringstream buf;
-    merged_->write(buf);
-    const std::string profile_bytes = std::move(buf).str();
-    put_u64(payload, profile_bytes.size());
-    payload += profile_bytes;
+    const std::string profile = merged_->serialize();
+    put_u64(payload, profile.size());
+    payload += profile;
   }
-  const std::uint64_t payload_size = payload.size();
-  const std::uint32_t crc = core::crc32c(payload);
-  put_u32(payload, kCkFooterMagic);
-  put_u64(payload, payload_size);
-  put_u32(payload, crc);
+  core::seal(payload, kCkFooterMagic);
   core::write_file_atomic(opts_.checkpoint, payload);
   ctr_checkpoints_.inc();
   folds_since_checkpoint_ = 0;

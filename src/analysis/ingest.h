@@ -4,7 +4,9 @@
 // into, and folds every arriving shard into one incremental aggregate:
 //
 //   poll       list each watched dir (list_profile_files order), skip
-//              shards already in the manifest
+//              shards already in the manifest; a poll bounded by
+//              max_files_per_poll keeps the rest of its listing for the
+//              next poll, which lists again only once it is used up
 //   fold       fold_shard (analysis/pipeline.h) — the Analyzer's own
 //              per-file fold: read the file whole (core::read_file),
 //              one CRC32C framing check with one re-read retry, then
@@ -58,7 +60,9 @@ struct IngestOptions {
   std::size_t checkpoint_every = 64;
   /// Upper bound on folds per poll_once() call (0 = drain everything
   /// listed). Lets callers interleave ingestion with other work and
-  /// tests kill the service at precise points.
+  /// tests kill the service at precise points. The next poll resumes
+  /// the same listing, so a bounded drain lists each directory about
+  /// once, not once per poll.
   std::size_t max_files_per_poll = 0;
   /// What to do with a shard that fails validation twice (or poisons a
   /// merge). kStrict throws out of poll_once; kSkip remembers the file
@@ -133,6 +137,9 @@ class IngestService {
   bool ingest_file(const std::filesystem::path& dir,
                    const std::filesystem::path& file);
   void note_skip(const std::filesystem::path& file, const std::string& why);
+  /// Makes `listing_` the sorted listing of dirs_[i] (empty when the
+  /// directory is missing).
+  void list_dir(std::size_t i);
 
   std::vector<std::filesystem::path> dirs_;
   IngestOptions opts_;
@@ -147,6 +154,13 @@ class IngestService {
   /// Set when a poison shard forced a rollback: the current poll batch
   /// is stale (rolled-back shards must re-fold in sorted order first).
   bool rolled_back_ = false;
+  /// The last listing, of dirs_[listing_dir_]; entries from
+  /// listing_next_ on are not yet visited. A poll bounded by
+  /// max_files_per_poll resumes here instead of re-listing; a rollback
+  /// drops it.
+  std::vector<std::string> listing_;
+  std::size_t listing_next_ = 0;
+  std::size_t listing_dir_ = 0;
 
   IngestStats stats_;
 

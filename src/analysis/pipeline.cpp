@@ -84,6 +84,13 @@ std::string render_overhead(const AnalysisResult& r) {
 
 }  // namespace
 
+std::optional<CorruptPolicy> parse_corrupt_policy(std::string_view name) {
+  if (name == "strict") return CorruptPolicy::kStrict;
+  if (name == "skip") return CorruptPolicy::kSkip;
+  if (name == "quarantine") return CorruptPolicy::kQuarantine;
+  return std::nullopt;
+}
+
 ShardFold fold_shard(const fs::path& dir, const fs::path& file,
                      std::optional<core::ThreadProfile>& agg,
                      CorruptPolicy policy, bool salvage) {

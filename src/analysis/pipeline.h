@@ -25,6 +25,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/advisor.h"
@@ -62,6 +63,10 @@ enum class CorruptPolicy {
   kSkip,        ///< skip and count; reported in AnalysisResult::skipped
   kQuarantine,  ///< skip, and move the file to <dir>/quarantine/
 };
+
+/// The policy a command line names: "strict", "skip" or "quarantine";
+/// nullopt for anything else.
+std::optional<CorruptPolicy> parse_corrupt_policy(std::string_view name);
 
 /// How fold_shard disposed of one shard.
 enum class FoldOutcome {
@@ -214,48 +219,10 @@ class Analyzer {
     /// Invoked from worker threads — must be thread-safe.
     std::function<void(std::size_t done, std::size_t total)> progress;
 
-    // --- Fluent builder -------------------------------------------------
-    // Each setter mutates in place and returns *this so call sites can
-    // chain: `Analyzer(Options{}.with_workers(4).with_top_n(20))`.
-    // Options stays an aggregate (no user-declared constructors), so
-    // designated/aggregate initialization keeps working unchanged.
-    Options& with_workers(int n) {
-      workers = n;
-      return *this;
-    }
-    Options& with_top_n(std::size_t n) {
-      top_n = n;
-      return *this;
-    }
-    Options& with_sort_metric(core::Metric m) {
-      sort_metric = m;
-      return *this;
-    }
-    /// Replaces the view bitmask wholesale.
-    Options& with_views(unsigned mask) {
-      views = mask;
-      return *this;
-    }
-    /// Adds views to the current bitmask (e.g. `add_views(kViewAdvice)`).
+    /// Adds views to the current bitmask and returns *this:
+    /// `Analyzer(Options{}.add_views(kViewAdvice))`.
     Options& add_views(unsigned mask) {
       views |= mask;
-      return *this;
-    }
-    Options& with_policy(CorruptPolicy p) {
-      corrupt_policy = p;
-      return *this;
-    }
-    Options& with_salvage(bool on = true) {
-      salvage = on;
-      return *this;
-    }
-    Options& with_advisor(const AdvisorOptions& a) {
-      advisor = a;
-      return *this;
-    }
-    Options& with_progress(
-        std::function<void(std::size_t done, std::size_t total)> cb) {
-      progress = std::move(cb);
       return *this;
     }
   };

@@ -1,64 +1,14 @@
 #include "binfmt/structure.h"
 
-#include <istream>
-#include <ostream>
 #include <stdexcept>
+
+#include "binfmt/bytes.h"
 
 namespace dcprof::binfmt {
 
 namespace {
 
 constexpr std::uint32_t kMagic = 0x64637374;  // "dcst"
-
-/// Cap on a string length read from disk, the same as the `.dcpf`
-/// reader's (core/profile.cpp): a corrupt length must fail with a clear
-/// error before it costs a zero-filled allocation of up to 4 GiB.
-constexpr std::uint32_t kMaxStringBytes = 1u << 24;
-
-void put_u32(std::ostream& o, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) o.put(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-void put_u64(std::ostream& o, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) o.put(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-void put_str(std::ostream& o, const std::string& s) {
-  put_u32(o, static_cast<std::uint32_t>(s.size()));
-  o.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-std::uint32_t get_u32(std::istream& in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(in.get()))
-         << (8 * i);
-  }
-  return v;
-}
-std::uint64_t get_u64(std::istream& in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(in.get()))
-         << (8 * i);
-  }
-  return v;
-}
-void require(std::istream& in, const char* what) {
-  if (!in) {
-    throw std::runtime_error(std::string("truncated structure file: ") +
-                             what);
-  }
-}
-std::string get_str(std::istream& in) {
-  const std::uint32_t len = get_u32(in);
-  require(in, "string length");
-  if (len > kMaxStringBytes) {
-    throw std::runtime_error(
-        "corrupt structure file: implausible string length");
-  }
-  std::string s(len, '\0');
-  in.read(s.data(), static_cast<std::streamsize>(len));
-  require(in, "string data");
-  return s;
-}
 
 }  // namespace
 
@@ -78,7 +28,8 @@ StructureData StructureData::capture(
   return data;
 }
 
-void StructureData::write(std::ostream& out) const {
+std::string StructureData::serialize() const {
+  std::string out;
   put_u32(out, kMagic);
   put_u32(out, static_cast<std::uint32_t>(instrs_.size()));
   for (const auto& [ip, info] : instrs_) {
@@ -100,41 +51,47 @@ void StructureData::write(std::ostream& out) const {
     put_u64(out, ip);
     put_str(out, name);
   }
+  return out;
 }
 
-StructureData StructureData::read(std::istream& in) {
-  if (get_u32(in) != kMagic) {
+// Every loop iteration ends in a string read, which `require`s: a count
+// that claims more entries than the bytes hold throws at the first
+// missing one instead of looping on zeros.
+StructureData StructureData::read(std::string_view bytes) {
+  ByteReader r(bytes, "structure file");
+  if (r.u32() != kMagic) {
     throw std::runtime_error("bad structure-file magic");
   }
   StructureData data;
-  const std::uint32_t ninstrs = get_u32(in);
-  require(in, "instr count");
+  const std::uint32_t ninstrs = r.u32();
+  r.require("instr count");
   for (std::uint32_t i = 0; i < ninstrs; ++i) {
     InstrInfo info;
-    info.ip = get_u64(in);
-    info.func_name = get_str(in);
-    info.file = get_str(in);
-    info.line = static_cast<int>(get_u32(in));
-    info.module = get_str(in);
+    info.ip = r.u64();
+    r.str(info.func_name);
+    r.str(info.file);
+    info.line = static_cast<int>(r.u32());
+    r.str(info.module);
     data.instrs_.emplace(info.ip, std::move(info));
   }
-  const std::uint32_t nvars = get_u32(in);
-  require(in, "var count");
+  const std::uint32_t nvars = r.u32();
+  r.require("var count");
   for (std::uint32_t i = 0; i < nvars; ++i) {
     Var var;
-    var.sym.lo = get_u64(in);
-    var.sym.size = get_u64(in);
-    var.sym.name = get_str(in);
-    var.module = get_str(in);
+    var.sym.lo = r.u64();
+    var.sym.size = r.u64();
+    r.str(var.sym.name);
+    r.str(var.module);
     data.vars_.emplace(var.sym.lo, std::move(var));
   }
-  const std::uint32_t nnames = get_u32(in);
-  require(in, "annotation count");
+  const std::uint32_t nnames = r.u32();
+  r.require("annotation count");
   for (std::uint32_t i = 0; i < nnames; ++i) {
-    const Addr ip = get_u64(in);
-    data.alloc_names_.emplace(ip, get_str(in));
+    const Addr ip = r.u64();
+    std::string name;
+    r.str(name);
+    data.alloc_names_.emplace(ip, std::move(name));
   }
-  require(in, "structure body");
   return data;
 }
 

@@ -5,10 +5,10 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "binfmt/load_module.h"
 
@@ -22,8 +22,12 @@ class StructureData : public SymbolResolver {
       const ModuleRegistry& modules,
       const std::map<Addr, std::string>& alloc_names = {});
 
-  void write(std::ostream& out) const;
-  static StructureData read(std::istream& in);
+  /// The `.dcst` bytes: magic, then the instruction, static-variable
+  /// and annotation tables, each a u32 count and its entries.
+  std::string serialize() const;
+  /// Parses bytes serialize() wrote; throws std::runtime_error on a bad
+  /// magic, a truncated table or an implausible string length.
+  static StructureData read(std::string_view bytes);
 
   // SymbolResolver:
   const InstrInfo* resolve_ip(Addr ip) const override;

@@ -3,6 +3,8 @@
 #include <array>
 #include <cstring>
 
+#include "binfmt/bytes.h"
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <nmmintrin.h>
 #define DCPROF_CRC32C_SSE42 1
@@ -100,6 +102,29 @@ std::uint32_t crc32c(const void* data, std::size_t len) {
   }
 #endif
   return crc32c_slice8(data, len);
+}
+
+std::uint32_t crc32c(std::string_view bytes) {
+  return crc32c(bytes.data(), bytes.size());
+}
+
+void seal(std::string& payload, std::uint32_t footer_magic) {
+  const std::uint64_t length = payload.size();
+  const std::uint32_t crc = crc32c(payload);
+  binfmt::put_u32(payload, footer_magic);
+  binfmt::put_u64(payload, length);
+  binfmt::put_u32(payload, crc);
+}
+
+std::string check_seal(std::string_view bytes, std::size_t payload_end,
+                       std::uint32_t footer_magic) {
+  binfmt::ByteReader footer(bytes.substr(payload_end, kSealBytes), "footer");
+  if (footer.u32() != footer_magic) return "bad footer magic";
+  if (footer.u64() != payload_end) return "payload length mismatch";
+  if (footer.u32() != crc32c(bytes.data(), payload_end)) {
+    return "checksum mismatch";
+  }
+  return {};
 }
 
 }  // namespace dcprof::core

@@ -8,8 +8,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/registry.h"
@@ -136,19 +134,15 @@ std::uint64_t write_measurement_dir(const fs::path& dir,
   fs::create_directories(dir);
   std::uint64_t bytes = 0;
   {
-    std::ostringstream buf;
-    structure.write(buf);
-    const std::string data = std::move(buf).str();
+    const std::string data = structure.serialize();
     write_file_atomic(dir / "structure.dcst", data);
     bytes += data.size();
   }
   for (const auto& p : profiles) {
-    std::ostringstream name;
-    name << "profile-" << p.rank << "-" << p.tid << ".dcpf";
-    std::ostringstream buf;
-    p.write(buf);
-    const std::string data = std::move(buf).str();
-    write_file_atomic(dir / name.str(), data);
+    const std::string name = "profile-" + std::to_string(p.rank) + "-" +
+                             std::to_string(p.tid) + ".dcpf";
+    const std::string data = p.serialize();
+    write_file_atomic(dir / name, data);
     bytes += data.size();
   }
   // Make the renames themselves durable before reporting success.
@@ -261,12 +255,15 @@ std::optional<fs::path> claim_profile_file(const fs::path& dir,
 
 binfmt::StructureData read_structure_file(const fs::path& dir) {
   const fs::path structure_path = dir / "structure.dcst";
-  std::ifstream in(structure_path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("no structure file in " + dir.string());
+  std::string bytes;
+  try {
+    bytes = read_file(structure_path);
+  } catch (const std::exception& e) {
+    throw std::runtime_error("no structure file in " + dir.string() + ": " +
+                             e.what());
   }
   try {
-    return binfmt::StructureData::read(in);
+    return binfmt::StructureData::read(bytes);
   } catch (const std::exception& e) {
     throw std::runtime_error(structure_path.string() + ": " + e.what());
   }

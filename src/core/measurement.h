@@ -118,8 +118,9 @@ std::filesystem::path quarantine_profile_file(
 std::optional<std::filesystem::path> claim_profile_file(
     const std::filesystem::path& dir, const std::filesystem::path& file);
 
-/// Reads `dir`'s structure file. Throws std::runtime_error naming the
-/// directory if the file is missing or unreadable.
+/// Reads `dir`'s structure file whole (read_file) and parses it. Throws
+/// std::runtime_error naming the directory if the file is missing or
+/// unreadable, and naming the file if it is malformed.
 binfmt::StructureData read_structure_file(const std::filesystem::path& dir);
 
 }  // namespace dcprof::core

@@ -1,90 +1,25 @@
 #include "core/profile.h"
 
 #include <algorithm>
-#include <cstring>
 #include <ostream>
 #include <stdexcept>
 #include <unordered_set>
 
+#include "binfmt/bytes.h"
 #include "core/checksum.h"
 
 namespace dcprof::core {
+
+using binfmt::ByteReader;
+using binfmt::put_str;
+using binfmt::put_u32;
+using binfmt::put_u64;
+using binfmt::put_u8;
 
 namespace {
 
 constexpr std::uint32_t kMagic = 0x64637066;        // "dcpf"
 constexpr std::uint32_t kFooterMagic = 0x64637074;  // "dcpt"
-
-void put_u8(std::string& o, std::uint8_t v) {
-  o.push_back(static_cast<char>(v));
-}
-void put_u32(std::string& o, std::uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  o.append(b, 4);
-}
-void put_u64(std::string& o, std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  o.append(b, 8);
-}
-
-/// Decodes straight out of an in-memory byte image (a file's contents)
-/// with no stream machinery and no intermediate buffer. It does not hash
-/// what it reads: the footer check hashes the whole payload in one
-/// `crc32c` call over the bytes before the footer. A short read sets a
-/// sticky fail flag, consumes nothing, and yields zeros, so `require`
-/// throws "truncated profile" at the first record that did not fully
-/// arrive.
-class ViewReader {
- public:
-  explicit ViewReader(std::string_view bytes) : bytes_(bytes) {}
-
-  std::uint8_t u8() {
-    const char* p = take(1);
-    return p ? static_cast<std::uint8_t>(static_cast<unsigned char>(*p)) : 0;
-  }
-  std::uint32_t u32() { return le<std::uint32_t>(take(4)); }
-  std::uint64_t u64() { return le<std::uint64_t>(take(8)); }
-  void read(char* dst, std::size_t n) {
-    const char* p = take(n);
-    if (p) std::memcpy(dst, p, n);
-  }
-
-  void require(const char* what) const {
-    if (fail_) {
-      throw std::runtime_error(std::string("truncated profile: ") + what);
-    }
-  }
-
-  std::string_view bytes() const { return bytes_; }
-  std::size_t offset() const { return off_; }
-
- private:
-  template <class T>
-  static T le(const char* p) {
-    T v = 0;
-    if (!p) return v;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<unsigned char>(p[i])) << (8 * i);
-    }
-    return v;
-  }
-  /// Consumes `n` bytes, or sets the fail flag and consumes nothing.
-  const char* take(std::size_t n) {
-    if (fail_ || bytes_.size() - off_ < n) {
-      fail_ = true;
-      return nullptr;
-    }
-    const char* p = bytes_.data() + off_;
-    off_ += n;
-    return p;
-  }
-
-  std::string_view bytes_;
-  std::size_t off_ = 0;
-  bool fail_ = false;
-};
 
 /// The one message for a version word this build does not read, shared
 /// by the structural scan and the framing check.
@@ -93,10 +28,6 @@ std::string unsupported_version(std::uint32_t version) {
          ": only version " + std::to_string(kProfileFormatVersion) +
          " is read; re-record with a current dcprof_measure";
 }
-
-/// Caps for length fields read from disk: a corrupt file must fail with
-/// a clear error instead of a multi-gigabyte allocation attempt.
-constexpr std::uint32_t kMaxStringBytes = 1u << 24;
 
 void write_cct(std::string& o, const Cct& cct) {
   put_u32(o, static_cast<std::uint32_t>(cct.size()));
@@ -124,34 +55,6 @@ void write_patterns(std::string& o, const AccessPatternTable& patterns) {
   }
 }
 
-/// Header, body and footer in one buffer. The footer carries a CRC32C
-/// over the header and body bytes already appended before it.
-std::string serialize(const ThreadProfile& p) {
-  std::string out;
-  put_u32(out, kMagic);
-  put_u32(out, kProfileFormatVersion);
-  put_u32(out, p.throttled() ? kProfileFlagThrottled : 0u);
-  put_u64(out, p.sampling_period);
-  put_u64(out, p.effective_period);
-  put_u32(out, static_cast<std::uint32_t>(p.rank));
-  put_u32(out, static_cast<std::uint32_t>(p.tid));
-  put_u32(out, static_cast<std::uint32_t>(p.strings.size()));
-  for (std::size_t i = 0; i < p.strings.size(); ++i) {
-    const std::string& s = p.strings.str(i);
-    put_u32(out, static_cast<std::uint32_t>(s.size()));
-    out += s;
-  }
-  for (const auto& c : p.ccts) write_cct(out, c);
-  write_patterns(out, p.patterns);
-
-  const std::size_t payload_bytes = out.size();
-  const std::uint32_t crc = crc32c(out);
-  put_u32(out, kFooterMagic);
-  put_u64(out, static_cast<std::uint64_t>(payload_bytes));
-  put_u32(out, crc);
-  return out;
-}
-
 }  // namespace
 
 const char* to_string(StorageClass c) {
@@ -171,15 +74,34 @@ std::uint64_t ThreadProfile::total_samples() const {
   return total;
 }
 
+std::string ThreadProfile::serialize() const {
+  std::string out;
+  put_u32(out, kMagic);
+  put_u32(out, kProfileFormatVersion);
+  put_u32(out, throttled() ? kProfileFlagThrottled : 0u);
+  put_u64(out, sampling_period);
+  put_u64(out, effective_period);
+  put_u32(out, static_cast<std::uint32_t>(rank));
+  put_u32(out, static_cast<std::uint32_t>(tid));
+  put_u32(out, static_cast<std::uint32_t>(strings.size()));
+  for (std::size_t i = 0; i < strings.size(); ++i) {
+    put_str(out, strings.str(i));
+  }
+  for (const auto& c : ccts) write_cct(out, c);
+  write_patterns(out, patterns);
+  seal(out, kFooterMagic);
+  return out;
+}
+
 void ThreadProfile::write(std::ostream& out) const {
-  const std::string bytes = serialize(*this);
+  const std::string bytes = serialize();
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 namespace {
 
 /// The format walk behind scan, read and read_salvage.
-void scan_profile(ViewReader& r, ProfileVisitor& visitor) {
+void scan_profile(ByteReader& r, ProfileVisitor& visitor) {
   const std::uint32_t magic = r.u32();
   r.require("header");
   if (magic != kMagic) throw std::runtime_error("bad profile magic");
@@ -206,14 +128,7 @@ void scan_profile(ViewReader& r, ProfileVisitor& visitor) {
   // intern and leave later static-variable name ids dangling.
   std::unordered_set<std::string> seen_strings;
   for (std::uint32_t i = 0; i < nstrings; ++i) {
-    const std::uint32_t len = r.u32();
-    r.require("string length");
-    if (len > kMaxStringBytes) {
-      throw std::runtime_error("corrupt profile: implausible string length");
-    }
-    s.assign(len, '\0');
-    r.read(s.data(), len);
-    r.require("string data");
+    r.str(s);
     if (!seen_strings.insert(s).second) {
       throw std::runtime_error("corrupt profile: duplicate string-table entry");
     }
@@ -301,18 +216,11 @@ void scan_profile(ViewReader& r, ProfileVisitor& visitor) {
   }
   // Footer: checksums every byte before it, in one pass.
   const std::size_t payload_end = r.offset();
-  const std::uint32_t footer_magic = r.u32();
-  const std::uint64_t payload_bytes = r.u64();
-  const std::uint32_t crc = r.u32();
+  r.view(kSealBytes);  // the footer, checked against the payload below
   r.require("footer");
-  if (footer_magic != kFooterMagic) {
-    throw std::runtime_error("corrupt profile: bad footer magic");
-  }
-  if (payload_bytes != payload_end) {
-    throw std::runtime_error("corrupt profile: payload length mismatch");
-  }
-  if (crc != crc32c(r.bytes().data(), payload_end)) {
-    throw std::runtime_error("corrupt profile: checksum mismatch");
+  if (const std::string why = check_seal(r.image(), payload_end, kFooterMagic);
+      !why.empty()) {
+    throw std::runtime_error("corrupt profile: " + why);
   }
 }
 
@@ -320,7 +228,7 @@ void scan_profile(ViewReader& r, ProfileVisitor& visitor) {
 
 std::size_t ThreadProfile::scan(std::string_view bytes,
                                 ProfileVisitor& visitor) {
-  ViewReader r(bytes);
+  ByteReader r(bytes, "profile");
   scan_profile(r, visitor);
   return r.offset();
 }
@@ -423,37 +331,17 @@ ThreadProfile ThreadProfile::read(std::string_view bytes) {
 }
 
 std::string ThreadProfile::check_framing(std::string_view bytes) {
-  constexpr std::size_t kFooterSize = 4 + 8 + 4;  // magic, size, crc
-  const auto u32_at = [&](std::size_t off) {
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) {
-      v = (v << 8) | static_cast<unsigned char>(bytes[off + i]);
-    }
-    return v;
-  };
-  const auto u64_at = [&](std::size_t off) {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) | static_cast<unsigned char>(bytes[off + i]);
-    }
-    return v;
-  };
-  if (bytes.size() < kFooterSize + 8) return "truncated profile";
-  if (u32_at(0) != kMagic) return "bad profile magic";
+  if (bytes.size() < kSealBytes + 8) return "truncated profile";
+  ByteReader header(bytes, "profile");
+  if (header.u32() != kMagic) return "bad profile magic";
   // The version word precedes the footer check, so a well-framed shard
   // of a foreign version is rejected up front with the remedy, never
   // part-way through a merge.
-  if (const std::uint32_t version = u32_at(4);
+  if (const std::uint32_t version = header.u32();
       version != kProfileFormatVersion) {
     return unsupported_version(version);
   }
-  const std::size_t footer = bytes.size() - kFooterSize;
-  if (u32_at(footer) != kFooterMagic) return "bad footer magic";
-  if (u64_at(footer + 4) != footer) return "payload size mismatch";
-  if (u32_at(footer + 12) != crc32c(bytes.substr(0, footer))) {
-    return "checksum mismatch";
-  }
-  return {};
+  return check_seal(bytes, bytes.size() - kSealBytes, kFooterMagic);
 }
 
 ThreadProfile ThreadProfile::read_salvage(std::string_view bytes,
@@ -475,10 +363,6 @@ ThreadProfile ThreadProfile::read_salvage(std::string_view bytes,
   out.records_kept = builder.kept();
   out.records_dropped = builder.dropped();
   return std::move(builder.profile);
-}
-
-std::uint64_t ThreadProfile::serialized_bytes() const {
-  return static_cast<std::uint64_t>(serialize(*this).size());
 }
 
 }  // namespace dcprof::core

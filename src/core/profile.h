@@ -125,6 +125,10 @@ struct ThreadProfile {
   /// Sum of kSamples over every CCT.
   std::uint64_t total_samples() const;
 
+  /// The `.dcpf` bytes: header, body and the sealing footer, built in
+  /// one string. Its size is the paper's space overhead.
+  std::string serialize() const;
+  /// Writes serialize() to `out`.
   void write(std::ostream& out) const;
   /// Deserializes a profile that must span exactly `bytes` (a `.dcpf`
   /// file's contents, or a checkpoint-embedded copy); trailing bytes
@@ -164,9 +168,6 @@ struct ThreadProfile {
   /// records kept.
   static ThreadProfile read_salvage(std::string_view bytes,
                                     SalvageResult& out);
-
-  /// Size of the serialized form, in bytes (the paper's space overhead).
-  std::uint64_t serialized_bytes() const;
 };
 
 }  // namespace dcprof::core

@@ -53,7 +53,7 @@ class TraceRecorder {
   }
 
   /// Serialized size: the honest apples-to-apples comparison against
-  /// ThreadProfile::serialized_bytes().
+  /// ThreadProfile::serialize().size().
   std::uint64_t serialized_bytes() const;
   void write(std::ostream& out) const;
 

@@ -3,7 +3,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -31,11 +30,7 @@ struct RunOutput {
 };
 
 void serialize_into(RunOutput& out) {
-  for (const auto& p : out.profiles) {
-    std::ostringstream ss;
-    p.write(ss);
-    out.bytes.push_back(std::move(ss).str());
-  }
+  for (const auto& p : out.profiles) out.bytes.push_back(p.serialize());
 }
 
 /// One single-process workload execution. `oracle == false`: the
@@ -150,10 +145,7 @@ void judge(const RunOutput& prod, const RunOutput& oracle,
     for (const auto& b : prod.bytes) copy.push_back(ThreadProfile::read(b));
     const ThreadProfile reduced = analysis::reduce(std::move(copy));
     const ThreadProfile oreduced = oracle_reduce(prod.profiles);
-    std::ostringstream a, b;
-    reduced.write(a);
-    oreduced.write(b);
-    if (a.str() != b.str()) {
+    if (reduced.serialize() != oreduced.serialize()) {
       report.failures.push_back("reduce diverges from oracle reduce");
     }
   }

@@ -1,7 +1,6 @@
 #include "verify/fuzz_dcpf.h"
 
 #include <cstdio>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -119,12 +118,6 @@ ThreadProfile make_deep() {
   return p;
 }
 
-std::string serialized(const ThreadProfile& p) {
-  std::ostringstream out;
-  p.write(out);
-  return std::move(out).str();
-}
-
 // --- Mutation ----------------------------------------------------------
 
 /// Recomputes the footer over everything before it, as a buggy writer
@@ -132,19 +125,9 @@ std::string serialized(const ThreadProfile& p) {
 /// is hit), and only the structural checks stand between the mutated
 /// records and an aggregate — the poison-shard case.
 void reseal(std::string& b) {
-  constexpr std::size_t kFooterBytes = 4 + 8 + 4;
-  if (b.size() < kFooterBytes) return;
-  b.resize(b.size() - kFooterBytes);
-  const std::uint64_t size = b.size();
-  const std::uint32_t crc = core::crc32c(b);
-  const auto put = [&](std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      b.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  };
-  put(0x64637074u, 4);  // "dcpt"
-  put(size, 8);
-  put(crc, 4);
+  if (b.size() < core::kSealBytes) return;
+  b.resize(b.size() - core::kSealBytes);
+  core::seal(b, 0x64637074u);  // "dcpt"
 }
 
 std::string mutate(const std::string& base, Rng& rng) {
@@ -214,9 +197,9 @@ struct NullVisitor final : core::ProfileVisitor {};
 }  // namespace
 
 std::vector<std::string> builtin_corpus() {
-  return {serialized(ThreadProfile{}), serialized(make_basic()),
-          serialized(make_throttled()), serialized(make_strings_heavy()),
-          serialized(make_deep())};
+  return {ThreadProfile{}.serialize(), make_basic().serialize(),
+          make_throttled().serialize(), make_strings_heavy().serialize(),
+          make_deep().serialize()};
 }
 
 std::vector<std::string> builtin_corpus_names() {
@@ -322,7 +305,7 @@ FuzzCaseResult run_fuzz_case(std::uint64_t case_seed,
     if (scan_ok) fails.push_back("merge_serialized rejected what scan accepted");
     ThreadProfile expected = make_basic();
     if (sr.records_kept > 0) analysis::merge_into(expected, prefix);
-    if (serialized(dst) != serialized(expected)) {
+    if (dst.serialize() != expected.serialize()) {
       fails.push_back(
           "failed merge_serialized differs from merging the salvaged prefix");
     }

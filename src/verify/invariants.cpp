@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -212,13 +211,10 @@ CheckResult check_profile(const ThreadProfile& p, const CheckOptions& opts) {
   }
   check_patterns(p, out);
   if (opts.roundtrip) {
-    std::ostringstream first;
-    p.write(first);
+    const std::string first = p.serialize();
     try {
-      const ThreadProfile reread = ThreadProfile::read(first.str());
-      std::ostringstream second;
-      reread.write(second);
-      if (second.str() != first.str()) {
+      const ThreadProfile reread = ThreadProfile::read(first);
+      if (reread.serialize() != first) {
         out.violations.push_back(
             "serialization round-trip is not byte-identical");
       }

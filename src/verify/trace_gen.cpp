@@ -1,7 +1,6 @@
 #include "verify/trace_gen.h"
 
 #include <functional>
-#include <sstream>
 #include <utility>
 
 #include "analysis/merge.h"
@@ -218,11 +217,7 @@ ModeResult run_mode(const TraceConfig& cfg, std::uint64_t seed, Mode mode) {
                        [&](const pmu::Sample& s) { prof.handle_sample(s); });
     out.profiles = prof.take_profiles();
   }
-  for (const auto& p : out.profiles) {
-    std::ostringstream ss;
-    p.write(ss);
-    out.bytes.push_back(std::move(ss).str());
-  }
+  for (const auto& p : out.profiles) out.bytes.push_back(p.serialize());
   return out;
 }
 
@@ -301,10 +296,7 @@ TraceReport run_trace_differential(std::uint64_t seed) {
     for (const auto& b : fast.bytes) copy.push_back(ThreadProfile::read(b));
     const ThreadProfile reduced = analysis::reduce(std::move(copy));
     const ThreadProfile oreduced = oracle_reduce(fast.profiles);
-    std::ostringstream a, b;
-    reduced.write(a);
-    oreduced.write(b);
-    if (a.str() != b.str()) {
+    if (reduced.serialize() != oreduced.serialize()) {
       report.failures.push_back("reduce diverges from oracle reduce");
     }
   }

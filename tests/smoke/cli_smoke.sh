@@ -8,7 +8,10 @@
 # --metrics-json fails with exit 1 instead of reporting it was written.
 # A numeric value that would wrap or truncate (--threads 2^32+1,
 # --period -1, dcprof_analyze --workers 2^32+1) is a usage error too, as
-# is the removed --throttle-budget option.
+# is the removed --throttle-budget option. dcprof_analyze's corrupt-file
+# policy is one option: --policy strict exits 1 naming a truncated shard,
+# --policy quarantine moves it into quarantine/, and --strict (the old
+# flag) or an unknown policy is a usage error.
 #
 #   cli_smoke.sh <dcprof_measure> <dcprof_analyze>
 set -u
@@ -88,5 +91,24 @@ expect_usage_error 'bad value for --workers' \
     "$analyze" "$tmpdir/meas" --workers 4294967297
 expect_usage_error 'unknown option --throttle-budget' \
     "$measure" nw "$tmpdir/bad" --throttle-budget 1
+
+cp -r "$tmpdir/meas" "$tmpdir/corrupt" || fail "cannot copy the measurement"
+bad=$(ls "$tmpdir/corrupt"/*.dcpf | head -n 1)
+bad_name=$(basename "$bad")
+truncate -s 100 "$bad" || fail "cannot truncate $bad_name"
+"$analyze" "$tmpdir/corrupt" --policy strict > "$tmpdir/strict.out" 2>&1
+rc=$?
+[ "$rc" -eq 1 ] || fail "--policy strict exited $rc, expected 1"
+grep -q -- "$bad_name" "$tmpdir/strict.out" \
+    || fail "--policy strict did not name $bad_name"
+"$analyze" "$tmpdir/corrupt" --policy quarantine > "$tmpdir/quarantine.out" \
+    2>&1 || fail "--policy quarantine exited $?"
+[ -f "$tmpdir/corrupt/quarantine/$bad_name" ] \
+    || fail "--policy quarantine did not move $bad_name into quarantine/"
+[ ! -e "$bad" ] || fail "--policy quarantine left $bad_name in place"
+expect_usage_error 'unknown option --strict' \
+    "$analyze" "$tmpdir/meas" --strict
+expect_usage_error "unknown --policy 'bogus'" \
+    "$analyze" "$tmpdir/meas" --policy bogus
 
 echo "cli_smoke OK"

@@ -20,7 +20,9 @@
 
 #include "analysis/ingest.h"
 #include "analysis/pipeline.h"
+#include "binfmt/bytes.h"
 #include "binfmt/load_module.h"
+#include "core/checksum.h"
 #include "core/measurement.h"
 #include "core/profile.h"
 #include "obs/registry.h"
@@ -109,10 +111,10 @@ std::string shard_name(std::uint64_t i) {
 
 void write_structure(const fs::path& dir) {
   fs::create_directories(dir);
-  binfmt::ModuleRegistry no_modules;
-  std::ostringstream buf;
-  binfmt::StructureData::capture(no_modules).write(buf);
-  core::write_file_atomic(dir / "structure.dcst", std::move(buf).str());
+  const binfmt::ModuleRegistry no_modules;
+  const std::string bytes =
+      binfmt::StructureData::capture(no_modules).serialize();
+  core::write_file_atomic(dir / "structure.dcst", bytes);
 }
 
 void write_shard(const fs::path& dir, std::uint64_t i) {
@@ -134,9 +136,10 @@ void write_fleet(const fs::path& dir, std::size_t n,
 /// The ground truth every ingestion run must reproduce: a one-shot,
 /// single-worker batch analysis of the same shards.
 std::string batch_merged_bytes(const fs::path& dir) {
-  const Analyzer batch(
-      Analyzer::Options{}.with_workers(1).with_views(kViewNone));
-  return serialized(batch.run(dir).merged);
+  Analyzer::Options opts;
+  opts.workers = 1;
+  opts.views = kViewNone;
+  return serialized(Analyzer(opts).run(dir).merged);
 }
 
 IngestOptions opts_for(const fs::path& dir) {
@@ -317,6 +320,32 @@ TEST(Ingest, TruncatedOrCorruptCheckpointRejectedEveryByte) {
   EXPECT_EQ(service.stats().files, 3u);
 }
 
+// A checkpoint is sealed before it is parsed, so a malformed one can
+// only come from a writer bug. One whose manifest count reads 2^32-1 and
+// then ends is rejected at the first missing entry, not after looping
+// over four billion empty ones.
+TEST(Ingest, SealedCheckpointWithHugeManifestCountRejectedPromptly) {
+  TempDir dir;
+  write_fleet(dir.path, 1);
+  const IngestOptions opts = opts_for(dir.path);
+  std::string payload;
+  binfmt::put_u32(payload, 0x6463636bu);  // "dcck"
+  binfmt::put_u32(payload, 1);            // version
+  for (int i = 0; i < 5; ++i) binfmt::put_u64(payload, 0);  // counters
+  binfmt::put_u32(payload, 0xffffffffu);  // manifest entries
+  core::seal(payload, 0x64636b74u);       // "dckt"
+  core::write_file_atomic(opts.checkpoint, payload);
+  try {
+    IngestService service(dir.path, opts);
+    ADD_FAILURE() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("truncated checkpoint: string length"),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(Ingest, ClaimRetiresShardsAndBoundsManifest) {
   TempDir dir;
   write_fleet(dir.path, 20);
@@ -397,35 +426,75 @@ TEST(Ingest, CorruptShardSkippedOncePolicySkip) {
   EXPECT_EQ(st.files, 5u);
 }
 
+// Unbounded polls, and polls of 2 that resume their listing: the
+// rollback must drop the rest of the listing, or the shards after the
+// poison one would fold before the rolled-back ones.
 TEST(Ingest, PoisonShardRollsBackToCheckpointAndRecovers) {
+  for (const std::size_t bound : {0, 2}) {
+    SCOPED_TRACE("max_files_per_poll " + std::to_string(bound));
+    TempDir dir;
+    TempDir pristine;
+    write_fleet(dir.path, 8, &pristine.path);
+    // Shard 3 turns poison: checksum intact, structure truncated. The
+    // pristine batch reference simply never contains it.
+    core::write_file_atomic(dir.path / shard_name(3),
+                            test::poisoned_shard(serialized(make_profile(3))));
+    fs::remove(pristine.path / shard_name(3));
+
+    IngestOptions opts = opts_for(dir.path);
+    opts.claim = false;
+    opts.checkpoint_every = 2;  // a durable checkpoint precedes the poison
+    opts.max_files_per_poll = bound;
+    IngestService service(dir.path, opts);
+    while (service.poll_once() != 0) {
+    }
+
+    const IngestStats st = service.stats();
+    EXPECT_EQ(st.files, 7u);
+    EXPECT_EQ(st.skipped, 1u);
+    ASSERT_EQ(st.skip_reasons.size(), 1u);
+    EXPECT_NE(st.skip_reasons[0].find(shard_name(3)), std::string::npos);
+    // The mid-merge failure rewound to the last checkpoint — the same
+    // code path as a process restart, so it counts as a resume.
+    EXPECT_GE(st.resumes, 1u);
+    // The clean shards re-folded in sorted order: the aggregate is
+    // byte-identical to a batch run that never saw the poison shard.
+    ASSERT_NE(service.merged(), nullptr);
+    EXPECT_EQ(serialized(*service.merged()),
+              batch_merged_bytes(pristine.path));
+  }
+}
+
+// A bounded poll keeps the rest of its listing: the next poll folds that
+// rest first and lists again only once it is used up, so a shard that
+// arrives in between is folded later in the same drain, not lost.
+TEST(Ingest, ShardArrivingBetweenBoundedPollsFoldsLaterInTheDrain) {
   TempDir dir;
   TempDir pristine;
-  write_fleet(dir.path, 8, &pristine.path);
-  // Shard 3 turns poison: checksum intact, structure truncated. The
-  // pristine batch reference simply never contains it.
-  core::write_file_atomic(dir.path / shard_name(3),
-                          test::poisoned_shard(serialized(make_profile(3))));
-  fs::remove(pristine.path / shard_name(3));
-
+  write_structure(dir.path);
+  write_structure(pristine.path);
+  for (std::uint64_t i = 4; i < 10; ++i) {
+    write_shard(dir.path, i);
+    write_shard(pristine.path, i);
+  }
   IngestOptions opts = opts_for(dir.path);
-  opts.claim = false;
-  opts.checkpoint_every = 2;  // a durable checkpoint exists before the poison
+  opts.checkpoint_every = 1;  // each fold is claimed at once
+  opts.max_files_per_poll = 2;
   IngestService service(dir.path, opts);
+  EXPECT_EQ(service.poll_once(), 2u);  // shards 4 and 5
+  write_shard(dir.path, 0);  // sorts before the rest of the listing
+  write_shard(pristine.path, 0);
+  EXPECT_EQ(service.poll_once(), 2u);  // shards 6 and 7, from the listing
+  EXPECT_TRUE(fs::exists(dir.path / shard_name(0)));
   while (service.poll_once() != 0) {
   }
-
-  const IngestStats st = service.stats();
-  EXPECT_EQ(st.files, 7u);
-  EXPECT_EQ(st.skipped, 1u);
-  ASSERT_EQ(st.skip_reasons.size(), 1u);
-  EXPECT_NE(st.skip_reasons[0].find(shard_name(3)), std::string::npos);
-  // The mid-merge failure rewound to the last checkpoint — the same
-  // code path as a process restart, so it counts as a resume.
-  EXPECT_GE(st.resumes, 1u);
-  // The clean shards re-folded in sorted order: the aggregate is
-  // byte-identical to a batch run that never saw the poison shard.
+  EXPECT_FALSE(fs::exists(dir.path / shard_name(0)));
+  EXPECT_EQ(service.stats().files, 7u);
+  const ThreadProfile merged =
+      ThreadProfile::read(batch_merged_bytes(pristine.path));
+  std::string why;
   ASSERT_NE(service.merged(), nullptr);
-  EXPECT_EQ(serialized(*service.merged()), batch_merged_bytes(pristine.path));
+  EXPECT_TRUE(verify::canonical_equal(*service.merged(), merged, &why)) << why;
 }
 
 // A well-framed shard of a version this build does not read (here a
@@ -504,9 +573,8 @@ TEST(Ingest, OutOfOrderArrivalsCanonicallyEqualBatch) {
   EXPECT_EQ(service.poll_once(), 5u);
   for (std::uint64_t i = 0; i < 5; ++i) write_shard(dir.path, i);
   EXPECT_EQ(service.poll_once(), 5u);
-  const Analyzer batch(
-      Analyzer::Options{}.with_workers(1).with_views(kViewNone));
-  const ThreadProfile merged = batch.run(pristine.path).merged;
+  const ThreadProfile merged =
+      ThreadProfile::read(batch_merged_bytes(pristine.path));
   std::string why;
   ASSERT_NE(service.merged(), nullptr);
   EXPECT_TRUE(verify::canonical_equal(*service.merged(), merged, &why)) << why;

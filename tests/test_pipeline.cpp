@@ -287,21 +287,12 @@ TEST(Pipeline, ViewSelectionAndTopNAreHonored) {
 }
 
 TEST(Pipeline, OptionsBuilderChainsAndAggregateInitStillWorks) {
-  // The fluent setters configure the same fields as direct assignment.
-  const Analyzer::Options built = Analyzer::Options{}
-                                      .with_workers(3)
-                                      .with_top_n(7)
-                                      .with_sort_metric(Metric::kSamples)
-                                      .with_views(kViewSummary)
-                                      .add_views(kViewAdvice)
-                                      .with_policy(CorruptPolicy::kStrict)
-                                      .with_salvage();
-  EXPECT_EQ(built.workers, 3);
-  EXPECT_EQ(built.top_n, 7u);
-  EXPECT_EQ(built.sort_metric, Metric::kSamples);
-  EXPECT_EQ(built.views, kViewSummary | kViewAdvice);
-  EXPECT_EQ(built.corrupt_policy, CorruptPolicy::kStrict);
-  EXPECT_TRUE(built.salvage);
+  // add_views ORs into the view mask and chains; every other option is
+  // a field assigned directly.
+  Analyzer::Options built;
+  built.views = kViewSummary;
+  built.add_views(kViewAdvice).add_views(kViewThreads);
+  EXPECT_EQ(built.views, kViewSummary | kViewAdvice | kViewThreads);
 
   // Options must remain an aggregate: designated initialization of a
   // subset of fields (as existing call sites do) still compiles.
@@ -310,17 +301,15 @@ TEST(Pipeline, OptionsBuilderChainsAndAggregateInitStillWorks) {
   EXPECT_EQ(aggregate.top_n, 5u);
   EXPECT_EQ(aggregate.sort_metric, Metric::kLatency);  // default survives
 
-  // A builder-configured Analyzer produces the same result as one
-  // configured by direct field assignment.
+  // An aggregate-initialized Analyzer produces the same result as one
+  // configured by field assignment.
   TempDir dir;
   write_synthetic_dir(dir.path, 4);
   Analyzer::Options direct;
   direct.workers = 2;
-  direct.top_n = 3;
+  direct.top_n = 5;
   const AnalysisResult a = Analyzer(direct).run(dir.path);
-  const AnalysisResult b =
-      Analyzer(Analyzer::Options{}.with_workers(2).with_top_n(3))
-          .run(dir.path);
+  const AnalysisResult b = Analyzer(aggregate).run(dir.path);
   EXPECT_EQ(serialized(a.merged), serialized(b.merged));
   EXPECT_EQ(a.variables.size(), b.variables.size());
   EXPECT_EQ(a.workers_used, b.workers_used);

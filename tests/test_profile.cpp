@@ -110,7 +110,7 @@ TEST(ThreadProfile, SerializedBytesMatchesStreamSize) {
   const ThreadProfile p = sample_profile();
   std::stringstream buffer;
   p.write(buffer);
-  EXPECT_EQ(p.serialized_bytes(), buffer.str().size());
+  EXPECT_EQ(p.serialize().size(), buffer.str().size());
 }
 
 TEST(ThreadProfile, CompactnessGrowsSublinearlyWithRepeats) {
@@ -123,13 +123,13 @@ TEST(ThreadProfile, CompactnessGrowsSublinearlyWithRepeats) {
   MetricVec m;
   m[Metric::kSamples] = 1;
   heap.add_metrics(leaf, m);
-  const auto size_once = p.serialized_bytes();
+  const auto size_once = p.serialize().size();
   for (int i = 0; i < 1000; ++i) {
     heap.add_metrics(heap.insert_path(Cct::kRootId, path,
                                       NodeKind::kLeafInstr, 0x9),
                      m);
   }
-  EXPECT_EQ(p.serialized_bytes(), size_once);
+  EXPECT_EQ(p.serialize().size(), size_once);
 }
 
 TEST(StorageClassNames, Stable) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
-#include <sstream>
+#include <string>
+#include <string_view>
 
 #include "core/measurement.h"
 #include "sim/address_space.h"
@@ -65,9 +67,9 @@ TEST(StructureData, ResolvesLikeTheLiveRegistry) {
 TEST(StructureData, RoundTripsThroughSerialization) {
   Fixture f;
   const StructureData original = StructureData::capture(f.registry, f.names);
-  std::stringstream buffer;
-  original.write(buffer);
-  const StructureData copy = StructureData::read(buffer);
+  const std::string bytes = original.serialize();
+  const StructureData copy = StructureData::read(bytes);
+  EXPECT_EQ(copy.serialize(), bytes);
 
   EXPECT_EQ(copy.num_instrs(), original.num_instrs());
   EXPECT_EQ(copy.num_static_vars(), original.num_static_vars());
@@ -82,20 +84,44 @@ TEST(StructureData, RoundTripsThroughSerialization) {
 }
 
 TEST(StructureData, BadMagicRejected) {
-  std::stringstream buffer;
-  buffer << "garbage";
-  EXPECT_THROW(StructureData::read(buffer), std::runtime_error);
+  EXPECT_THROW(StructureData::read("garbage"), std::runtime_error);
 }
 
+// Every proper prefix of a structure file is rejected: the reader
+// returns zeros past the end, so each table entry must end in a checked
+// read.
 TEST(StructureData, TruncatedStreamRejected) {
   Fixture f;
-  const StructureData original = StructureData::capture(f.registry, f.names);
-  std::stringstream buffer;
-  original.write(buffer);
-  std::string bytes = buffer.str();
-  bytes.resize(bytes.size() - 10);
-  std::stringstream truncated(bytes);
-  EXPECT_THROW(StructureData::read(truncated), std::runtime_error);
+  const std::string bytes =
+      StructureData::capture(f.registry, f.names).serialize();
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_THROW(StructureData::read(std::string_view(bytes).substr(0, cut)),
+                 std::runtime_error)
+        << "cut at " << cut << " of " << bytes.size();
+  }
+  EXPECT_NO_THROW(StructureData::read(bytes));
+}
+
+// A table count of 2^32-1 with nothing after it throws at the first
+// missing entry instead of looping over four billion zero entries.
+TEST(StructureData, HugeCountThatEndsThrowsPromptly) {
+  const auto u32 = [](std::uint32_t v) {
+    std::string b;
+    for (int i = 0; i < 4; ++i) b.push_back(static_cast<char>(v >> (8 * i)));
+    return b;
+  };
+  const std::string magic = u32(0x64637374);  // "dcst"
+  const std::string huge = u32(0xffffffffu);
+  const std::string none = u32(0);
+  for (const std::string& bytes :
+       {magic + huge, magic + none + huge, magic + none + none + huge}) {
+    try {
+      StructureData::read(bytes);
+      ADD_FAILURE() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "truncated structure file: string length");
+    }
+  }
 }
 
 // A string length past the `.dcpf` reader's 16 MiB cap is corruption:
@@ -103,9 +129,8 @@ TEST(StructureData, TruncatedStreamRejected) {
 // then reported as truncated.
 TEST(StructureData, ImplausibleStringLengthRejected) {
   ModuleRegistry empty;
-  std::stringstream header;
-  StructureData::capture(empty).write(header);
-  std::string bytes = header.str().substr(0, 4);  // the magic
+  // The magic, then one instruction whose name is implausibly long.
+  std::string bytes = StructureData::capture(empty).serialize().substr(0, 4);
   const auto put = [&bytes](std::uint64_t v, int n) {
     for (int i = 0; i < n; ++i) {
       bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -115,9 +140,8 @@ TEST(StructureData, ImplausibleStringLengthRejected) {
   put(0x1000, 8);               // its ip
   put((1u << 24) + 1, 4);       // function name: 16 MiB + 1 bytes claimed,
   bytes.append("main");         // 4 present
-  std::stringstream in(bytes);
   try {
-    StructureData::read(in);
+    StructureData::read(bytes);
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(),
@@ -145,9 +169,7 @@ TEST(StructureData, ImplausibleStringLengthRejected) {
 TEST(StructureData, EmptyRegistryRoundTrips) {
   ModuleRegistry empty;
   const StructureData data = StructureData::capture(empty);
-  std::stringstream buffer;
-  data.write(buffer);
-  const StructureData copy = StructureData::read(buffer);
+  const StructureData copy = StructureData::read(data.serialize());
   EXPECT_EQ(copy.num_instrs(), 0u);
   EXPECT_EQ(copy.num_static_vars(), 0u);
 }

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "analysis/views.h"
 #include "analysis/whatif.h"
 #include "core/checksum.h"
@@ -321,15 +319,21 @@ struct DetRun {
   sim::Cycles cycles = 0;
   double checksum = 0;
   std::vector<std::uint32_t> profile_crcs;  ///< crc32c of each .dcpf
+  /// crc32c of each process's .dcst, as dcprof_measure captures it.
+  std::vector<std::uint32_t> structure_crcs;
 };
 
 void add_profile_crcs(DetRun& out,
                       const std::vector<core::ThreadProfile>& profiles) {
   for (const auto& p : profiles) {
-    std::ostringstream ss;
-    p.write(ss);
-    out.profile_crcs.push_back(core::crc32c(ss.str()));
+    out.profile_crcs.push_back(core::crc32c(p.serialize()));
   }
+}
+
+std::uint32_t structure_crc(ProcessCtx& proc) {
+  return core::crc32c(
+      binfmt::StructureData::capture(proc.modules(), proc.alloc_names())
+          .serialize());
 }
 
 template <typename Workload, typename Params>
@@ -342,6 +346,7 @@ DetRun det_run_single(const char* exe, int threads, const Params& prm,
   DetRun out;
   out.cycles = r.sim_cycles;
   out.checksum = r.checksum;
+  out.structure_crcs.push_back(structure_crc(proc));
   add_profile_crcs(out, proc.take_profiles());
   return out;
 }
@@ -356,6 +361,7 @@ TEST(DetReference, Amg) {
                 2441082381u, 3729969354u, 1165283325u, 14903316u, 540678668u,
                 2078574897u, 890695407u, 3190339280u, 657035047u,
                 541396639u, 2873829493u, 4177765212u}));
+  EXPECT_EQ(r.structure_crcs, (std::vector<std::uint32_t>{1985485866u}));
 }
 
 TEST(DetReference, Lulesh) {
@@ -369,6 +375,7 @@ TEST(DetReference, Lulesh) {
             (std::vector<std::uint32_t>{
                 3189324769u, 4134731763u, 1527933081u, 170250465u, 448364785u,
                 1938104656u, 2414313538u, 622676695u}));
+  EXPECT_EQ(r.structure_crcs, (std::vector<std::uint32_t>{4195745326u}));
 }
 
 // The profile runs above leave sim::OverrideMap empty; what-if re-runs
@@ -432,6 +439,7 @@ TEST(DetReference, Streamcluster) {
             (std::vector<std::uint32_t>{
                 1314961526u, 2466502902u, 85675852u, 3213652570u, 3488101069u,
                 145832552u, 2146144690u, 1035694919u}));
+  EXPECT_EQ(r.structure_crcs, (std::vector<std::uint32_t>{911104232u}));
 }
 
 TEST(DetReference, Nw) {
@@ -444,6 +452,7 @@ TEST(DetReference, Nw) {
             (std::vector<std::uint32_t>{
                 2745033563u, 2285653794u, 2821174089u, 3120541512u,
                 1711440874u, 1619018950u, 3355413347u, 1162153146u}));
+  EXPECT_EQ(r.structure_crcs, (std::vector<std::uint32_t>{3533167138u}));
 }
 
 TEST(DetReference, Sweep3d) {
@@ -455,6 +464,8 @@ TEST(DetReference, Sweep3d) {
   const auto n = static_cast<std::size_t>(prm.ranks);
   std::vector<RunResult> results(n);
   std::vector<std::vector<core::ThreadProfile>> profiles(n);
+  DetRun r;
+  r.structure_crcs.resize(n);
   rt::Cluster cluster(prm.ranks, rank_config(), /*threads_per_rank=*/1);
   cluster.run([&](rt::Rank& rank) {
     ProcessCtx proc(rank, "sweep3d");
@@ -462,9 +473,9 @@ TEST(DetReference, Sweep3d) {
     Sweep3dRank w(proc, prm, &rank);
     const auto id = static_cast<std::size_t>(rank.id());
     results[id] = w.run();
+    r.structure_crcs[id] = structure_crc(proc);
     profiles[id] = proc.take_profiles();
   });
-  DetRun r;
   for (std::size_t i = 0; i < n; ++i) {
     r.cycles = std::max(r.cycles, results[i].sim_cycles);
     r.checksum += results[i].checksum;
@@ -475,6 +486,9 @@ TEST(DetReference, Sweep3d) {
   EXPECT_EQ(r.profile_crcs,
             (std::vector<std::uint32_t>{
                 457237120u, 759435882u, 2023410454u, 112708791u}));
+  EXPECT_EQ(r.structure_crcs,
+            (std::vector<std::uint32_t>{4235008347u, 4235008347u, 4235008347u,
+                                        4235008347u}));
 }
 
 }  // namespace

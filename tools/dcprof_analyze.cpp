@@ -4,7 +4,8 @@
 //   dcprof_analyze <measurement-dir> [--metric samples|latency|rdram]
 //                  [--workers N] [--top N]
 //                  [--top-down heap|static|stack|unknown] [--advice]
-//                  [--html <file>] [--strict] [--quarantine] [--salvage]
+//                  [--html <file>] [--policy strict|skip|quarantine]
+//                  [--salvage]
 //                  [--metrics-json <file>] [--trace-out <file>]
 //                  [--dot-out <file>] [--folded-out <file>]
 //                  [--export-var <name>] [--progress] [--overhead]
@@ -31,9 +32,10 @@
 // the hot-access view, the code-centric flat view, the memory-level /
 // reuse-distance / stride views (v4 profiles), and (with --advice)
 // optimization guidance. Corrupt profile files are skipped and counted
-// by default; --strict aborts on the first one, --quarantine also moves
-// them into <dir>/quarantine/, and --salvage folds each corrupt file's
-// valid record prefix into the merge (recovery mode).
+// by default (--policy skip); --policy strict aborts on the first one,
+// --policy quarantine also moves them into <dir>/quarantine/, and
+// --salvage folds each corrupt file's valid record prefix into the merge
+// (recovery mode).
 
 #include <algorithm>
 #include <chrono>
@@ -86,8 +88,7 @@ int main(int argc, char** argv) {
   int top_n = 0;
   std::string top_down_class;
   bool advice = false;
-  bool strict = false;
-  bool quarantine = false;
+  std::string policy = "skip";
   bool salvage = false;
   bool progress = false;
   bool overhead = false;
@@ -112,9 +113,8 @@ int main(int argc, char** argv) {
            "heap|static|stack|unknown");
   p.flag("--advice", &advice, "print optimization guidance");
   p.option("--html", &html_path, "write an HTML report here", "FILE");
-  p.flag("--strict", &strict, "abort on the first corrupt profile file");
-  p.flag("--quarantine", &quarantine,
-         "move corrupt profile files into <dir>/quarantine/");
+  p.option("--policy", &policy, "corrupt-profile policy",
+           "strict|skip|quarantine");
   p.flag("--salvage", &salvage,
          "fold corrupt files' valid record prefixes into the merge");
   p.flag("--progress", &progress, "print a heartbeat as profiles fold");
@@ -140,19 +140,19 @@ int main(int argc, char** argv) {
 
   analysis::Analyzer::Options opts;
   if (metric_name == "samples") {
-    opts.with_sort_metric(core::Metric::kSamples);
+    opts.sort_metric = core::Metric::kSamples;
   } else if (metric_name == "latency") {
-    opts.with_sort_metric(core::Metric::kLatency);
+    opts.sort_metric = core::Metric::kLatency;
   } else if (metric_name == "rdram") {
-    opts.with_sort_metric(core::Metric::kRemoteDram);
+    opts.sort_metric = core::Metric::kRemoteDram;
   } else {
     return p.error("unknown metric: " + metric_name);
   }
   if (p.seen("--workers")) {
     if (workers < 1) return p.error("--workers must be >= 1");
-    opts.with_workers(workers);
+    opts.workers = workers;
   }
-  if (top_n > 0) opts.with_top_n(static_cast<std::size_t>(top_n));
+  if (top_n > 0) opts.top_n = static_cast<std::size_t>(top_n);
   // --whatif exists to attach exact predictions to the guidance, so it
   // implies the advice view; the thread view gives it the team size.
   if (advice || !whatif_workload.empty()) {
@@ -160,14 +160,17 @@ int main(int argc, char** argv) {
   }
   if (!whatif_workload.empty()) opts.add_views(analysis::kViewThreads);
   if (overhead) opts.add_views(analysis::kViewOverhead);
-  if (strict) opts.with_policy(analysis::CorruptPolicy::kStrict);
-  if (quarantine) opts.with_policy(analysis::CorruptPolicy::kQuarantine);
-  if (salvage) opts.with_salvage();
+  if (const auto parsed = analysis::parse_corrupt_policy(policy)) {
+    opts.corrupt_policy = *parsed;
+  } else {
+    return p.error("unknown --policy '" + policy + "'");
+  }
+  opts.salvage = salvage;
   if (progress) {
-    opts.with_progress([](std::size_t done, std::size_t total) {
+    opts.progress = [](std::size_t done, std::size_t total) {
       std::fprintf(stderr, "progress: %zu/%zu profiles folded\n", done,
                    total);
-    });
+    };
   }
   if (!top_down_class.empty() && top_down_class != "heap" &&
       top_down_class != "static" && top_down_class != "stack" &&

@@ -82,16 +82,8 @@ int main(int argc, char** argv) {
   p.flag("--verbose", &verbose, "log per-poll activity");
   if (auto rc = p.parse(argc, argv)) return *rc;
 
-  analysis::CorruptPolicy corrupt_policy;
-  if (policy == "strict") {
-    corrupt_policy = analysis::CorruptPolicy::kStrict;
-  } else if (policy == "skip") {
-    corrupt_policy = analysis::CorruptPolicy::kSkip;
-  } else if (policy == "quarantine") {
-    corrupt_policy = analysis::CorruptPolicy::kQuarantine;
-  } else {
-    return p.error("unknown --policy '" + policy + "'");
-  }
+  const auto corrupt_policy = analysis::parse_corrupt_policy(policy);
+  if (!corrupt_policy) return p.error("unknown --policy '" + policy + "'");
 
   std::vector<fs::path> dirs;
   for (std::size_t start = 0; start <= dir_arg.size();) {
@@ -108,7 +100,7 @@ int main(int argc, char** argv) {
                                        : fs::path(checkpoint);
   opts.checkpoint_every = static_cast<std::size_t>(checkpoint_every);
   opts.max_files_per_poll = static_cast<std::size_t>(max_files_per_poll);
-  opts.corrupt_policy = corrupt_policy;
+  opts.corrupt_policy = *corrupt_policy;
   opts.claim = !no_claim;
 
   std::signal(SIGINT, on_signal);
