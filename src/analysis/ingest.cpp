@@ -55,15 +55,12 @@ void IngestService::load_checkpoint() {
     }
     // Footer first: nothing in the payload is trusted until the length
     // and CRC check out.
-    const std::size_t payload_end = data.size() - core::kSealBytes;
-    if (const std::string why =
-            core::check_seal(data, payload_end, kCkFooterMagic);
+    if (const std::string why = core::check_seal(data, kCkFooterMagic);
         !why.empty()) {
       throw std::runtime_error(why);
     }
 
-    binfmt::ByteReader r(std::string_view(data).substr(0, payload_end),
-                         "checkpoint");
+    binfmt::ByteReader r(core::sealed_payload(data), "checkpoint");
     const std::uint32_t magic = r.u32();
     const std::uint32_t version = r.u32();
     r.require("header");
@@ -104,6 +101,7 @@ void IngestService::load_checkpoint() {
       r.require("aggregate");
       merged_ = core::ThreadProfile::read(profile);
     }
+    r.require_end();
   } catch (const std::exception& e) {
     // A checkpoint published through write_file_atomic is complete or
     // absent; anything unreadable means tampering or disk corruption.

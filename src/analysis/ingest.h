@@ -10,7 +10,7 @@
 //   fold       fold_shard (analysis/pipeline.h) — the Analyzer's own
 //              per-file fold: read the file whole (core::read_file),
 //              one CRC32C framing check with one re-read retry, then
-//              merge_serialized straight off those bytes — so the
+//              merge_serialized straight off its payload — so the
 //              aggregate is byte-identical to a one-shot Analyzer::run
 //              over the same shards (when shards arrive in listed
 //              order; out-of-order arrivals yield a
@@ -99,9 +99,10 @@ class IngestService {
  public:
   /// Watches `dirs` (polled in the given order). Loads `opts.checkpoint`
   /// if it exists, restoring the aggregate, counters, and manifest;
-  /// throws std::runtime_error if the checkpoint exists but is torn or
-  /// corrupt (a checkpoint published by write_file_atomic never is —
-  /// reject loudly rather than silently re-ingest claimed shards).
+  /// throws std::runtime_error if the checkpoint exists but is torn,
+  /// corrupt or followed by trailing bytes (a checkpoint published by
+  /// write_file_atomic never is — reject loudly rather than silently
+  /// re-ingest claimed shards).
   /// Watched directories may not exist yet; they are polled into
   /// existence.
   IngestService(std::vector<std::filesystem::path> dirs, IngestOptions opts);

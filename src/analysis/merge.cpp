@@ -46,13 +46,10 @@ class StreamMerger final : public core::ProfileVisitor {
  public:
   explicit StreamMerger(ThreadProfile& dst) : dst_(dst) {}
 
-  void on_framing(const core::ProfileFraming& f) override {
-    summary_.sampling_period = f.sampling_period;
-    summary_.effective_period = f.effective_period;
-  }
-  void on_header(std::int32_t rank, std::int32_t tid) override {
-    summary_.rank = rank;
-    summary_.tid = tid;
+  void on_header(std::int32_t rank, std::int32_t tid,
+                 std::uint64_t /*sampling_period*/) override {
+    row_.rank = rank;
+    row_.tid = tid;
   }
   void on_string(const std::string& s) override {
     aggregate_ids();
@@ -65,7 +62,7 @@ class StreamMerger final : public core::ProfileVisitor {
   void on_node(std::size_t, NodeKind kind, std::uint64_t sym,
                std::uint32_t parent, const core::MetricVec& m) override {
     Cct& cct = dst_.ccts[class_];
-    summary_.total += m;
+    row_.metrics += m;
     if (remap_.empty()) {  // the source CCT's root
       aggregate_ids();
       remap_.push_back(Cct::kRootId);
@@ -88,7 +85,7 @@ class StreamMerger final : public core::ProfileVisitor {
     dst_.patterns.add(cls, id, p);
   }
 
-  const ProfileSummary& summary() const { return summary_; }
+  const ThreadRow& row() const { return row_; }
 
  private:
   /// merge_into's rank/tid aggregation. Applied with the records (every
@@ -96,7 +93,7 @@ class StreamMerger final : public core::ProfileVisitor {
   /// so a merge that fails before its first record leaves `dst` exactly
   /// as untouched as a salvage that kept nothing.
   void aggregate_ids() {
-    if (dst_.rank != summary_.rank) dst_.rank = -1;
+    if (dst_.rank != row_.rank) dst_.rank = -1;
     dst_.tid = -1;
   }
 
@@ -104,17 +101,15 @@ class StreamMerger final : public core::ProfileVisitor {
   std::vector<std::string> strings_;
   std::vector<Cct::NodeId> remap_;
   std::size_t class_ = 0;
-  ProfileSummary summary_;
+  ThreadRow row_;
 };
 
 }  // namespace
 
-ProfileSummary merge_serialized(ThreadProfile& dst, std::string_view bytes) {
+ThreadRow merge_serialized(ThreadProfile& dst, std::string_view payload) {
   StreamMerger merger(dst);
-  if (ThreadProfile::scan(bytes, merger) != bytes.size()) {
-    throw std::runtime_error("trailing bytes after profile data");
-  }
-  return merger.summary();
+  ThreadProfile::scan(payload, merger);
+  return merger.row();
 }
 
 ThreadProfile reduce(std::vector<ThreadProfile> profiles) {

@@ -10,6 +10,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/checksum.h"
 #include "core/measurement.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
@@ -30,10 +31,10 @@ std::uint64_t us_of(double ms) {
 }
 
 /// What merge_serialized would report for `p`'s serialized form.
-ProfileSummary summarize_profile(const core::ThreadProfile& p) {
-  ProfileSummary s{p.rank, p.tid, p.sampling_period, p.effective_period, {}};
-  for (const auto& cct : p.ccts) s.total += cct.total();
-  return s;
+ThreadRow thread_row(const core::ThreadProfile& p) {
+  ThreadRow row{p.rank, p.tid, {}};
+  for (const auto& cct : p.ccts) row.metrics += cct.total();
+  return row;
 }
 
 /// Everything one worker produces from its contiguous shard of the
@@ -44,7 +45,6 @@ struct WorkerOutput {
   std::vector<std::string> skipped;
   std::vector<std::string> quarantined;
   std::vector<std::string> salvaged;
-  std::vector<std::string> throttled;
   std::uint64_t bytes = 0;
   std::size_t files_read = 0;
   std::size_t files_salvaged = 0;
@@ -120,12 +120,13 @@ ShardFold fold_shard(const fs::path& dir, const fs::path& file,
   }
   bool poisoned = false;
   if (r.error.empty()) {
+    const std::string_view payload = core::sealed_payload(*bytes);
     try {
       if (!agg) {
-        agg = core::ThreadProfile::read(*bytes);  // assigned only on success
-        r.summary = summarize_profile(*agg);
+        agg = core::ThreadProfile::read_payload(payload);  // only on success
+        r.row = thread_row(*agg);
       } else {
-        r.summary = merge_serialized(*agg, *bytes);
+        r.row = merge_serialized(*agg, payload);
       }
       r.bytes = bytes->size();
       return r;
@@ -242,22 +243,11 @@ AnalysisResult Analyzer::run(const fs::path& dir) const {
             fold_shard(dir, files[i], out.partial, policy, salvage);
         if (r.retried) ++out.transient_retries;
         switch (r.outcome) {
-          case FoldOutcome::kFolded: {
+          case FoldOutcome::kFolded:
             whole.push_back(i);
-            const ProfileSummary& ps = r.summary;
-            if (ps.sampling_period != 0 && ps.effective_period != 0 &&
-                ps.effective_period != ps.sampling_period) {
-              out.throttled.push_back(
-                  files[i] + ": period " +
-                  std::to_string(ps.sampling_period) + " -> " +
-                  std::to_string(ps.effective_period));
-            }
-            if (want_threads) {
-              out.threads.push_back(ThreadRow{ps.rank, ps.tid, ps.total});
-            }
+            if (want_threads) out.threads.push_back(r.row);
             ++out.files_read;
             break;
-          }
           case FoldOutcome::kSalvaged:
             // Salvaged files are work done: their bytes were streamed and
             // their prefix folded (files_read stays whole-only; ShardStat
@@ -345,7 +335,6 @@ AnalysisResult Analyzer::run(const fs::path& dir) const {
       result.quarantined.push_back(std::move(s));
     }
     for (auto& s : out.salvaged) result.salvaged.push_back(std::move(s));
-    for (auto& s : out.throttled) result.throttled.push_back(std::move(s));
     result.shards.push_back(ShardStat{
         w, out.files_read + out.files_salvaged, out.bytes, out.merge_ms});
   }

@@ -6,8 +6,8 @@
 //   stream     `workers` host threads each fold a contiguous shard of
 //              the file list into one partial aggregate, one fold_shard
 //              call per file: read it whole (core::read_file), one
-//              CRC32C framing check, one streaming merge off those
-//              bytes (analysis/merge.h)
+//              CRC32C framing check, one streaming merge off its
+//              payload (analysis/merge.h)
 //   combine    fold the <= `workers` partials, in shard order
 //   views      compute the selected presentation tables
 //
@@ -88,15 +88,15 @@ struct ShardFold {
   bool retried = false;        ///< a re-read cleared a framing failure
   std::string quarantined_to;  ///< destination, when moved (kQuarantine)
   core::SalvageResult salvage; ///< kept/dropped records (kSalvaged)
-  ProfileSummary summary;      ///< header fields + node total (kFolded)
+  ThreadRow row;               ///< rank, tid and node total (kFolded)
 };
 
 /// The one validate-and-fold path for a `.dcpf` shard, shared by the
 /// Analyzer's stream stage and the ingestion daemon. Reads `file` whole
 /// (core::read_file), runs ThreadProfile::check_framing (re-reading once
-/// if it fails), then folds the shard straight off those bytes:
-/// `agg = read(bytes)` when `agg` is empty, else
-/// `merge_serialized(*agg, bytes)` — the order that makes every fold
+/// if it fails), then folds the checked payload straight off those
+/// bytes: `agg = read_payload(payload)` when `agg` is empty, else
+/// `merge_serialized(*agg, payload)` — the order that makes every fold
 /// byte-identical to `reduce` over the same files. A corrupt shard then
 /// follows `policy`: kStrict throws std::runtime_error naming the file;
 /// kQuarantine moves it to `<dir>/quarantine/` (falling back to a plain
@@ -155,10 +155,6 @@ struct AnalysisResult {
   std::size_t records_salvaged = 0;         ///< records kept across files
   std::size_t records_dropped = 0;          ///< declared but unreadable
   std::vector<std::string> salvaged;        ///< "path: kept K, dropped D"
-  /// Profiles whose header records a raised period ("path: period P ->
-  /// Q"), as earlier builds wrote under overload degradation; their
-  /// sample-derived metrics are scaled by Q/P relative to the rest.
-  std::vector<std::string> throttled;
   /// Profile + structure bytes streamed, salvaged files included (their
   /// bytes were read and their valid prefix merged — that work counts).
   std::uint64_t bytes_streamed = 0;

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/merge.h"
 #include "binfmt/load_module.h"
 #include "core/profile.h"
 
@@ -101,14 +102,7 @@ std::vector<FunctionRow> function_table(const core::ThreadProfile& profile,
                                         const AnalysisContext& ctx,
                                         core::Metric sort_by);
 
-/// Per-thread totals from *unmerged* profiles — load-imbalance at a
-/// glance (the paper's measurement is per-thread before reduction).
-struct ThreadRow {
-  std::int32_t rank = 0;
-  std::int32_t tid = 0;
-  core::MetricVec metrics;
-};
-
+/// One ThreadRow (analysis/merge.h) per unmerged profile, in order.
 std::vector<ThreadRow> thread_table(
     const std::vector<core::ThreadProfile>& profiles);
 

@@ -41,7 +41,8 @@ inline constexpr std::uint32_t kMaxStringBytes = 1u << 24;
 /// buffer. A short read sets a sticky fail flag, consumes nothing, and
 /// yields zeros, so `require` throws "truncated <format>: <what>" at the
 /// first record that did not fully arrive. A count or length must be
-/// `require`d before it drives a loop or an allocation.
+/// `require`d before it drives a loop or an allocation. A strict parse
+/// ends with `require_end`: it must consume the image to the last byte.
 class ByteReader {
  public:
   /// `format` names the file kind in error messages ("profile",
@@ -81,8 +82,14 @@ class ByteReader {
     }
   }
 
-  std::string_view image() const { return bytes_; }
-  std::size_t offset() const { return off_; }
+  /// Throws "trailing bytes after <format>" unless every byte of the
+  /// image was consumed.
+  void require_end() const {
+    if (off_ != bytes_.size()) {
+      throw std::runtime_error(std::string("trailing bytes after ") +
+                               format_);
+    }
+  }
 
  private:
   template <class T>

@@ -92,6 +92,7 @@ StructureData StructureData::read(std::string_view bytes) {
     r.str(name);
     data.alloc_names_.emplace(ip, std::move(name));
   }
+  r.require_end();
   return data;
 }
 

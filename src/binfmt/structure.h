@@ -25,8 +25,9 @@ class StructureData : public SymbolResolver {
   /// The `.dcst` bytes: magic, then the instruction, static-variable
   /// and annotation tables, each a u32 count and its entries.
   std::string serialize() const;
-  /// Parses bytes serialize() wrote; throws std::runtime_error on a bad
-  /// magic, a truncated table or an implausible string length.
+  /// Parses bytes serialize() wrote, to the last byte; throws
+  /// std::runtime_error on a bad magic, a truncated table, an
+  /// implausible string length or trailing bytes.
   static StructureData read(std::string_view bytes);
 
   // SymbolResolver:

@@ -116,14 +116,12 @@ void seal(std::string& payload, std::uint32_t footer_magic) {
   binfmt::put_u32(payload, crc);
 }
 
-std::string check_seal(std::string_view bytes, std::size_t payload_end,
-                       std::uint32_t footer_magic) {
-  binfmt::ByteReader footer(bytes.substr(payload_end, kSealBytes), "footer");
+std::string check_seal(std::string_view image, std::uint32_t footer_magic) {
+  const std::string_view payload = sealed_payload(image);
+  binfmt::ByteReader footer(image.substr(payload.size()), "footer");
   if (footer.u32() != footer_magic) return "bad footer magic";
-  if (footer.u64() != payload_end) return "payload length mismatch";
-  if (footer.u32() != crc32c(bytes.data(), payload_end)) {
-    return "checksum mismatch";
-  }
+  if (footer.u64() != payload.size()) return "payload length mismatch";
+  if (footer.u32() != crc32c(payload)) return "checksum mismatch";
   return {};
 }
 

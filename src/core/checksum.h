@@ -33,11 +33,16 @@ inline constexpr std::size_t kSealBytes = 4 + 8 + 4;
 /// Appends the footer over every byte of `payload`.
 void seal(std::string& payload, std::uint32_t footer_magic);
 
-/// Checks the footer at `payload_end` against the bytes before it;
-/// `bytes` must hold kSealBytes bytes from there on. Returns an empty
-/// string when it matches, else the first failure of "bad footer
-/// magic", "payload length mismatch" and "checksum mismatch".
-std::string check_seal(std::string_view bytes, std::size_t payload_end,
-                       std::uint32_t footer_magic);
+/// Checks the footer that ends `image` (at least kSealBytes long)
+/// against every byte before it. Returns an empty string when it
+/// matches, else the first failure of "bad footer magic", "payload
+/// length mismatch" and "checksum mismatch".
+std::string check_seal(std::string_view image, std::uint32_t footer_magic);
+
+/// The payload of a sealed image: every byte before its footer. A
+/// reader checks the image (check_seal) once, then parses only this.
+inline std::string_view sealed_payload(std::string_view image) {
+  return image.substr(0, image.size() - kSealBytes);
+}
 
 }  // namespace dcprof::core

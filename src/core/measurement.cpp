@@ -199,13 +199,6 @@ ThreadProfile read_profile_file(const fs::path& path) {
   }
 }
 
-ThreadProfile read_profile_file_salvage(const fs::path& path,
-                                        SalvageResult& out) {
-  ThreadProfile p = ThreadProfile::read_salvage(read_file(path), out);
-  if (!out.error.empty()) out.error = path.string() + ": " + out.error;
-  return p;
-}
-
 fs::path quarantine_profile_file(const fs::path& dir, const fs::path& file) {
   const fs::path qdir = dir / kQuarantineDirName;
   std::error_code ec;

@@ -81,18 +81,12 @@ std::uint64_t write_measurement_dir(const std::filesystem::path& dir,
 /// not exist.
 std::vector<std::string> list_profile_files(const std::filesystem::path& dir);
 
-/// Reads one profile file (read_file, then ThreadProfile::read). Throws
+/// Reads one profile file (read_file, then ThreadProfile::read: the
+/// framing check, then the parse of the payload). Throws
 /// std::runtime_error naming the file on open failure, truncation,
-/// checksum mismatch, an unsupported version, or trailing bytes after
-/// the serialized profile.
+/// checksum mismatch, an unsupported version or header, or a payload
+/// the records do not fill exactly.
 ThreadProfile read_profile_file(const std::filesystem::path& path);
-
-/// Recovery-mode read: salvages the valid record prefix of a truncated
-/// or corrupt profile file instead of throwing (see
-/// ThreadProfile::read_salvage). Only an unopenable file still throws.
-/// `out` reports kept/dropped records and the failure, if any.
-ThreadProfile read_profile_file_salvage(const std::filesystem::path& path,
-                                        SalvageResult& out);
 
 /// Moves `file` into `dir`'s quarantine subdirectory (created on first
 /// use) and returns the path actually used: when a previously

@@ -20,13 +20,41 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x64637066;        // "dcpf"
 constexpr std::uint32_t kFooterMagic = 0x64637074;  // "dcpt"
+/// magic, version, flags, then the sampling period in two slots.
+constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 8 + 8;
 
-/// The one message for a version word this build does not read, shared
-/// by the structural scan and the framing check.
-std::string unsupported_version(std::uint32_t version) {
-  return "unsupported profile version " + std::to_string(version) +
-         ": only version " + std::to_string(kProfileFormatVersion) +
-         " is read; re-record with a current dcprof_measure";
+constexpr const char* kReRecord =
+    "; re-record with a current dcprof_measure";
+
+/// Reads the header words into `period` and applies the version policy:
+/// version kProfileFormatVersion, flags 0 and one period in both slots.
+/// Returns the failure, or an empty string for a current header; throws
+/// only on a short header, which check_framing's size check rules out.
+/// Shared by the framing check and the parse, so both give the same
+/// message.
+std::string header_error(ByteReader& r, std::uint64_t& period) {
+  const std::uint32_t magic = r.u32();
+  r.require("header");
+  if (magic != kMagic) return "bad profile magic";
+  const std::uint32_t version = r.u32();
+  r.require("header");
+  if (version != kProfileFormatVersion) {
+    return "unsupported profile version " + std::to_string(version) +
+           ": only version " + std::to_string(kProfileFormatVersion) +
+           " is read" + kReRecord;
+  }
+  const std::uint32_t flags = r.u32();
+  period = r.u64();
+  const std::uint64_t second = r.u64();
+  r.require("header");
+  if (flags != 0 || second != period) {
+    // Older builds raised the period under overload and recorded both.
+    return "unsupported profile header (flags " + std::to_string(flags) +
+           ", sampling periods " + std::to_string(period) + " and " +
+           std::to_string(second) + "): only flags 0 and one period are read" +
+           kReRecord;
+  }
+  return {};
 }
 
 void write_cct(std::string& o, const Cct& cct) {
@@ -78,9 +106,9 @@ std::string ThreadProfile::serialize() const {
   std::string out;
   put_u32(out, kMagic);
   put_u32(out, kProfileFormatVersion);
-  put_u32(out, throttled() ? kProfileFlagThrottled : 0u);
+  put_u32(out, 0);  // flags
   put_u64(out, sampling_period);
-  put_u64(out, effective_period);
+  put_u64(out, sampling_period);
   put_u32(out, static_cast<std::uint32_t>(rank));
   put_u32(out, static_cast<std::uint32_t>(tid));
   put_u32(out, static_cast<std::uint32_t>(strings.size()));
@@ -100,27 +128,18 @@ void ThreadProfile::write(std::ostream& out) const {
 
 namespace {
 
-/// The format walk behind scan, read and read_salvage.
+/// The record walk behind scan and read_salvage: the header, then every
+/// record up to the end of the pattern table. It consumes no footer.
 void scan_profile(ByteReader& r, ProfileVisitor& visitor) {
-  const std::uint32_t magic = r.u32();
-  r.require("header");
-  if (magic != kMagic) throw std::runtime_error("bad profile magic");
-  const std::uint32_t version = r.u32();
-  r.require("header");
-  if (version != kProfileFormatVersion) {
-    throw std::runtime_error(unsupported_version(version));
+  std::uint64_t period = 0;
+  if (const std::string why = header_error(r, period); !why.empty()) {
+    throw std::runtime_error(why);
   }
-  ProfileFraming framing;
-  framing.flags = r.u32();
-  framing.sampling_period = r.u64();
-  framing.effective_period = r.u64();
-  r.require("header flags");
   const auto rank = static_cast<std::int32_t>(r.u32());
   const auto tid = static_cast<std::int32_t>(r.u32());
   const std::uint32_t nstrings = r.u32();
   r.require("string count");
-  visitor.on_framing(framing);
-  visitor.on_header(rank, tid);
+  visitor.on_header(rank, tid, period);
   visitor.on_string_table(nstrings);
   std::string s;
   // No legitimate writer emits the same string twice (tables are built by
@@ -214,23 +233,14 @@ void scan_profile(ByteReader& r, ProfileVisitor& visitor) {
     have_prev = true;
     visitor.on_pattern(cls, id, p);
   }
-  // Footer: checksums every byte before it, in one pass.
-  const std::size_t payload_end = r.offset();
-  r.view(kSealBytes);  // the footer, checked against the payload below
-  r.require("footer");
-  if (const std::string why = check_seal(r.image(), payload_end, kFooterMagic);
-      !why.empty()) {
-    throw std::runtime_error("corrupt profile: " + why);
-  }
 }
 
 }  // namespace
 
-std::size_t ThreadProfile::scan(std::string_view bytes,
-                                ProfileVisitor& visitor) {
-  ByteReader r(bytes, "profile");
+void ThreadProfile::scan(std::string_view payload, ProfileVisitor& visitor) {
+  ByteReader r(payload, "profile");
   scan_profile(r, visitor);
-  return r.offset();
+  r.require_end();
 }
 
 namespace {
@@ -239,13 +249,11 @@ namespace {
 /// deserializer, now layered on the streaming scan).
 class ProfileBuilder : public ProfileVisitor {
  public:
-  void on_framing(const ProfileFraming& f) override {
-    profile.sampling_period = f.sampling_period;
-    profile.effective_period = f.effective_period;
-  }
-  void on_header(std::int32_t rank, std::int32_t tid) override {
+  void on_header(std::int32_t rank, std::int32_t tid,
+                 std::uint64_t sampling_period) override {
     profile.rank = rank;
     profile.tid = tid;
+    profile.sampling_period = sampling_period;
   }
   void on_string(const std::string& s) override { profile.strings.intern(s); }
   void on_cct_begin(std::size_t class_index,
@@ -321,41 +329,55 @@ class SalvagingBuilder final : public ProfileBuilder {
 
 }  // namespace
 
-ThreadProfile ThreadProfile::read(std::string_view bytes) {
-  ProfileBuilder builder;
-  if (scan(bytes, builder) != bytes.size()) {
-    throw std::runtime_error("trailing bytes after profile data");
+std::string ThreadProfile::check_framing(std::string_view image) {
+  if (image.size() < kHeaderBytes + kSealBytes) return "truncated profile";
+  ByteReader header(image, "profile");
+  std::uint64_t period = 0;
+  // The header rule precedes the footer check, so a well-framed shard
+  // of a foreign version or header is rejected up front with the
+  // remedy, never part-way through a merge.
+  if (std::string why = header_error(header, period); !why.empty()) {
+    return why;
   }
+  if (const std::string why = check_seal(image, kFooterMagic); !why.empty()) {
+    return "corrupt profile: " + why;
+  }
+  return {};
+}
+
+ThreadProfile ThreadProfile::read(std::string_view image) {
+  if (const std::string why = check_framing(image); !why.empty()) {
+    throw std::runtime_error(why);
+  }
+  return read_payload(sealed_payload(image));
+}
+
+ThreadProfile ThreadProfile::read_payload(std::string_view payload) {
+  ProfileBuilder builder;
+  scan(payload, builder);
   builder.flush();
   return std::move(builder.profile);
 }
 
-std::string ThreadProfile::check_framing(std::string_view bytes) {
-  if (bytes.size() < kSealBytes + 8) return "truncated profile";
-  ByteReader header(bytes, "profile");
-  if (header.u32() != kMagic) return "bad profile magic";
-  // The version word precedes the footer check, so a well-framed shard
-  // of a foreign version is rejected up front with the remedy, never
-  // part-way through a merge.
-  if (const std::uint32_t version = header.u32();
-      version != kProfileFormatVersion) {
-    return unsupported_version(version);
-  }
-  return check_seal(bytes, bytes.size() - kSealBytes, kFooterMagic);
-}
-
-ThreadProfile ThreadProfile::read_salvage(std::string_view bytes,
+ThreadProfile ThreadProfile::read_salvage(std::string_view image,
                                           SalvageResult& out) {
   SalvagingBuilder builder;
   out = SalvageResult{};
+  out.error = check_framing(image);
   try {
-    if (scan(bytes, builder) != bytes.size()) {
-      throw std::runtime_error("trailing bytes after profile data");
+    if (out.error.empty()) {
+      scan(sealed_payload(image), builder);
+    } else {
+      // The seal failed, so no byte is trusted: walk the records of the
+      // whole image to the first structural failure (most often the
+      // cut) only to count what survived. The seal's error is reported.
+      ByteReader r(image, "profile");
+      scan_profile(r, builder);
     }
   } catch (const std::exception& e) {
-    out.clean = false;
-    out.error = e.what();
+    if (out.error.empty()) out.error = e.what();
   }
+  out.clean = out.error.empty();
   // Keep the valid prefix of the class that was being parsed when the
   // error (if any) hit: parents precede children, so any node prefix is
   // a well-formed tree.

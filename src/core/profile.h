@@ -3,7 +3,7 @@
 //
 // On-disk `.dcpf` framing (format version 4):
 //
-//   header   magic, version, flags, sampling_period, effective_period
+//   header   magic, version, flags (0), the sampling period twice
 //   body     rank, tid, string table, one CCT per storage class,
 //            access-pattern table (v4: per-variable memory-level/channel
 //            matrix + reuse-distance and stride histograms)
@@ -13,10 +13,12 @@
 // a torn or bit-flipped file fails the checksum instead of silently
 // poisoning the merged profile. Every reader works on an in-memory byte
 // image (a file read whole by core::read_file, or a string the caller
-// already holds). Only version 4 is read: any other version word
-// (v2's pre-footer layout, v3's 8-slot nodes, a future v5) is rejected
-// with an error naming the version and the remedy, re-recording — see
-// ThreadProfile::scan and ThreadProfile::check_framing.
+// already holds), checks it once with ThreadProfile::check_framing, then
+// parses only its payload, to the last byte. Only version 4 with flags 0
+// and one period in both slots is read: any other version word (v2's
+// pre-footer layout, v3's 8-slot nodes, a future v5) or header (the
+// raised-period shards of older builds) is rejected with an error naming
+// it and the remedy, re-recording.
 #pragma once
 
 #include <cstdint>
@@ -48,34 +50,17 @@ const char* to_string(StorageClass c);
 /// The `.dcpf` format version every writer emits and every reader accepts.
 inline constexpr std::uint32_t kProfileFormatVersion = 4;
 
-/// Header flag bits.
-enum ProfileFlags : std::uint32_t {
-  /// effective_period differs from sampling_period: the samples were
-  /// taken at a raised period. Earlier builds set it when they raised
-  /// the period mid-run; this build stamps both periods equal and never
-  /// sets it, but readers still accept and report such files.
-  kProfileFlagThrottled = 1u << 0,
-};
-
-/// The framing fields of one serialized profile's header. Periods are 0
-/// when unknown (synthetic profiles).
-struct ProfileFraming {
-  std::uint32_t flags = 0;
-  std::uint64_t sampling_period = 0;   ///< configured PMU period
-  std::uint64_t effective_period = 0;  ///< period the samples were taken at
-};
-
 /// Callbacks for ThreadProfile::scan — a pull-free streaming parse of the
-/// serialized profile format. Events arrive in on-disk order: framing,
-/// header, the string-table declaration and every entry, then for each
-/// storage class a cct-begin followed by its nodes in id order (parents
-/// before children; node 0 is the root). Lets consumers (validation,
-/// streaming merge) process a profile without materializing it.
+/// serialized profile format. Events arrive in on-disk order: header,
+/// the string-table declaration and every entry, then for each storage
+/// class a cct-begin followed by its nodes in id order (parents before
+/// children; node 0 is the root). Lets consumers (validation, streaming
+/// merge) process a profile without materializing it.
 class ProfileVisitor {
  public:
   virtual ~ProfileVisitor() = default;
-  virtual void on_framing(const ProfileFraming& /*framing*/) {}
-  virtual void on_header(std::int32_t /*rank*/, std::int32_t /*tid*/) {}
+  virtual void on_header(std::int32_t /*rank*/, std::int32_t /*tid*/,
+                         std::uint64_t /*sampling_period*/) {}
   virtual void on_string_table(std::uint32_t /*count*/) {}
   virtual void on_string(const std::string& /*s*/) {}
   virtual void on_cct_begin(std::size_t /*class_index*/,
@@ -101,11 +86,9 @@ struct SalvageResult {
 struct ThreadProfile {
   std::int32_t rank = 0;
   std::int32_t tid = 0;
-  /// Configured PMU sampling period and the period the samples were
-  /// taken at, written into the file header (0 = unknown; see
-  /// ProfileFraming). The profiler stamps both with the same value.
+  /// Configured PMU sampling period, written into both period slots of
+  /// the file header (0 = unknown: synthetic profiles).
   std::uint64_t sampling_period = 0;
-  std::uint64_t effective_period = 0;
   StringTable strings;
   Cct ccts[kNumStorageClasses];
   /// Per-variable memory-level/channel and reuse/stride analytics,
@@ -117,11 +100,6 @@ struct ThreadProfile {
     return ccts[static_cast<std::size_t>(c)];
   }
 
-  bool throttled() const {
-    return effective_period != 0 && sampling_period != 0 &&
-           effective_period != sampling_period;
-  }
-
   /// Sum of kSamples over every CCT.
   std::uint64_t total_samples() const;
 
@@ -130,43 +108,46 @@ struct ThreadProfile {
   std::string serialize() const;
   /// Writes serialize() to `out`.
   void write(std::ostream& out) const;
-  /// Deserializes a profile that must span exactly `bytes` (a `.dcpf`
-  /// file's contents, or a checkpoint-embedded copy); trailing bytes
-  /// are rejected. Throws std::runtime_error on any format error.
-  static ThreadProfile read(std::string_view bytes);
 
-  /// Cheap integrity check of one serialized profile spanning exactly
-  /// `bytes`: header magic and version, footer framing, and the CRC32C
-  /// over the payload — a single checksum pass, no structural parse.
-  /// Returns an empty string when intact, else the failure reason (the
-  /// same "unsupported profile version N" text as `scan` for a foreign
-  /// version). A clean result rules out every torn or bit-flipped file
-  /// (the failure modes atomic-rename publication leaves possible);
-  /// structural validity of the records themselves is only established
-  /// by scan/read. Anything `read` accepts passes this check.
-  static std::string check_framing(std::string_view bytes);
+  /// The one integrity check of a `.dcpf` image, run once before any
+  /// parse: its size, the header's magic and version, the header rule
+  /// (flags 0, one period in both slots), then the footer and one
+  /// CRC32C pass over the payload (core::check_seal). No structural
+  /// parse. Returns an empty string when intact, else the failure
+  /// reason; a foreign version or header gets the version policy's
+  /// message with the re-record remedy. A clean result rules out every
+  /// torn or bit-flipped file (the failure modes atomic-rename
+  /// publication leaves possible); the records themselves are only
+  /// validated by parsing the payload (core::sealed_payload).
+  static std::string check_framing(std::string_view image);
 
-  /// Streaming parse: walks one serialized profile and feeds `visitor`
-  /// without building a ThreadProfile. Record payloads are decoded
-  /// straight out of `bytes`, with no intermediate buffer. Validates
-  /// the format as it goes (magic/version, truncation, node ordering,
-  /// string references, pattern-key ordering, and the footer CRC32C)
-  /// and throws std::runtime_error on the first inconsistency; events
-  /// already delivered stay delivered. Any version other than
-  /// kProfileFormatVersion is rejected with an error naming the version
-  /// and the remedy. Returns the number of bytes one profile occupied,
-  /// so callers can reject trailing garbage
-  /// (`scan(bytes, v) != bytes.size()`). `read`, `read_salvage` and the
-  /// analyzer's streaming merge are all built on this.
-  static std::size_t scan(std::string_view bytes, ProfileVisitor& visitor);
+  /// check_framing, then read_payload of the image's payload. Throws
+  /// std::runtime_error with the first failure of either.
+  static ThreadProfile read(std::string_view image);
 
-  /// Recovery-mode read: like `read`, but on a framing/truncation/
-  /// checksum failure (or trailing bytes) it returns the profile built
-  /// from the valid record prefix instead of throwing, reporting
-  /// kept/dropped record counts in `out`. Only a bad magic or version
-  /// (not a readable profile at all) yields an empty profile with zero
-  /// records kept.
-  static ThreadProfile read_salvage(std::string_view bytes,
+  /// Builds the profile from the payload of an image check_framing
+  /// accepted. Throws std::runtime_error on any format error, trailing
+  /// bytes included.
+  static ThreadProfile read_payload(std::string_view payload);
+
+  /// Streaming parse of a checked payload: feeds `visitor` without
+  /// building a ThreadProfile, decoding records straight out of
+  /// `payload`. Validates the format as it goes (header words, node
+  /// ordering, string references, pattern-key ordering, truncation) and
+  /// that the pattern table ends exactly at the payload's last byte;
+  /// throws std::runtime_error on the first inconsistency, and events
+  /// already delivered stay delivered. `read_payload` and the
+  /// analyzer's streaming merge are built on it.
+  static void scan(std::string_view payload, ProfileVisitor& visitor);
+
+  /// Recovery-mode read: never throws on bad input. Runs check_framing;
+  /// an intact image is parsed like `read`, and a structural error keeps
+  /// the valid record prefix. An image whose seal failed is the one
+  /// parsed unchecked: its header is checked, its records are walked up
+  /// to the first structural failure, and the seal's error is reported.
+  /// `out` gets kept/dropped record counts. A bad magic, version or
+  /// header (not a readable profile at all) keeps zero records.
+  static ThreadProfile read_salvage(std::string_view image,
                                     SalvageResult& out);
 };
 

@@ -296,7 +296,7 @@ void Profiler::attribute_sample(const pmu::Sample& sample, rt::ThreadCtx& ctx,
 
 std::vector<ThreadProfile> Profiler::take_profiles() {
   // Stamp the sampling period into each profile header. Samples are
-  // taken at the configured period throughout, so both fields are equal.
+  // taken at the configured period throughout.
   std::uint64_t period = 0;
   if (pmu_ != nullptr && !pmu_->configs().empty()) {
     period = pmu_->configs()[0].period;
@@ -305,7 +305,6 @@ std::vector<ThreadProfile> Profiler::take_profiles() {
   for (auto& p : profiles_) {
     if (p) {
       p->sampling_period = period;
-      p->effective_period = period;
       out.push_back(std::move(*p));
     }
   }

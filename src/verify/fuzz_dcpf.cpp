@@ -37,7 +37,6 @@ ThreadProfile make_basic() {
   p.rank = 0;
   p.tid = 2;
   p.sampling_period = 1024;
-  p.effective_period = 1024;
 
   Cct& nomem = p.cct(StorageClass::kNoMem);
   const auto f1 = nomem.child(0, NodeKind::kCallSite, 0x100);
@@ -82,14 +81,6 @@ ThreadProfile make_basic() {
   return p;
 }
 
-ThreadProfile make_throttled() {
-  ThreadProfile p = make_basic();
-  p.tid = 3;
-  p.sampling_period = 1024;
-  p.effective_period = 4096;  // sets the throttled header flag
-  return p;
-}
-
 ThreadProfile make_strings_heavy() {
   ThreadProfile p;
   p.rank = 1;
@@ -102,6 +93,14 @@ ThreadProfile make_strings_heavy() {
         stat.child(sv, NodeKind::kLeafInstr, 0x400 + 4u * i),
         metrics(1 + i, 10u * i, Metric::kL3Hits, 1));
   }
+  return p;
+}
+
+/// What every checkpoint embeds: an aggregate across ranks, so its rank
+/// and tid are both -1.
+ThreadProfile make_aggregate() {
+  ThreadProfile p = make_basic();
+  analysis::merge_into(p, make_strings_heavy());
   return p;
 }
 
@@ -192,18 +191,16 @@ std::string mutate(const std::string& base, Rng& rng) {
   return b;
 }
 
-struct NullVisitor final : core::ProfileVisitor {};
-
 }  // namespace
 
 std::vector<std::string> builtin_corpus() {
   return {ThreadProfile{}.serialize(), make_basic().serialize(),
-          make_throttled().serialize(), make_strings_heavy().serialize(),
+          make_aggregate().serialize(), make_strings_heavy().serialize(),
           make_deep().serialize()};
 }
 
 std::vector<std::string> builtin_corpus_names() {
-  return {"empty_v4.dcpf", "basic_v4.dcpf", "throttled_v4.dcpf",
+  return {"empty_v4.dcpf", "basic_v4.dcpf", "aggregate_v4.dcpf",
           "strings_v4.dcpf", "deep_v4.dcpf"};
 }
 
@@ -220,58 +217,46 @@ FuzzCaseResult run_fuzz_case(std::uint64_t case_seed,
   CheckOptions untrusted;
   untrusted.strict = false;
 
-  // Reader contract, entry point 1: the strict streaming scan. A case is
-  // accepted when one profile spans exactly the mutated bytes.
-  bool scan_ok = false;
+  // Reader contract, entry point 1: the framing check every reader
+  // starts with. It reports, never throws.
+  bool framed = false;
   try {
-    NullVisitor v;
-    scan_ok = ThreadProfile::scan(bytes, v) == bytes.size();
-  } catch (const std::runtime_error&) {
-  } catch (const std::exception& e) {
-    fails.push_back(std::string("scan threw non-runtime_error: ") + e.what());
-  } catch (...) {
-    fails.push_back("scan threw a non-std exception");
-  }
-
-  // Entry point 2: the framing check every shard fold starts with. It
-  // may accept more than scan (no structural parse) but never less, or
-  // the fast reject would drop a valid shard.
-  try {
-    if (scan_ok && !ThreadProfile::check_framing(bytes).empty()) {
-      fails.push_back("check_framing rejected what scan accepted");
-    }
+    framed = ThreadProfile::check_framing(bytes).empty();
   } catch (const std::exception& e) {
     fails.push_back(std::string("check_framing threw: ") + e.what());
   } catch (...) {
     fails.push_back("check_framing threw a non-std exception");
   }
 
-  // Entry point 3: the materializing read. Must agree with scan, and
-  // anything it accepts must be structurally sound and serialize stably.
+  // Entry point 2: the materializing read, which checks, then parses the
+  // payload. It accepts only what check_framing accepts, and anything it
+  // accepts must be structurally sound.
+  bool read_ok = false;
   try {
     const ThreadProfile p = ThreadProfile::read(bytes);
-    if (!scan_ok) fails.push_back("read accepted what scan rejected");
+    read_ok = true;
+    if (!framed) fails.push_back("read accepted what check_framing rejected");
     const CheckResult res = check_profile(p, untrusted);
     if (!res.ok()) {
       fails.push_back("read accepted an ill-formed profile: " +
                       res.summary());
     }
   } catch (const std::runtime_error&) {
-    if (scan_ok) fails.push_back("read rejected what scan accepted");
   } catch (const std::exception& e) {
     fails.push_back(std::string("read threw non-runtime_error: ") + e.what());
   } catch (...) {
     fails.push_back("read threw a non-std exception");
   }
 
-  // Entry point 4: the salvaging read — never throws, and whatever prefix
-  // it keeps must itself be a sound profile.
+  // Entry point 3: the salvaging read — never throws, is clean exactly
+  // when read accepts, and whatever prefix it keeps must itself be a
+  // sound profile.
   core::SalvageResult sr;
   ThreadProfile prefix;
   try {
     prefix = ThreadProfile::read_salvage(bytes, sr);
-    if (sr.clean != scan_ok) {
-      fails.push_back("salvage clean flag disagrees with scan");
+    if (sr.clean != read_ok) {
+      fails.push_back("salvage clean flag disagrees with read");
     }
     if (sr.clean && sr.records_dropped != 0) {
       fails.push_back("clean salvage reports dropped records");
@@ -286,37 +271,44 @@ FuzzCaseResult run_fuzz_case(std::uint64_t case_seed,
     fails.push_back("read_salvage threw a non-std exception");
   }
 
-  // Entry point 5: the streaming merge every shard fold runs, into a
-  // non-empty aggregate so string remapping is exercised. A merge that
-  // throws must have folded exactly the salvaged prefix (fold_shard's
-  // salvage mode relies on it).
-  ThreadProfile dst = make_basic();
-  try {
-    analysis::merge_serialized(dst, bytes);
-    if (!scan_ok) {
-      fails.push_back("merge_serialized accepted what scan rejected");
-    }
-    const CheckResult res = check_profile(dst, untrusted);
-    if (!res.ok()) {
-      fails.push_back("merge of accepted profile is ill-formed: " +
-                      res.summary());
-    }
-  } catch (const std::runtime_error&) {
-    if (scan_ok) fails.push_back("merge_serialized rejected what scan accepted");
-    ThreadProfile expected = make_basic();
-    if (sr.records_kept > 0) analysis::merge_into(expected, prefix);
-    if (dst.serialize() != expected.serialize()) {
+  // Entry point 4: the streaming merge every shard fold runs on the
+  // payload of a framed image, into a non-empty aggregate so string
+  // remapping is exercised. It accepts exactly what read accepts, and a
+  // merge that throws must have folded exactly the salvaged prefix
+  // (fold_shard's salvage mode relies on it).
+  if (framed) {
+    ThreadProfile dst = make_basic();
+    try {
+      analysis::merge_serialized(dst, core::sealed_payload(bytes));
+      if (!read_ok) {
+        fails.push_back("merge_serialized accepted what read rejected");
+      }
+      const CheckResult res = check_profile(dst, untrusted);
+      if (!res.ok()) {
+        fails.push_back("merge of accepted profile is ill-formed: " +
+                        res.summary());
+      }
+    } catch (const std::runtime_error&) {
+      if (read_ok) {
+        fails.push_back("merge_serialized rejected what read accepted");
+      }
+      ThreadProfile expected = make_basic();
+      if (sr.records_kept > 0) analysis::merge_into(expected, prefix);
+      if (dst.serialize() != expected.serialize()) {
+        fails.push_back(
+            "failed merge_serialized differs from merging the salvaged "
+            "prefix");
+      }
+    } catch (const std::exception& e) {
       fails.push_back(
-          "failed merge_serialized differs from merging the salvaged prefix");
+          std::string("merge_serialized threw non-runtime_error: ") +
+          e.what());
+    } catch (...) {
+      fails.push_back("merge_serialized threw a non-std exception");
     }
-  } catch (const std::exception& e) {
-    fails.push_back(std::string("merge_serialized threw non-runtime_error: ") +
-                    e.what());
-  } catch (...) {
-    fails.push_back("merge_serialized threw a non-std exception");
   }
 
-  result.accepted = scan_ok;
+  result.accepted = read_ok;
   return result;
 }
 

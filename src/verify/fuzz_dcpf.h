@@ -2,18 +2,18 @@
 // deterministic builtin corpus (plus any caller-supplied seed files) are
 // mutated record- and byte-wise (half of them re-sealed with a valid
 // footer, as a buggy writer would), then fed as in-memory bytes — the form
-// every production fold maps them in — to every reader entry point:
-// strict scan, framing check, full read, salvaging read, streaming
-// merge. The contract under test:
+// every production fold reads them in — to every reader entry point:
+// framing check, full read, salvaging read, streaming merge. The
+// contract under test:
 //   * readers reject garbage only via std::runtime_error — never a crash,
 //     a different exception type, or (under sanitizers) UB;
-//   * scan, read, read_salvage and merge_serialized agree on acceptance
-//     (one profile spanning exactly the bytes), and check_framing
-//     accepts everything they accept;
-//   * read_salvage never throws at all;
+//   * read accepts only what check_framing accepts;
+//   * read_salvage never throws, and its `clean` equals read accepting;
+//   * merge_serialized gets the payload of every framed case and accepts
+//     exactly what read accepts;
 //   * a merge that throws has folded exactly the salvaged prefix;
 //   * any profile a reader *accepts* is structurally sound
-//     (invariants.h, non-strict mode) and serializes stably.
+//     (invariants.h, non-strict mode).
 // One uint64 case seed determines base file + mutations, so every failure
 // replays with `dcprof_verify --replay <seed>`.
 #pragma once
@@ -25,8 +25,9 @@
 namespace dcprof::verify {
 
 /// Deterministic seed corpus: serialized v4 profiles covering the
-/// format's features (empty, multi-class, throttled, string-table-heavy,
-/// deep call chains, access-pattern tables). Same bytes on every call.
+/// format's features (empty, multi-class, a cross-rank aggregate as
+/// checkpoints embed, string-table-heavy, deep call chains,
+/// access-pattern tables). Same bytes on every call.
 std::vector<std::string> builtin_corpus();
 
 /// The filename (without directory) each builtin corpus entry is written
@@ -47,7 +48,7 @@ struct FuzzOptions {
 
 struct FuzzReport {
   std::size_t cases = 0;
-  std::size_t accepted = 0;   ///< mutants some reader still accepted
+  std::size_t accepted = 0;   ///< mutants read still accepted
   std::size_t rejected = 0;   ///< mutants cleanly rejected
   std::vector<FuzzFailure> failures;
 
@@ -56,7 +57,7 @@ struct FuzzReport {
 
 /// Outcome of one mutated case.
 struct FuzzCaseResult {
-  bool accepted = false;  ///< the strict scan consumed exactly the bytes
+  bool accepted = false;  ///< read accepted the mutant
   std::vector<std::string> failures;  ///< empty == contract held
 };
 

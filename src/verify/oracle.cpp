@@ -69,7 +69,6 @@ OracleProfile OracleProfile::from(const ThreadProfile& p) {
   out.rank = p.rank;
   out.tid = p.tid;
   out.sampling_period = p.sampling_period;
-  out.effective_period = p.effective_period;
   for (std::size_t i = 0; i < p.strings.size(); ++i) {
     out.strings.intern(p.strings.str(i));
   }
@@ -85,7 +84,6 @@ ThreadProfile OracleProfile::to_profile() const {
   out.rank = rank;
   out.tid = tid;
   out.sampling_period = sampling_period;
-  out.effective_period = effective_period;
   for (const std::string& s : strings.strings()) out.strings.intern(s);
   for (std::size_t c = 0; c < core::kNumStorageClasses; ++c) {
     out.ccts[c] = ccts[c].to_cct();
@@ -301,7 +299,6 @@ std::vector<ThreadProfile> OracleProfiler::take_profiles() {
   for (auto& p : profiles_) {
     if (p) {
       p->sampling_period = period;
-      p->effective_period = period;
       out.push_back(p->to_profile());
     }
   }

@@ -89,7 +89,6 @@ struct OracleProfile {
   std::int32_t rank = 0;
   std::int32_t tid = 0;
   std::uint64_t sampling_period = 0;
-  std::uint64_t effective_period = 0;
   OracleStringTable strings;
   OracleCct ccts[core::kNumStorageClasses];
   core::AccessPatternTable patterns;

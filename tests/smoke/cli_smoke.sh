@@ -11,7 +11,8 @@
 # is the removed --throttle-budget option. dcprof_analyze's corrupt-file
 # policy is one option: --policy strict exits 1 naming a truncated shard,
 # --policy quarantine moves it into quarantine/, and --strict (the old
-# flag) or an unknown policy is a usage error.
+# flag) or an unknown policy is a usage error. A structure.dcst with
+# bytes after its last table fails the analysis (exit 1, naming it).
 #
 #   cli_smoke.sh <dcprof_measure> <dcprof_analyze>
 set -u
@@ -106,6 +107,14 @@ grep -q -- "$bad_name" "$tmpdir/strict.out" \
 [ -f "$tmpdir/corrupt/quarantine/$bad_name" ] \
     || fail "--policy quarantine did not move $bad_name into quarantine/"
 [ ! -e "$bad" ] || fail "--policy quarantine left $bad_name in place"
+cp -r "$tmpdir/meas" "$tmpdir/padded" || fail "cannot copy the measurement"
+printf 'trailing' >> "$tmpdir/padded/structure.dcst"
+"$analyze" "$tmpdir/padded" > "$tmpdir/padded.out" 2>&1
+rc=$?
+[ "$rc" -eq 1 ] || fail "structure.dcst with trailing bytes exited $rc, expected 1"
+grep -q 'structure.dcst' "$tmpdir/padded.out" \
+    || fail "trailing bytes in structure.dcst were not named"
+
 expect_usage_error 'unknown option --strict' \
     "$analyze" "$tmpdir/meas" --strict
 expect_usage_error "unknown --policy 'bogus'" \

@@ -1,8 +1,8 @@
 // Crash-safety of the measurement->analysis boundary: the v4 `.dcpf`
 // framing (header + CRC32C footer), atomic write-out, recovery-mode
 // salvage reads, the analyzer's corrupt-shard policies, rejection of the
-// removed v2 and v3 formats, and the sampling periods each header
-// records, down to the analyzer's report of a raised-period shard.
+// removed v2 and v3 formats and of raised-period headers, and the one
+// sampling period each header records.
 //
 // The centerpiece is a truncation sweep: a serialized profile is cut at
 // *every* byte offset (which covers every record boundary and every
@@ -30,6 +30,7 @@
 #include "core/profile.h"
 #include "core/profiler.h"
 #include "rt/team.h"
+#include "support/dcpf.h"
 
 namespace dcprof::analysis {
 namespace {
@@ -40,8 +41,6 @@ using core::Cct;
 using core::Metric;
 using core::MetricVec;
 using core::NodeKind;
-using core::ProfileFraming;
-using core::ProfileVisitor;
 using core::SalvageResult;
 using core::StorageClass;
 using core::ThreadProfile;
@@ -384,12 +383,11 @@ TEST(CrashSafety, StrictReadNamesTheFileAtEveryFailureKind) {
   expect_named_error(good.substr(0, l.record_ends.back() - 7),
                      "mid-record truncation");
   expect_named_error(good + "xx", "trailing bytes");
-  // The salvaging file reader prefixes its error with the path too.
+  // Salvaging the same file keeps the one record that fully arrived.
   write_bytes(files[0], good.substr(0, l.record_ends.front()));
   SalvageResult sr;
-  core::read_profile_file_salvage(files[0], sr);
+  ThreadProfile::read_salvage(core::read_file(files[0]), sr);
   EXPECT_FALSE(sr.clean);
-  EXPECT_NE(sr.error.find(name_of(files[0])), std::string::npos);
   EXPECT_EQ(sr.records_kept, 1u);
 }
 
@@ -468,7 +466,7 @@ TEST(CrashSafety, SalvageModeFoldsTheValidPrefixIntoTheMerge) {
     ThreadProfile p;
     if (i == 1) {
       SalvageResult sr;
-      p = core::read_profile_file_salvage(files[i], sr);
+      p = ThreadProfile::read_salvage(core::read_file(files[i]), sr);
       ASSERT_EQ(sr.records_kept, kept);
     } else {
       p = core::read_profile_file(files[i]);
@@ -578,9 +576,9 @@ std::string serialize_v3(const ThreadProfile& p) {
   std::string payload;
   put_u32(payload, 0x64637066);  // "dcpf"
   put_u32(payload, 3);
-  put_u32(payload, p.throttled() ? core::kProfileFlagThrottled : 0u);
+  put_u32(payload, 0);  // flags
   put_u64(payload, p.sampling_period);
-  put_u64(payload, p.effective_period);
+  put_u64(payload, p.sampling_period);
   put_u32(payload, static_cast<std::uint32_t>(p.rank));
   put_u32(payload, static_cast<std::uint32_t>(p.tid));
   put_u32(payload, static_cast<std::uint32_t>(p.strings.size()));
@@ -733,52 +731,110 @@ std::vector<ThreadProfile> run_kernel(int n_loads) {
   return profiler.take_profiles();
 }
 
+/// The little-endian word of `width` bytes at `off` in `bytes`.
+std::uint64_t word_at(const std::string& bytes, std::size_t off,
+                      std::size_t width) {
+  std::uint64_t v = 0;
+  for (std::size_t b = width; b-- > 0;) {
+    v = (v << 8) | static_cast<unsigned char>(bytes[off + b]);
+  }
+  return v;
+}
+
+/// `good` with the header word of `width` bytes at `off` set to `v` and
+/// the footer recomputed: a well-framed shard with a foreign header.
+std::string with_header_word(const std::string& good, std::size_t off,
+                             std::size_t width, std::uint64_t v) {
+  std::string payload = good.substr(0, good.size() - test::kDcpfFooterBytes);
+  for (std::size_t b = 0; b < width; ++b) {
+    payload[off + b] = static_cast<char>((v >> (8 * b)) & 0xffu);
+  }
+  return test::with_footer(std::move(payload));
+}
+
+// Header offsets: magic 0, version 4, flags 8, sampling period 12 and
+// its second slot 20.
+constexpr std::size_t kFlagsAt = 8;
+constexpr std::size_t kPeriodAt = 12;
+constexpr std::size_t kSecondPeriodAt = 20;
+
 TEST(CrashSafety, PeriodsAreStampedEvenWithoutThrottling) {
   const std::vector<ThreadProfile> profiles = run_kernel(128);
   ASSERT_FALSE(profiles.empty());
   const ThreadProfile& tp = profiles.front();
   EXPECT_EQ(tp.sampling_period, 8u);
-  EXPECT_EQ(tp.effective_period, 8u);
-  EXPECT_FALSE(tp.throttled());
+  // The header stores flags 0 and the one period in both slots.
+  const std::string bytes = serialized(tp);
+  EXPECT_EQ(word_at(bytes, kFlagsAt, 4), 0u);
+  EXPECT_EQ(word_at(bytes, kPeriodAt, 8), 8u);
+  EXPECT_EQ(word_at(bytes, kSecondPeriodAt, 8), 8u);
 }
 
-TEST(CrashSafety, RaisedPeriodShardIsFlaggedReadAndReported) {
-  // The profiler stamps both periods equal, but a v4 shard whose header
-  // records a raised period (as earlier builds wrote under overload) is
-  // still valid input. Built by hand, as the fuzz corpus's
-  // throttled_v4.dcpf is.
+TEST(CrashSafety, RaisedPeriodShardIsRejectedWithClearError) {
+  // Builds with the overload throttle wrote a raised period into the
+  // second slot and set flag bit 0. No writer emits that header now, so
+  // it is built by hand; it stays well framed (footer and CRC intact).
   ThreadProfile tp = make_profile(0);
   tp.sampling_period = 8;
-  tp.effective_period = 32;
-  EXPECT_TRUE(tp.throttled());
+  const std::string good = serialized(tp);
+  const std::string raised = with_header_word(
+      with_header_word(good, kSecondPeriodAt, 8, 32), kFlagsAt, 4, 1);
 
-  // The raised period survives serialization: header flag + both periods.
-  struct FramingGrabber final : ProfileVisitor {
-    ProfileFraming f;
-    void on_framing(const ProfileFraming& fr) override { f = fr; }
-  } grab;
-  const std::string bytes = serialized(tp);
-  ThreadProfile::scan(bytes, grab);
-  EXPECT_EQ(grab.f.flags & core::kProfileFlagThrottled,
-            core::kProfileFlagThrottled);
-  EXPECT_EQ(grab.f.sampling_period, 8u);
-  EXPECT_EQ(grab.f.effective_period, 32u);
-  const ThreadProfile back = ThreadProfile::read(bytes);
-  EXPECT_TRUE(back.throttled());
-  EXPECT_EQ(back.effective_period, 32u);
+  // Every entry point names both periods and the remedy.
+  const auto expect_period_error = [](const std::string& what) {
+    EXPECT_NE(what.find("8 and 32"), std::string::npos) << what;
+    EXPECT_NE(what.find("re-record"), std::string::npos) << what;
+  };
+  try {
+    ThreadProfile::read(raised);
+    FAIL() << "raised-period profile was accepted";
+  } catch (const std::runtime_error& e) {
+    expect_period_error(e.what());
+  }
+  expect_period_error(ThreadProfile::check_framing(raised));
 
-  // ...and the analyzer reports that shard, with both periods, and not
-  // its neighbour sampled at the configured period.
-  ThreadProfile steady = make_profile(1);
-  steady.sampling_period = 8;
-  steady.effective_period = 8;
+  // The salvaging read keeps nothing: the header check precedes any
+  // record.
+  SalvageResult sr;
+  const ThreadProfile empty = ThreadProfile::read_salvage(raised, sr);
+  EXPECT_FALSE(sr.clean);
+  EXPECT_EQ(sr.records_kept, 0u);
+  EXPECT_EQ(empty.total_samples(), 0u);
+  expect_period_error(sr.error);
+
+  // A set flag is rejected even when the two periods agree.
+  const std::string flagged = with_header_word(good, kFlagsAt, 4, 1);
+  EXPECT_THROW(ThreadProfile::read(flagged), std::runtime_error);
+  EXPECT_NE(ThreadProfile::check_framing(flagged).find("re-record"),
+            std::string::npos);
+
+  // Both shard folds skip it with that reason, as a plain skip: the
+  // batch analyzer folds the other shard alone, and the ingestion daemon
+  // neither rolls back nor re-folds.
   TempDir dir;
   binfmt::ModuleRegistry no_modules;
-  core::write_measurement_dir(dir.path, {tp, steady},
+  const ThreadProfile steady = make_profile(1);
+  core::write_measurement_dir(dir.path, {steady},
                               binfmt::StructureData::capture(no_modules));
+  core::write_file_atomic(dir.path / "profile-0-3.dcpf", raised);
   const AnalysisResult r = Analyzer().run(dir.path);
-  ASSERT_EQ(r.throttled.size(), 1u);
-  EXPECT_NE(r.throttled[0].find("period 8 -> 32"), std::string::npos);
+  EXPECT_EQ(r.files_read, 1u);
+  EXPECT_EQ(r.files_skipped, 1u);
+  ASSERT_EQ(r.skipped.size(), 1u);
+  expect_period_error(r.skipped[0]);
+  EXPECT_EQ(serialized(r.merged), serialized(steady));
+
+  IngestOptions opts;
+  opts.checkpoint = dir.path / "ingest.dcck";
+  opts.claim = false;
+  IngestService service(dir.path, opts);
+  EXPECT_EQ(service.poll_once(), 1u);
+  const IngestStats st = service.stats();
+  EXPECT_EQ(st.files, 1u);
+  EXPECT_EQ(st.skipped, 1u);
+  EXPECT_EQ(st.resumes, 0u);
+  ASSERT_EQ(st.skip_reasons.size(), 1u);
+  expect_period_error(st.skip_reasons[0]);
 }
 
 }  // namespace

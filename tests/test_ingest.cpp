@@ -346,6 +346,33 @@ TEST(Ingest, SealedCheckpointWithHugeManifestCountRejectedPromptly) {
   }
 }
 
+// A checkpoint parse must end exactly where the aggregate does. Junk
+// after it under a valid seal (a writer bug: the footer checks out) is
+// rejected rather than resumed from.
+TEST(Ingest, SealedCheckpointWithTrailingBytesRejected) {
+  TempDir dir;
+  write_fleet(dir.path, 3);
+  const IngestOptions opts = opts_for(dir.path);
+  {
+    IngestService service(dir.path, opts);
+    service.poll_once();
+    service.checkpoint();
+  }
+  std::string payload(core::sealed_payload(core::read_file(opts.checkpoint)));
+  payload.append(12, 'x');
+  core::seal(payload, 0x64636b74u);  // "dckt"
+  core::write_file_atomic(opts.checkpoint, payload);
+  try {
+    IngestService service(dir.path, opts);
+    ADD_FAILURE() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("corrupt ingest checkpoint"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("trailing bytes"), std::string::npos) << what;
+  }
+}
+
 TEST(Ingest, ClaimRetiresShardsAndBoundsManifest) {
   TempDir dir;
   write_fleet(dir.path, 20);

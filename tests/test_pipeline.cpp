@@ -517,7 +517,7 @@ TEST(Pipeline, PoisonedShardIsRefoldedAroundUnderEveryPolicy) {
     }
 
     // Salvage folds each corrupt shard's valid prefix in its place,
-    // exactly as read_profile_file_salvage keeps it.
+    // exactly as read_salvage keeps it.
     {
       TempDir dir;
       const auto files = make_dir(dir, true);
@@ -528,7 +528,7 @@ TEST(Pipeline, PoisonedShardIsRefoldedAroundUnderEveryPolicy) {
         ThreadProfile p;
         if (i == kTorn || i == kPoison) {
           core::SalvageResult sr;
-          p = core::read_profile_file_salvage(files[i], sr);
+          p = ThreadProfile::read_salvage(core::read_file(files[i]), sr);
           ASSERT_GT(sr.records_kept, 0u);
           kept += sr.records_kept;
           dropped += sr.records_dropped;
@@ -632,7 +632,8 @@ TEST(MeasurementStreaming, ReadProfileFileErrorsNameTheFile) {
         << e.what();
   }
 
-  // Trailing garbage after a valid profile is rejected.
+  // Trailing garbage after a valid profile is rejected: the framing
+  // check finds no footer at the end of the file.
   {
     std::ofstream out(files[1], std::ios::binary | std::ios::app);
     out << "garbage";
@@ -641,7 +642,8 @@ TEST(MeasurementStreaming, ReadProfileFileErrorsNameTheFile) {
     core::read_profile_file(files[1]);
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("trailing"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("bad footer magic"),
+              std::string::npos)
         << e.what();
   }
 }

@@ -166,6 +166,22 @@ TEST(StructureData, ImplausibleStringLengthRejected) {
   fs::remove_all(dir);
 }
 
+// The parse must end exactly where the annotation table does: bytes
+// after it are a writer bug or tampering, not padding.
+TEST(StructureData, TrailingBytesRejected) {
+  Fixture f;
+  const std::string bytes =
+      StructureData::capture(f.registry, f.names).serialize();
+  for (const std::string& junk : {std::string(1, '\0'), std::string(8, 'x')}) {
+    try {
+      StructureData::read(bytes + junk);
+      ADD_FAILURE() << "accepted " << junk.size() << " trailing bytes";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "trailing bytes after structure file");
+    }
+  }
+}
+
 TEST(StructureData, EmptyRegistryRoundTrips) {
   ModuleRegistry empty;
   const StructureData data = StructureData::capture(empty);

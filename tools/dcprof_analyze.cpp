@@ -222,11 +222,6 @@ int main(int argc, char** argv) {
     std::printf("quarantined %zu file(s):\n", r.files_quarantined);
     for (const auto& s : r.quarantined) std::printf("  %s\n", s.c_str());
   }
-  if (!r.throttled.empty()) {
-    std::printf("%zu profile(s) recorded under overload degradation:\n",
-                r.throttled.size());
-    for (const auto& s : r.throttled) std::printf("  %s\n", s.c_str());
-  }
   std::printf("\n");
 
   const analysis::AnalysisContext ctx = r.context();
