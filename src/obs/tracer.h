@@ -5,7 +5,7 @@
 //   OBS_SPAN("analyze.stream");             // RAII complete ("X") event
 //   OBS_SPAN_V("analyze.shard", "shard", w) // span with one u64 arg
 //   Tracer::global().record_complete(name, ts, dur, TraceArgs{...})
-//                                           // a span with up to 3 u64 args
+//                                           // a span with up to 4 u64 args
 //   OBS_INSTANT("analyze.heartbeat");       // instant ("i") event
 //
 // Cost model:
@@ -37,7 +37,7 @@ struct TraceArg {
   std::uint64_t value = 0;
 };
 /// The arguments one event carries (names must outlive the tracer).
-using TraceArgs = std::array<TraceArg, 3>;
+using TraceArgs = std::array<TraceArg, 4>;
 
 class Tracer {
  public:
@@ -121,7 +121,7 @@ class Tracer {
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<ThreadBuf>> threads_;
-  std::size_t capacity_ = 1 << 16;  ///< events per thread (~5 MB)
+  std::size_t capacity_ = 1 << 16;  ///< events per thread (~6 MB)
   std::uint64_t epoch_ns_ = 0;
 };
 

@@ -33,10 +33,13 @@ MemorySystem::MemorySystem(const MachineConfig& cfg)
 }
 
 bool MemorySystem::walk_caches(CoreId core, Addr addr, bool is_store,
-                               AccessResult& r, bool skip_tlb) {
+                               AccessResult& r, bool skip_tlb,
+                               std::uint64_t& view_misses) {
   const auto ci = static_cast<std::size_t>(core);
   if (!skip_tlb) {
-    const bool tlb_hit = tlbs_[ci].access(addr);
+    Tlb& tlb = tlbs_[ci];
+    const bool tlb_hit = tlb_variants_.empty() ? tlb.access(addr)
+                                               : tlb.access(addr, view_misses);
     r.tlb_miss = !tlb_hit;
     if (r.tlb_miss) {
       r.latency += cfg_.lat.tlb_walk;
@@ -142,9 +145,12 @@ AccessResult MemorySystem::access(ThreadId tid, CoreId core, Addr addr,
       overrides_.empty() ? nullptr : overrides_.lookup(addr);
   const bool skip_tlb = bypasses_tlb(ov);
   AccessResult r;
+  std::uint64_t view_misses = 0;
   if (mru_hit(core, addr, is_store, skip_tlb, r) ||
-      walk_caches(core, addr, is_store, r, skip_tlb)) {
-    if (!tlb_variants_.empty()) time_hit(tid, core, addr, r);
+      walk_caches(core, addr, is_store, r, skip_tlb, view_misses)) {
+    if (!tlb_variants_.empty() && (r.tlb_miss || view_misses != 0)) {
+      time_hit(tid, r, view_misses);
+    }
     return r;
   }
   // DRAM fill: bind the page (first touch) and pay the home controller.
@@ -159,36 +165,35 @@ AccessResult MemorySystem::access(ThreadId tid, CoreId core, Addr addr,
     default: tm_.l3.inc(); break;
   }
   if (!variants_.empty()) {
-    time_fill(tid, core, addr, toucher, home, prefetched, now, r);
+    time_fill(tid, addr, toucher, home, prefetched, now, r, view_misses);
   }
   return r;
 }
 
-void MemorySystem::time_hit(ThreadId tid, CoreId core, Addr addr,
-                            const AccessResult& r) {
+void MemorySystem::time_hit(ThreadId tid, const AccessResult& r,
+                            std::uint64_t view_misses) {
   const auto t = static_cast<std::size_t>(tid);
   const auto walk = static_cast<std::int64_t>(cfg_.lat.tlb_walk);
-  for (Variant* v : tlb_variants_) {
-    const OverrideEntry* ov =
-        v->overrides.empty() ? nullptr : v->overrides.lookup(addr);
+  for (std::size_t v = 0; v < tlb_variants_.size(); ++v) {
     // Same cache level as the primary; only the TLB walk can differ.
-    v->offset[t] += walk * (static_cast<std::int64_t>(
-                                variant_tlb_miss(*v, core, addr, ov)) -
-                            static_cast<std::int64_t>(r.tlb_miss));
+    tlb_variants_[v]->offset[t] +=
+        walk * (static_cast<std::int64_t>((view_misses >> v) & 1) -
+                static_cast<std::int64_t>(r.tlb_miss));
   }
 }
 
-void MemorySystem::time_fill(ThreadId tid, CoreId core, Addr addr,
-                             NodeId toucher, NodeId home, bool prefetched,
-                             Cycles now, const AccessResult& r) {
+void MemorySystem::time_fill(ThreadId tid, Addr addr, NodeId toucher,
+                             NodeId home, bool prefetched, Cycles now,
+                             const AccessResult& r,
+                             std::uint64_t view_misses) {
   const auto t = static_cast<std::size_t>(tid);
   for (const auto& vp : variants_) {
     Variant& v = *vp;
     const OverrideEntry* ov =
         v.overrides.empty() ? nullptr : v.overrides.lookup(addr);
     AccessResult vr;
-    const bool tlb_miss = v.tlbs.empty() ? r.tlb_miss
-                                         : variant_tlb_miss(v, core, addr, ov);
+    const bool tlb_miss =
+        v.tlb_view < 0 ? r.tlb_miss : ((view_misses >> v.tlb_view) & 1) != 0;
     if (tlb_miss) vr.latency = cfg_.lat.tlb_walk;
     const NodeId v_home = v.page_table != nullptr
                               ? touch_page(*v.page_table, addr, toucher, ov)
@@ -230,12 +235,13 @@ void MemorySystem::add_override(int variant, Addr base, std::uint64_t size,
     return;
   }
   Variant& v = *variants_.at(static_cast<std::size_t>(variant));
-  if ((entry.latency != LatencyOverride::kNone && v.tlbs.empty()) ||
+  if ((entry.latency != LatencyOverride::kNone && v.tlb_view < 0) ||
       (entry.placement == PlacementOverride::kInterleave && !v.page_table)) {
     throw std::logic_error(
         "variant override needs state the variant does not own");
   }
   v.overrides.add_range(base, size, entry);
+  rebase_tlb_views(v);
 }
 
 void MemorySystem::remove_override(int variant, Addr base,
@@ -245,8 +251,14 @@ void MemorySystem::remove_override(int variant, Addr base,
     update_inline_ok();
     return;
   }
-  variants_.at(static_cast<std::size_t>(variant))
-      ->overrides.remove_range(base, size);
+  Variant& v = *variants_.at(static_cast<std::size_t>(variant));
+  v.overrides.remove_range(base, size);
+  rebase_tlb_views(v);
+}
+
+void MemorySystem::rebase_tlb_views(const Variant& v) {
+  if (v.tlb_view < 0) return;
+  for (Tlb& t : tlbs_) t.rebase_view(static_cast<unsigned>(v.tlb_view));
 }
 
 int MemorySystem::add_variant(int threads, VariantOwnership own) {
@@ -256,11 +268,15 @@ int MemorySystem::add_variant(int threads, VariantOwnership own) {
   auto v = std::make_unique<Variant>(cfg_.page_bytes);
   v->offset.assign(static_cast<std::size_t>(threads), 0);
   v->controllers = controllers_;
-  if (own.tlb) v->tlbs = tlbs_;
+  if (own.tlb) {
+    // Every core's TLB carries the same views, so the first throws past
+    // Tlb::kMaxViews before any changes.
+    for (Tlb& t : tlbs_) t.add_view(v->overrides);
+    v->tlb_view = static_cast<int>(tlb_variants_.size());
+    tlb_variants_.push_back(v.get());
+  }
   if (own.page_table) v->page_table = std::make_unique<PageTable>(page_table_);
-  if (own.tlb) tlb_variants_.push_back(v.get());
   variants_.push_back(std::move(v));
-  update_inline_ok();
   return static_cast<int>(variants_.size()) - 1;
 }
 
@@ -293,9 +309,12 @@ void MemorySystem::flush_caches() {
   for (auto& c : l2_) c.clear();
   for (auto& c : l3_) c.clear();
   for (auto& t : tlbs_) t.clear();
-  for (Variant* v : tlb_variants_) {
-    for (auto& t : v->tlbs) t.clear();
-  }
+}
+
+std::uint64_t MemorySystem::variant_tlb_steps() const {
+  std::uint64_t steps = 0;
+  for (const Tlb& t : tlbs_) steps += t.view_steps();
+  return steps;
 }
 
 }  // namespace dcprof::sim

@@ -113,7 +113,8 @@ struct MemLevelStats {
 /// reads from the primary.
 struct VariantOwnership {
   /// Per-core TLBs: needed by a latency override, whose pages bypass the
-  /// TLB, so the variant's TLB contents diverge from the primary's.
+  /// TLB, so the variant's TLB contents diverge from the primary's. They
+  /// are views of the primary's TLBs (Tlb::add_view).
   bool tlb = false;
   /// A page table: needed by an interleave override, whose forced binding
   /// advances the process interleave cursor every later binding reads.
@@ -135,13 +136,14 @@ class MemorySystem {
   AccessResult access(ThreadId tid, CoreId core, Addr addr, bool is_store,
                       Cycles now);
 
-  /// The inline check, for runs without primary overrides or TLB-owning
-  /// variants: resolves an L1 hit on the MRU way of its set whose page
-  /// is one of the TLB's two most recent entries. Such a hit changes no
-  /// replacement state beyond the swap Tlb::access would make, and no
-  /// placement-only variant times a cache hit differently, so this is
-  /// exactly access()'s outcome. Returns false, changing nothing, for
-  /// every other access.
+  /// The inline check, for runs without primary overrides: resolves an
+  /// L1 hit on the MRU way of its set whose page is one of the TLB's two
+  /// most recent entries. Such a hit changes no replacement state beyond
+  /// the swap Tlb::access would make; no placement-only variant times a
+  /// cache hit differently, and the probe finds only quiet TLB entries,
+  /// which no TLB-owning variant's view times differently either
+  /// (Tlb::add_view). So this is exactly access()'s outcome. Returns
+  /// false, changing nothing, for every other access.
   bool access_mru(CoreId core, Addr addr, bool is_store, AccessResult& r) {
     return inline_ok_ && mru_hit(core, addr, is_store, false, r);
   }
@@ -173,6 +175,8 @@ class MemorySystem {
   /// its own DRAM controllers, and the TLBs and page table `own` names —
   /// and starts as a copy of the primary's, so it times exactly like a
   /// machine that ran the same ops with its overrides as primary ones.
+  /// Its TLBs are views of the primary's (Tlb::add_view), so at most
+  /// Tlb::kMaxViews variants own TLBs (std::length_error past that).
   /// Needs an unpatched primary (std::logic_error otherwise).
   int add_variant(int threads, VariantOwnership own);
   int num_variants() const { return static_cast<int>(variants_.size()); }
@@ -195,9 +199,13 @@ class MemorySystem {
 
   MemLevelStats stats() const;
 
-  /// Drops all cached state (not page placements), the variants' own
-  /// TLBs included. Useful between phases.
+  /// Drops all cached state (not page placements), the variants' TLB
+  /// views included. Useful between phases.
   void flush_caches();
+
+  /// Accesses that stepped the TLB-owning variants' views (a primary TLB
+  /// miss, or a hit on an entry that is not quiet), over all cores.
+  std::uint64_t variant_tlb_steps() const;
 
   /// Per-core and per-socket components, for hit/miss inspection.
   const SetAssocCache& l1(CoreId core) const {
@@ -223,18 +231,16 @@ class MemorySystem {
     /// on an access whose latency differs, and at barriers.
     std::vector<std::int64_t> offset;
     std::vector<DramController> controllers;  // per NUMA node
-    std::vector<Tlb> tlbs;                    // per core; empty unless owned
-    std::unique_ptr<PageTable> page_table;    // null unless owned
+    /// Its view in every core's TLB; -1 unless it owns TLBs.
+    int tlb_view = -1;
+    std::unique_ptr<PageTable> page_table;  // null unless owned
   };
 
   const Variant& variant_at(int v) const {
     return *variants_.at(static_cast<std::size_t>(v));
   }
-  /// Recomputes inline_ok_ after the primary's overrides or the variant
-  /// set changed.
-  void update_inline_ok() {
-    inline_ok_ = overrides_.empty() && tlb_variants_.empty();
-  }
+  /// Recomputes inline_ok_ after the primary's overrides changed.
+  void update_inline_ok() { inline_ok_ = overrides_.empty(); }
 
   /// The state-free hit: L1 MRU way, and the TLB's two most recent
   /// entries unless `skip_tlb` (a latency override bypasses the TLB).
@@ -254,23 +260,19 @@ class MemorySystem {
   /// cache satisfied the access (`r` is complete); false when it falls
   /// through to DRAM (`r` carries the TLB outcome and walk latency so
   /// far). With `skip_tlb` (bypasses_tlb) the TLB is not consulted,
-  /// charged or filled. Cache fills do not depend on any override.
+  /// charged or filled. Sets bit v of `view_misses` when TLB view v
+  /// missed. Cache fills do not depend on any override.
   bool walk_caches(CoreId core, Addr addr, bool is_store, AccessResult& r,
-                   bool skip_tlb);
+                   bool skip_tlb, std::uint64_t& view_misses);
   /// Consults (and trains) `core`'s stream prefetcher for a DRAM fill of
   /// `addr`. Config-gated; called once per fill, in issue order.
   bool consult_prefetcher(CoreId core, Addr addr);
 
-  // What an override changes, stated once: the primary walk and every
-  // variant apply these three.
+  // What an override changes, stated once: the TLB-bypass rule
+  // (bypasses_tlb, in sim/override.h, which the TLB views apply too),
+  // touch_page and resolve_fill. The primary walk and every variant
+  // apply all three.
 
-  /// The TLB-bypass rule: a latency-overridden access skips the TLB —
-  /// not consulted, not charged, not filled — because the modeled fix
-  /// shrinks the variable's translation footprint to nothing (so other
-  /// variables' entries survive instead of being thrashed).
-  static bool bypasses_tlb(const OverrideEntry* ov) {
-    return ov != nullptr && ov->latency != LatencyOverride::kNone;
-  }
   /// Binds the page of `addr` in `pt`, honouring an interleave override's
   /// forced binding; plain first-touch semantics when `ov` is null.
   static NodeId touch_page(PageTable& pt, Addr addr, NodeId toucher,
@@ -287,20 +289,16 @@ class MemorySystem {
                     AccessResult& r) const;
 
   /// Variant timing of a cache hit `r`: only a TLB-owning variant can
-  /// differ, by its own TLB outcome.
-  void time_hit(ThreadId tid, CoreId core, Addr addr, const AccessResult& r);
+  /// differ, by its view's outcome (bit v of `view_misses`).
+  void time_hit(ThreadId tid, const AccessResult& r,
+                std::uint64_t view_misses);
   /// Variant timing of the DRAM fill `r` (page bound to `home` in the
   /// primary, issued at primary time `now`).
-  void time_fill(ThreadId tid, CoreId core, Addr addr, NodeId toucher,
-                 NodeId home, bool prefetched, Cycles now,
-                 const AccessResult& r);
-  /// Whether `v`'s own TLB misses on `addr` under override `ov`.
-  static bool variant_tlb_miss(Variant& v, CoreId core, Addr addr,
-                               const OverrideEntry* ov) {
-    if (bypasses_tlb(ov)) return false;
-    Tlb& tlb = v.tlbs[static_cast<std::size_t>(core)];
-    return !tlb.access_recent(addr) && !tlb.access(addr);
-  }
+  void time_fill(ThreadId tid, Addr addr, NodeId toucher, NodeId home,
+                 bool prefetched, Cycles now, const AccessResult& r,
+                 std::uint64_t view_misses);
+  /// A TLB-owning variant's overrides changed: rebase its views.
+  void rebase_tlb_views(const Variant& v);
 
   MachineConfig cfg_;
   std::vector<SetAssocCache> l1_;   // per core
@@ -311,8 +309,7 @@ class MemorySystem {
   std::vector<DramController> controllers_;  // per NUMA node
   PageTable page_table_;
   OverrideMap overrides_;
-  /// access_mru's single test: no primary overrides and no TLB-owning
-  /// variant.
+  /// access_mru's single test: no primary overrides.
   bool inline_ok_ = true;
 
   // Registry-backed level counts (this instance's private cells; the
@@ -322,7 +319,8 @@ class MemorySystem {
   };
   Telemetry tm_;
   std::vector<std::unique_ptr<Variant>> variants_;
-  std::vector<Variant*> tlb_variants_;  ///< the variants owning TLBs
+  /// The variants owning TLBs; index = their view (Variant::tlb_view).
+  std::vector<Variant*> tlb_variants_;
 };
 
 }  // namespace dcprof::sim

@@ -55,6 +55,14 @@ struct OverrideEntry {
   }
 };
 
+/// The TLB-bypass rule: a latency-overridden access skips the TLB — not
+/// consulted, not charged, not filled — because the modeled fix shrinks
+/// the variable's translation footprint to nothing (so other variables'
+/// entries survive instead of being thrashed). `ov` may be null.
+inline bool bypasses_tlb(const OverrideEntry* ov) {
+  return ov != nullptr && ov->latency != LatencyOverride::kNone;
+}
+
 /// Page-granular interval table of override entries. Ranges are added
 /// per variable (a heap block or a static segment) and rounded outward
 /// to whole pages — placement is a per-page property, so a boundary page

@@ -25,6 +25,17 @@ void merge_entry(sim::OverrideEntry& into, const sim::OverrideEntry& e) {
   if (e.latency != sim::LatencyOverride::kNone) into.latency = e.latency;
 }
 
+/// What a variant timing `spec` must own.
+sim::VariantOwnership ownership(const WhatIfSpec& spec) {
+  sim::VariantOwnership own;
+  for (const analysis::WhatIfAction& a : spec.actions) {
+    const sim::OverrideEntry e = analysis::override_for(a.fix);
+    own.tlb |= e.latency != sim::LatencyOverride::kNone;
+    own.page_table |= e.placement == sim::PlacementOverride::kInterleave;
+  }
+  return own;
+}
+
 }  // namespace
 
 OverrideInstaller::OverrideInstaller(ProcessCtx& proc,
@@ -43,12 +54,9 @@ OverrideInstaller::OverrideInstaller(ProcessCtx& proc,
   bool any_heap = false;
   for (const WhatIfSpec& spec : specs) {
     Targets t;
-    sim::VariantOwnership own;
     // Group the spec's actions per target, merging their entries.
     for (const analysis::WhatIfAction& a : spec.actions) {
       const sim::OverrideEntry e = analysis::override_for(a.fix);
-      own.tlb |= e.latency != sim::LatencyOverride::kNone;
-      own.page_table |= e.placement == sim::PlacementOverride::kInterleave;
       if (a.target.cls == core::StorageClass::kStatic) {
         auto it = std::find_if(
             t.statics.begin(), t.statics.end(),
@@ -70,6 +78,7 @@ OverrideInstaller::OverrideInstaller(ProcessCtx& proc,
       }
     }
     if (timing == Timing::kVariants && !spec.actions.empty()) {
+      const sim::VariantOwnership own = ownership(spec);
       t.variant = proc.machine().memory().add_variant(proc.team().size(), own);
       owning_tlbs_ += own.tlb ? 1 : 0;
       owning_page_tables_ += own.page_table ? 1 : 0;
@@ -193,7 +202,9 @@ std::vector<WhatIfRun> simulate(const char* exe, const Params& prm,
                               inst.variants_owning_tlbs())},
             obs::TraceArg{"variants_own_page_table",
                           static_cast<std::uint64_t>(
-                              inst.variants_owning_page_tables())}});
+                              inst.variants_owning_page_tables())},
+            obs::TraceArg{"variant_tlb_steps",
+                          proc.machine().memory().variant_tlb_steps()}});
   }
   count_simulation(specs.size());
   return runs;
@@ -211,8 +222,28 @@ WhatIfRunner per_spec(const char* exe, Params prm, WhatIfRunConfig cfg) {
 template <typename Workload, typename Params>
 WhatIfBatchRunner batched(const char* exe, Params prm, WhatIfRunConfig cfg) {
   return [exe, prm, cfg](const std::vector<WhatIfSpec>& specs) {
-    return simulate<Workload>(exe, prm, cfg.threads, specs,
-                              OverrideInstaller::Timing::kVariants);
+    // A machine gives at most Tlb::kMaxViews variants a TLB, so specs
+    // past that many TLB owners go to the next simulation.
+    std::vector<WhatIfRun> runs;
+    std::vector<WhatIfSpec> part;
+    unsigned tlb_owners = 0;
+    const auto run_part = [&] {
+      for (const WhatIfRun& run :
+           simulate<Workload>(exe, prm, cfg.threads, part,
+                              OverrideInstaller::Timing::kVariants)) {
+        runs.push_back(run);
+      }
+      part.clear();
+      tlb_owners = 0;
+    };
+    for (const WhatIfSpec& spec : specs) {
+      const bool owns_tlb = ownership(spec).tlb;
+      if (owns_tlb && tlb_owners == sim::Tlb::kMaxViews) run_part();
+      tlb_owners += owns_tlb ? 1 : 0;
+      part.push_back(spec);
+    }
+    run_part();
+    return runs;
   };
 }
 

@@ -118,7 +118,8 @@ analysis::WhatIfRunner make_nw_whatif_runner(NwParams prm,
 analysis::WhatIfRunner make_sweep3d_whatif_runner(Sweep3dParams prm);
 
 /// Batch runners: one execution answers every spec, each timed by its own
-/// machine variant. Sweep3D's rank messages and collectives carry one
+/// machine variant (one execution per sim::Tlb::kMaxViews specs that own
+/// TLBs; the CLI's batches hold far fewer). Sweep3D's rank messages and collectives carry one
 /// clock, which a variant cannot follow, so its batch runs the per-spec
 /// runner once per spec.
 analysis::WhatIfBatchRunner make_amg_whatif_batch_runner(

@@ -13,12 +13,15 @@
 # --policy quarantine moves it into quarantine/, and --strict (the old
 # flag) or an unknown policy is a usage error. A structure.dcst with
 # bytes after its last table fails the analysis (exit 1, naming it).
+# dcprof_verify --write-corpus removes a file its corpus.manifest lists
+# that the builtin corpus no longer has, and keeps a user's file beside it.
 #
-#   cli_smoke.sh <dcprof_measure> <dcprof_analyze>
+#   cli_smoke.sh <dcprof_measure> <dcprof_analyze> <dcprof_verify>
 set -u
 
 measure=$1
 analyze=$2
+verify=$3
 
 tmpdir=$(mktemp -d) || exit 1
 trap 'rm -rf "$tmpdir"' EXIT
@@ -119,5 +122,25 @@ expect_usage_error 'unknown option --strict' \
     "$analyze" "$tmpdir/meas" --strict
 expect_usage_error "unknown --policy 'bogus'" \
     "$analyze" "$tmpdir/meas" --policy bogus
+
+corpus="$tmpdir/corpus"
+"$verify" --write-corpus "$corpus" > /dev/null \
+    || fail "dcprof_verify --write-corpus exited $?"
+[ -s "$corpus/corpus.manifest" ] || fail "--write-corpus wrote no manifest"
+# A file an older build wrote (recorded, no longer builtin) beside a user's.
+cp "$corpus/basic_v4.dcpf" "$corpus/dropped_v4.dcpf"
+echo dropped_v4.dcpf >> "$corpus/corpus.manifest"
+cp "$corpus/basic_v4.dcpf" "$corpus/mine.dcpf"
+"$verify" --write-corpus "$corpus" > "$tmpdir/corpus.out" \
+    || fail "dcprof_verify --write-corpus exited $? on a written corpus"
+[ ! -e "$corpus/dropped_v4.dcpf" ] \
+    || fail "--write-corpus kept a file the builtin corpus dropped"
+[ -f "$corpus/mine.dcpf" ] || fail "--write-corpus removed a user's file"
+[ -f "$corpus/basic_v4.dcpf" ] || fail "--write-corpus removed its own file"
+if grep -q dropped_v4.dcpf "$corpus/corpus.manifest"; then
+  fail "corpus.manifest still lists the dropped file"
+fi
+grep -q 'removed 1' "$tmpdir/corpus.out" \
+    || fail "--write-corpus did not report the removal"
 
 echo "cli_smoke OK"

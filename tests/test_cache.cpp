@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
+#include <string>
 #include <vector>
 
 namespace dcprof::sim {
@@ -164,6 +167,72 @@ TEST(Tlb, ClearForgetsEverything) {
   tlb.access(0x1000);
   tlb.clear();
   EXPECT_FALSE(tlb.access(0x1000));
+}
+
+// A view must miss exactly when a TLB of its own, fed the same stream
+// minus the pages its overrides bypass, misses: across views added at any
+// point (each a copy of the TLB then), override changes on resident and
+// absent pages, clears, and the access_recent fast probe in front of
+// every access, as MemorySystem uses it.
+TEST(Tlb, ViewsMissLikeTlbsFedTheirFilteredStreams) {
+  constexpr std::size_t kPage = 4096;
+  const OverrideEntry promote{PlacementOverride::kNone,
+                              LatencyOverride::kNextLevel};
+  for (const unsigned entries : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("entries " + std::to_string(entries));
+    std::mt19937_64 rng(entries);
+    const auto pick = [&](std::uint64_t n) { return rng() % n; };
+    Tlb tlb(entries, kPage);
+    Tlb plain(entries, kPage);  // the same stream, without views
+    std::vector<std::unique_ptr<OverrideMap>> maps;
+    std::vector<Tlb> refs;  // per view: fed its filtered stream
+    std::uint64_t recent_hits = 0;
+    for (int op = 0; op < 40'000; ++op) {
+      const std::uint64_t roll = pick(1000);
+      if (roll < 3 && maps.size() < 6) {
+        maps.push_back(std::make_unique<OverrideMap>(kPage));
+        tlb.add_view(*maps.back());
+        refs.push_back(plain);
+        continue;
+      }
+      if (roll < 60 && !maps.empty()) {
+        const auto v = static_cast<unsigned>(pick(maps.size()));
+        const Addr base = pick(3 * entries + 2) * kPage;
+        const std::uint64_t size = (1 + pick(2)) * kPage;
+        if (pick(2) == 0) {
+          maps[v]->add_range(base, size, promote);
+        } else {
+          maps[v]->remove_range(base, size);
+        }
+        tlb.rebase_view(v);
+        continue;
+      }
+      if (roll < 62) {
+        tlb.clear();
+        plain.clear();
+        for (Tlb& r : refs) r.clear();
+        continue;
+      }
+      const Addr addr = pick(3 * entries + 2) * kPage + pick(kPage);
+      std::uint64_t view_misses = 0;
+      bool hit = true;
+      if (tlb.access_recent(addr)) {
+        ++recent_hits;
+      } else {
+        hit = maps.empty() ? tlb.access(addr) : tlb.access(addr, view_misses);
+      }
+      ASSERT_EQ(hit, plain.access(addr)) << "op " << op;
+      for (std::size_t v = 0; v < maps.size(); ++v) {
+        const bool want_miss =
+            !bypasses_tlb(maps[v]->lookup(addr)) && !refs[v].access(addr);
+        ASSERT_EQ((view_misses >> v) & 1, want_miss ? 1u : 0u)
+            << "view " << v << " op " << op;
+      }
+    }
+    EXPECT_EQ(maps.size(), 6u);
+    EXPECT_GT(recent_hits, 0u);
+    EXPECT_GT(tlb.view_steps(), 0u);
+  }
 }
 
 TEST(MemLevelNames, AllDistinct) {

@@ -561,6 +561,7 @@ std::vector<VariantCase> variant_cases(bool with_tlb_owners) {
   if (with_tlb_owners) {
     cases.push_back({{true, false}, {{P::kNone, L::kNextLevel}}});
     cases.push_back({{true, false}, {{P::kNone, L::kZero}}});
+    cases.push_back({{true, false}, {{P::kNone, L::kNextLevel}}});
     cases.push_back(
         {{true, false}, {{P::kLocal, L::kNextLevel}, {P::kNone, L::kZero}}});
     cases.push_back({{true, true},
@@ -634,6 +635,22 @@ TEST_P(MemorySystemVariants, TimeLikeSeparateMachines) {
     }
   };
 
+  // A TLB owner's latency override laid over a page its TLBs hold (the
+  // last one a core touched), and removed a few accesses later, while
+  // the 4-entry TLBs still hold it.
+  struct Resident {
+    std::size_t k = 0;
+    Addr base = 0;
+    std::uint64_t size = 0;
+    int accesses_left = 0;  ///< 0: no such override in place
+  };
+  Resident resident;
+  std::vector<Addr> last_addr(static_cast<std::size_t>(cfg.num_cores()), 0);
+  std::vector<std::size_t> tlb_owners;
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    if (cases[k].own.tlb) tlb_owners.push_back(k);
+  }
+
   int thread = 0;
   int mode_left = 0;
   Addr cursor = region;
@@ -641,6 +658,25 @@ TEST_P(MemorySystemVariants, TimeLikeSeparateMachines) {
   constexpr int kOps = 60'000;
   for (int op = 0; op < kOps; ++op) {
     const std::uint64_t roll = pick(1000);
+    if (roll >= 990) {
+      if (tlb_owners.empty() || resident.accesses_left > 0) continue;
+      const std::size_t k = tlb_owners[pick(tlb_owners.size())];
+      const Addr last = last_addr[pick(last_addr.size())];
+      if (last == 0) continue;
+      std::vector<OverrideEntry> latency;
+      for (const OverrideEntry& e : cases[k].kinds) {
+        if (e.latency != LatencyOverride::kNone) latency.push_back(e);
+      }
+      resident = Resident{k, last / cfg.page_bytes * cfg.page_bytes,
+                          (1 + pick(2)) * cfg.page_bytes,
+                          1 + static_cast<int>(pick(3))};
+      const OverrideEntry e = latency[pick(latency.size())];
+      m.memory().add_override(static_cast<int>(k), resident.base,
+                              resident.size, e);
+      refs[k]->memory().add_override(MemorySystem::kPrimary, resident.base,
+                                     resident.size, e);
+      continue;
+    }
     if (roll < 2) {
       m.memory().flush_caches();
       plain.memory().flush_caches();
@@ -722,6 +758,13 @@ TEST_P(MemorySystemVariants, TimeLikeSeparateMachines) {
     for (std::size_t k = 0; k < refs.size(); ++k) {
       refs[k]->access(t, core, 0x400000, addr, 8, store, ref_clock[k][ti]);
     }
+    last_addr[static_cast<std::size_t>(core)] = addr;
+    if (resident.accesses_left > 0 && --resident.accesses_left == 0) {
+      m.memory().remove_override(static_cast<int>(resident.k), resident.base,
+                                 resident.size);
+      refs[resident.k]->memory().remove_override(
+          MemorySystem::kPrimary, resident.base, resident.size);
+    }
   }
   barrier();
   expect_same_timing(kOps);
@@ -739,11 +782,55 @@ TEST_P(MemorySystemVariants, TimeLikeSeparateMachines) {
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, MemorySystemVariants,
-    ::testing::Combine(::testing::Values(1u, 2u, 3u), ::testing::Bool()),
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 5u, 6u),
+                       ::testing::Bool()),
     [](const auto& info) {
       return "seed" + std::to_string(std::get<0>(info.param)) +
              (std::get<1>(info.param) ? "_tlb_owners" : "_placement_only");
     });
+
+// A TLB-owning variant shares the primary's TLB entries, so repeated L1
+// MRU hits on a page it does not bypass stay on the inline path — also
+// after its overrides change, once an access has stepped its view again.
+TEST(MemorySystemVariants, TlbOwnerKeepsTheInlinePath) {
+  MemorySystem mem(tiny_machine());
+  const int placement = mem.add_variant(1, {});
+  const int latency = mem.add_variant(1, {true, false});
+  const OverrideEntry promote{PlacementOverride::kNone,
+                              LatencyOverride::kNextLevel};
+  const OverrideEntry local{PlacementOverride::kLocal,
+                            LatencyOverride::kNone};
+  mem.add_override(placement, 0x300000, 64, local);
+  const Addr page = 0x100000;
+  const auto expect_inline = [&](const char* when) {
+    for (Addr a = page; a < page + 64; a += 8) {
+      AccessResult r;
+      ASSERT_TRUE(mem.access_mru(0, a, false, r)) << when << " " << a;
+      EXPECT_EQ(r.level, MemLevel::kL1);
+    }
+  };
+  Cycles now = 0;
+  now += mem.access(0, 0, page, false, now).latency;
+  expect_inline("after the fill");
+  mem.add_override(latency, 0x200000, 64, promote);
+  now += mem.access(0, 0, page, false, now).latency;
+  expect_inline("after the override was added");
+  mem.remove_override(latency, 0x200000, 64);
+  now += mem.access(0, 0, page, false, now).latency;
+  expect_inline("after the override was removed");
+  // Nothing either variant changes applies to the page.
+  EXPECT_EQ(mem.variant_clock(placement, 0, now), now);
+  EXPECT_EQ(mem.variant_clock(latency, 0, now), now);
+}
+
+TEST(MemorySystemVariants, AtMost64OwnTlbs) {
+  MemorySystem mem(tiny_machine());
+  for (unsigned v = 0; v < Tlb::kMaxViews; ++v) {
+    mem.add_variant(1, {true, false});
+  }
+  EXPECT_THROW(mem.add_variant(1, {true, false}), std::length_error);
+  EXPECT_NO_THROW(mem.add_variant(1, {false, true}));
+}
 
 TEST(MemorySystemVariants, RejectOverridesTheyCannotTime) {
   MemorySystem mem(tiny_machine());

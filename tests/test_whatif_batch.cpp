@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "analysis/whatif.h"
+#include "obs/registry.h"
 #include "workloads/rerun.h"
 
 namespace dcprof::wl {
@@ -125,6 +126,33 @@ TEST_P(WhatIfBatch, MatchesPerSpecReRuns) {
   // The fixes must attach and change the timing, or equality says little.
   EXPECT_GE(attached, specs.size() - 1 - s.candidates.size());
   EXPECT_GE(moved, s.candidates.size());
+}
+
+// A machine gives at most 64 variants a TLB (one bit of a TLB entry's
+// masks each), so a batch with 65 TLB owners takes two simulations, says
+// so in whatif.simulations, and still equals the per-spec re-runs.
+TEST(WhatIfBatch, MoreTlbOwnersThanOneMaskWord) {
+  const Subject s = make_subject("lulesh");
+  ASSERT_GE(s.candidates.size(), 1u);
+  const WhatIfSpec promote{{{s.candidates[0].target, WhatIfFix::kPromote}}};
+  std::vector<WhatIfSpec> specs(1);
+  specs.insert(specs.end(), 65, promote);
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t sims = reg.snapshot().value("whatif.simulations");
+  const std::vector<WhatIfRun> batched = s.batch(specs);
+  EXPECT_EQ(reg.snapshot().value("whatif.simulations") - sims, 2u);
+  ASSERT_EQ(batched.size(), specs.size());
+  const WhatIfRun baseline = s.per_spec(specs[0]);
+  const WhatIfRun want = s.per_spec(promote);
+  EXPECT_NE(want.cycles, baseline.cycles);
+  EXPECT_GT(want.pages_patched, 0u);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("spec " + std::to_string(i));
+    const WhatIfRun& w = i == 0 ? baseline : want;
+    EXPECT_EQ(batched[i].cycles, w.cycles);
+    EXPECT_EQ(batched[i].pages_patched, w.pages_patched);
+    EXPECT_EQ(batched[i].checksum, w.checksum);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, WhatIfBatch,

@@ -16,7 +16,10 @@
 //                  corpus (plus --corpus files);
 //   --replay S     re-run exactly the trace differential and fuzz case
 //                  for seed S (the seed printed by a failure);
-//   --write-corpus write the builtin corpus as .dcpf files into DIR.
+//   --write-corpus write the builtin corpus as .dcpf files into DIR, and
+//                  remove the files an earlier --write-corpus wrote there
+//                  that the builtin corpus no longer has (DIR's
+//                  corpus.manifest lists them; other files stay).
 //
 // Every failure prints its case seed; exit status is non-zero if any
 // check failed.
@@ -27,6 +30,7 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -54,20 +58,44 @@ std::vector<std::string> load_corpus_dir(const std::string& dir) {
   return out;
 }
 
+/// The file in a --write-corpus directory listing the names written there,
+/// one per line: a later run removes those the builtin corpus dropped,
+/// and never a file it did not write.
+constexpr const char* kCorpusManifest = "corpus.manifest";
+
 int write_corpus(const std::string& dir) {
-  std::filesystem::create_directories(dir);
+  namespace fs = std::filesystem;
   const auto corpus = verify::builtin_corpus();
   const auto names = verify::builtin_corpus_names();
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    try {
-      core::write_file_atomic(std::filesystem::path(dir) / names[i],
-                              corpus[i]);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
+  const fs::path manifest = fs::path(dir) / kCorpusManifest;
+  std::size_t removed = 0;
+  try {
+    fs::create_directories(dir);
+    if (fs::exists(manifest)) {
+      std::istringstream listed(core::read_file(manifest));
+      for (std::string name; std::getline(listed, name);) {
+        // Only a plain corpus file name, as written: never a path.
+        const fs::path file(name);
+        if (file.filename() != file || file.extension() != ".dcpf" ||
+            std::find(names.begin(), names.end(), name) != names.end()) {
+          continue;
+        }
+        removed += fs::remove(fs::path(dir) / file) ? 1 : 0;
+      }
     }
+    std::string written;
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      core::write_file_atomic(fs::path(dir) / names[i], corpus[i]);
+      written += names[i] + "\n";
+    }
+    core::write_file_atomic(manifest, written);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
-  std::printf("wrote %zu corpus files to %s\n", corpus.size(), dir.c_str());
+  std::printf("wrote %zu corpus files to %s", corpus.size(), dir.c_str());
+  if (removed > 0) std::printf(", removed %zu it no longer has", removed);
+  std::printf("\n");
   return 0;
 }
 
