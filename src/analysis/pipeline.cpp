@@ -30,6 +30,36 @@ std::uint64_t us_of(double ms) {
   return ms > 0 ? static_cast<std::uint64_t>(ms * 1000.0) : 0;
 }
 
+/// Times one stage of Analyzer::run, from construction to destruction,
+/// and records that one interval three ways: into its StageTimings field
+/// (`ms`), its `analyze.stage_us{stage=...}` counter, and, when tracing,
+/// its `span` (a string literal).
+class StageTimer {
+ public:
+  StageTimer(const char* span, const char* stage, double& ms)
+      : span_(span), ms_(ms),
+        us_(obs::Registry::global().counter("analyze.stage_us",
+                                            {{"stage", stage}})) {}
+  ~StageTimer() {
+    const std::chrono::nanoseconds dur = Clock::now() - t0_;
+    ms_ = std::chrono::duration<double, std::milli>(dur).count();
+    us_.add(us_of(ms_));
+    if (obs::Tracer::enabled()) {
+      obs::Tracer& tr = obs::Tracer::global();
+      const auto ns = static_cast<std::uint64_t>(dur.count());
+      tr.record_complete(span_, tr.now_ns() - ns, ns);
+    }
+  }
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+ private:
+  const char* span_;
+  double& ms_;
+  obs::Counter us_;
+  Clock::time_point t0_ = Clock::now();
+};
+
 /// What merge_serialized would report for `p`'s serialized form.
 ThreadRow thread_row(const core::ThreadProfile& p) {
   ThreadRow row{p.rank, p.tid, {}};
@@ -179,254 +209,223 @@ AnalysisContext AnalysisResult::context() const {
 AnalysisResult Analyzer::run(const fs::path& dir) const {
   OBS_SPAN("analyze.run");
   obs::Registry& reg = obs::Registry::global();
-  obs::Counter stage_discover_us =
-      reg.counter("analyze.stage_us", {{"stage", "discover"}});
-  obs::Counter stage_stream_us =
-      reg.counter("analyze.stage_us", {{"stage", "stream"}});
-  obs::Counter stage_combine_us =
-      reg.counter("analyze.stage_us", {{"stage", "combine"}});
-  obs::Counter stage_views_us =
-      reg.counter("analyze.stage_us", {{"stage", "views"}});
   const auto t_start = Clock::now();
   AnalysisResult result;
+  StageTimings& timings = result.timings;
 
   // Stage 1: discover.
+  std::vector<std::string> files;
   {
-    OBS_SPAN("analyze.discover");
+    const StageTimer timer("analyze.discover", "discover",
+                           timings.discover_ms);
     result.structure = core::read_structure_file(dir);
     result.bytes_streamed += fs::file_size(dir / "structure.dcst");
+    files = core::list_profile_files(dir);
   }
-  const std::vector<std::string> files = core::list_profile_files(dir);
   result.files_discovered = files.size();
   if (files.empty()) {
     throw std::runtime_error("no profiles in " + dir.string());
   }
-  result.timings.discover_ms = ms_since(t_start);
-  stage_discover_us.add(us_of(result.timings.discover_ms));
 
   // Stage 2: stream. Contiguous shards keep the overall fold order equal
   // to the sorted file list, so the result is byte-identical to
   // reduce(); within a shard each worker holds exactly one deserialized
   // profile (its running partial) because every file after the first is
   // merged straight off the bytes read from it.
-  const auto t_stream = Clock::now();
-  const std::uint64_t ts_stream =
-      obs::Tracer::enabled() ? obs::Tracer::global().now_ns() : 0;
   const int workers = std::clamp<int>(
       options_.workers, 1, static_cast<int>(files.size()));
-  const CorruptPolicy policy = options_.corrupt_policy;
-  const bool salvage = options_.salvage;
-  const bool want_threads = (options_.views & kViewThreads) != 0;
   std::vector<WorkerOutput> outs(static_cast<std::size_t>(workers));
   obs::Gauge gauge = reg.gauge("analyze.resident_profiles");
-  std::vector<obs::Counter> shard_merge_us;
-  for (int w = 0; w < workers; ++w) {
-    shard_merge_us.push_back(
-        reg.counter("analyze.shard_merge_us", {{"shard", std::to_string(w)}}));
-  }
-  std::atomic<std::size_t> files_done{0};
-  const auto& progress = options_.progress;
-
-  const auto shard = [&](int w, std::size_t begin, std::size_t end,
-                         WorkerOutput& out) {
-    OBS_SPAN_V("analyze.shard", "worker", w);
-    const auto t_shard = Clock::now();
-    // The files folded whole into the partial so far, in order: what a
-    // re-fold replays after a poisoned merge. (Poison is only reported
-    // with salvage off, so these are the partial's only contributions.)
-    std::vector<std::size_t> whole;
-    try {
-      for (std::size_t i = begin; i < end; ++i) {
-        OBS_SPAN_V("analyze.file", "index", i);
-        const bool had_partial = out.partial.has_value();
-        const ShardFold r =
-            fold_shard(dir, files[i], out.partial, policy, salvage);
-        if (r.retried) ++out.transient_retries;
-        switch (r.outcome) {
-          case FoldOutcome::kFolded:
-            whole.push_back(i);
-            if (want_threads) out.threads.push_back(r.row);
-            ++out.files_read;
-            break;
-          case FoldOutcome::kSalvaged:
-            // Salvaged files are work done: their bytes were streamed and
-            // their prefix folded (files_read stays whole-only; ShardStat
-            // adds files_salvaged).
-            ++out.files_salvaged;
-            out.records_salvaged += r.salvage.records_kept;
-            out.records_dropped += r.salvage.records_dropped;
-            out.salvaged.push_back(
-                files[i] + ": kept " +
-                std::to_string(r.salvage.records_kept) + ", dropped " +
-                std::to_string(r.salvage.records_dropped));
-            break;
-          case FoldOutcome::kPoisoned:
-            // Part of files[i] reached the partial: rebuild it from the
-            // whole shards before it. Published files are immutable, so
-            // each must fold whole again (kStrict: no side effects).
-            out.partial.reset();
-            for (const std::size_t j : whole) {
-              if (fold_shard(dir, files[j], out.partial,
-                             CorruptPolicy::kStrict, false)
-                      .outcome != FoldOutcome::kFolded) {
-                throw std::runtime_error(files[j] +
-                                         ": changed during analysis");
-              }
-            }
-            break;
-          case FoldOutcome::kVanished:
-            if (policy == CorruptPolicy::kStrict) {
-              throw std::runtime_error(files[i] + ": " + r.error);
-            }
-            break;
-          case FoldOutcome::kSkipped:
-            break;
-        }
-        if (!had_partial && out.partial) gauge.add(1);
-        out.bytes += r.bytes;
-        if (r.outcome != FoldOutcome::kFolded) {
-          out.skipped.push_back(files[i] + ": " + r.error);
-        }
-        if (!r.quarantined_to.empty()) {
-          out.quarantined.push_back(files[i] + " -> " +
-                                    r.quarantined_to);
-        }
-        if (progress) progress(++files_done, files.size());
-      }
-    } catch (...) {
-      out.error = std::current_exception();
-    }
-    out.merge_ms = ms_since(t_shard);
-    shard_merge_us[static_cast<std::size_t>(w)].add(us_of(out.merge_ms));
-  };
-
-  if (workers == 1) {
-    shard(0, 0, files.size(), outs[0]);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
+  {
+    const StageTimer timer("analyze.stream", "stream", timings.stream_ms);
+    const CorruptPolicy policy = options_.corrupt_policy;
+    const bool salvage = options_.salvage;
+    const bool want_threads = (options_.views & kViewThreads) != 0;
+    std::vector<obs::Counter> shard_merge_us;
     for (int w = 0; w < workers; ++w) {
-      const std::size_t begin = files.size() * w / workers;
-      const std::size_t end = files.size() * (w + 1) / workers;
-      pool.emplace_back([&, w, begin, end] {
-        if (obs::Tracer::enabled()) {
-          obs::Tracer::global().set_thread_name(
-              "analyze-worker-" + std::to_string(w));
+      shard_merge_us.push_back(reg.counter("analyze.shard_merge_us",
+                                           {{"shard", std::to_string(w)}}));
+    }
+    std::atomic<std::size_t> files_done{0};
+    const auto& progress = options_.progress;
+
+    const auto shard = [&](int w, std::size_t begin, std::size_t end,
+                           WorkerOutput& out) {
+      OBS_SPAN_V("analyze.shard", "worker", w);
+      const auto t_shard = Clock::now();
+      // The files folded whole into the partial so far, in order: what a
+      // re-fold replays after a poisoned merge. (Poison is only reported
+      // with salvage off, so these are the partial's only contributions.)
+      std::vector<std::size_t> whole;
+      try {
+        for (std::size_t i = begin; i < end; ++i) {
+          OBS_SPAN_V("analyze.file", "index", i);
+          const bool had_partial = out.partial.has_value();
+          const ShardFold r =
+              fold_shard(dir, files[i], out.partial, policy, salvage);
+          if (r.retried) ++out.transient_retries;
+          switch (r.outcome) {
+            case FoldOutcome::kFolded:
+              whole.push_back(i);
+              if (want_threads) out.threads.push_back(r.row);
+              ++out.files_read;
+              break;
+            case FoldOutcome::kSalvaged:
+              // Salvaged files are work done: their bytes were streamed and
+              // their prefix folded (files_read stays whole-only; ShardStat
+              // adds files_salvaged).
+              ++out.files_salvaged;
+              out.records_salvaged += r.salvage.records_kept;
+              out.records_dropped += r.salvage.records_dropped;
+              out.salvaged.push_back(
+                  files[i] + ": kept " +
+                  std::to_string(r.salvage.records_kept) + ", dropped " +
+                  std::to_string(r.salvage.records_dropped));
+              break;
+            case FoldOutcome::kPoisoned:
+              // Part of files[i] reached the partial: rebuild it from the
+              // whole shards before it. Published files are immutable, so
+              // each must fold whole again (kStrict: no side effects).
+              out.partial.reset();
+              for (const std::size_t j : whole) {
+                if (fold_shard(dir, files[j], out.partial,
+                               CorruptPolicy::kStrict, false)
+                        .outcome != FoldOutcome::kFolded) {
+                  throw std::runtime_error(files[j] +
+                                           ": changed during analysis");
+                }
+              }
+              break;
+            case FoldOutcome::kVanished:
+              if (policy == CorruptPolicy::kStrict) {
+                throw std::runtime_error(files[i] + ": " + r.error);
+              }
+              break;
+            case FoldOutcome::kSkipped:
+              break;
+          }
+          if (!had_partial && out.partial) gauge.add(1);
+          out.bytes += r.bytes;
+          if (r.outcome != FoldOutcome::kFolded) {
+            out.skipped.push_back(files[i] + ": " + r.error);
+          }
+          if (!r.quarantined_to.empty()) {
+            out.quarantined.push_back(files[i] + " -> " +
+                                      r.quarantined_to);
+          }
+          if (progress) progress(++files_done, files.size());
         }
-        shard(w, begin, end, outs[static_cast<std::size_t>(w)]);
-      });
+      } catch (...) {
+        out.error = std::current_exception();
+      }
+      out.merge_ms = ms_since(t_shard);
+      shard_merge_us[static_cast<std::size_t>(w)].add(us_of(out.merge_ms));
+    };
+
+    if (workers == 1) {
+      shard(0, 0, files.size(), outs[0]);
+    } else {
+      std::vector<std::thread> pool;
+      pool.reserve(static_cast<std::size_t>(workers));
+      for (int w = 0; w < workers; ++w) {
+        const std::size_t begin = files.size() * w / workers;
+        const std::size_t end = files.size() * (w + 1) / workers;
+        pool.emplace_back([&, w, begin, end] {
+          if (obs::Tracer::enabled()) {
+            obs::Tracer::global().set_thread_name(
+                "analyze-worker-" + std::to_string(w));
+          }
+          shard(w, begin, end, outs[static_cast<std::size_t>(w)]);
+        });
+      }
+      for (auto& t : pool) t.join();
     }
-    for (auto& t : pool) t.join();
-  }
-  for (auto& out : outs) {
-    if (out.error) std::rethrow_exception(out.error);
-  }
-  for (int w = 0; w < workers; ++w) {
-    auto& out = outs[static_cast<std::size_t>(w)];
-    result.files_read += out.files_read;
-    result.bytes_streamed += out.bytes;
-    result.files_salvaged += out.files_salvaged;
-    result.records_salvaged += out.records_salvaged;
-    result.records_dropped += out.records_dropped;
-    result.transient_retries += out.transient_retries;
-    for (auto& row : out.threads) result.threads.push_back(row);
-    for (auto& s : out.skipped) result.skipped.push_back(std::move(s));
-    for (auto& s : out.quarantined) {
-      result.quarantined.push_back(std::move(s));
+    for (auto& out : outs) {
+      if (out.error) std::rethrow_exception(out.error);
     }
-    for (auto& s : out.salvaged) result.salvaged.push_back(std::move(s));
-    result.shards.push_back(ShardStat{
-        w, out.files_read + out.files_salvaged, out.bytes, out.merge_ms});
-  }
-  result.files_skipped = result.skipped.size();
-  result.files_quarantined = result.quarantined.size();
-  result.workers_used = workers;
-  result.timings.stream_ms = ms_since(t_stream);
-  stage_stream_us.add(us_of(result.timings.stream_ms));
-  if (obs::Tracer::enabled()) {
-    obs::Tracer& tr = obs::Tracer::global();
-    tr.record_complete("analyze.stream", ts_stream,
-                       tr.now_ns() - ts_stream);
+    for (int w = 0; w < workers; ++w) {
+      auto& out = outs[static_cast<std::size_t>(w)];
+      result.files_read += out.files_read;
+      result.bytes_streamed += out.bytes;
+      result.files_salvaged += out.files_salvaged;
+      result.records_salvaged += out.records_salvaged;
+      result.records_dropped += out.records_dropped;
+      result.transient_retries += out.transient_retries;
+      for (auto& row : out.threads) result.threads.push_back(row);
+      for (auto& s : out.skipped) result.skipped.push_back(std::move(s));
+      for (auto& s : out.quarantined) {
+        result.quarantined.push_back(std::move(s));
+      }
+      for (auto& s : out.salvaged) result.salvaged.push_back(std::move(s));
+      result.shards.push_back(ShardStat{
+          w, out.files_read + out.files_salvaged, out.bytes, out.merge_ms});
+    }
+    result.files_skipped = result.skipped.size();
+    result.files_quarantined = result.quarantined.size();
+    result.workers_used = workers;
   }
 
   // Stage 3: combine the worker partials, in shard order.
-  const auto t_combine = Clock::now();
-  const std::uint64_t ts_combine =
-      obs::Tracer::enabled() ? obs::Tracer::global().now_ns() : 0;
-  std::optional<core::ThreadProfile> merged;
-  for (auto& out : outs) {
-    if (!out.partial) continue;  // shard was all-corrupt
-    if (!merged) {
-      merged = std::move(*out.partial);
-    } else {
-      merge_into(*merged, *out.partial);
-      gauge.add(-1);
+  {
+    const StageTimer timer("analyze.combine", "combine", timings.combine_ms);
+    std::optional<core::ThreadProfile> merged;
+    for (auto& out : outs) {
+      if (!out.partial) continue;  // shard was all-corrupt
+      if (!merged) {
+        merged = std::move(*out.partial);
+      } else {
+        merge_into(*merged, *out.partial);
+        gauge.add(-1);
+      }
+      out.partial.reset();
     }
-    out.partial.reset();
-  }
-  if (!merged) {
-    throw std::runtime_error("no readable profiles in " + dir.string());
-  }
-  result.merged = std::move(*merged);
-  result.peak_resident_profiles = static_cast<std::size_t>(gauge.max());
-  result.timings.combine_ms = ms_since(t_combine);
-  stage_combine_us.add(us_of(result.timings.combine_ms));
-  if (obs::Tracer::enabled()) {
-    obs::Tracer& tr = obs::Tracer::global();
-    tr.record_complete("analyze.combine", ts_combine,
-                       tr.now_ns() - ts_combine);
+    if (!merged) {
+      throw std::runtime_error("no readable profiles in " + dir.string());
+    }
+    result.merged = std::move(*merged);
+    result.peak_resident_profiles = static_cast<std::size_t>(gauge.max());
   }
 
   // Stage 4: views.
-  const auto t_views = Clock::now();
-  const std::uint64_t ts_views =
-      obs::Tracer::enabled() ? obs::Tracer::global().now_ns() : 0;
-  const unsigned views = options_.views;
-  const core::Metric metric = options_.sort_metric;
-  const AnalysisContext ctx = result.context();
-  if (views & (kViewSummary | kViewVariables)) {
-    result.summary = summarize(result.merged);
+  {
+    const StageTimer timer("analyze.views", "views", timings.views_ms);
+    const unsigned views = options_.views;
+    const core::Metric metric = options_.sort_metric;
+    const AnalysisContext ctx = result.context();
+    if (views & (kViewSummary | kViewVariables)) {
+      result.summary = summarize(result.merged);
+    }
+    if (views & kViewVariables) {
+      result.variables = variable_table(result.merged, ctx, metric);
+      truncate_rows(result.variables, options_.top_n);
+    }
+    if (views & kViewHotAccesses) {
+      result.hot_accesses =
+          access_table(result.merged, core::StorageClass::kHeap, ctx, metric);
+      truncate_rows(result.hot_accesses, options_.top_n);
+    }
+    if (views & kViewFunctions) {
+      result.functions = function_table(result.merged, ctx, metric);
+      truncate_rows(result.functions, options_.top_n);
+    }
+    if (views & kViewAdvice) {
+      result.advice = advise(result.merged, ctx, options_.advisor);
+    }
+    if (views & kViewMemLevels) {
+      result.mem_levels = mem_level_table(result.merged, ctx);
+      truncate_rows(result.mem_levels, options_.top_n);
+    }
+    if (views & kViewReuse) {
+      result.reuse = reuse_table(result.merged, ctx);
+      truncate_rows(result.reuse, options_.top_n);
+    }
+    if (views & kViewStrides) {
+      result.strides = stride_table(result.merged, ctx);
+      truncate_rows(result.strides, options_.top_n);
+    }
   }
-  if (views & kViewVariables) {
-    result.variables = variable_table(result.merged, ctx, metric);
-    truncate_rows(result.variables, options_.top_n);
-  }
-  if (views & kViewHotAccesses) {
-    result.hot_accesses =
-        access_table(result.merged, core::StorageClass::kHeap, ctx, metric);
-    truncate_rows(result.hot_accesses, options_.top_n);
-  }
-  if (views & kViewFunctions) {
-    result.functions = function_table(result.merged, ctx, metric);
-    truncate_rows(result.functions, options_.top_n);
-  }
-  if (views & kViewAllocSites) {
-    result.alloc_sites = bottom_up_alloc_sites(result.merged, ctx, metric);
-    truncate_rows(result.alloc_sites, options_.top_n);
-  }
-  if (views & kViewAdvice) {
-    result.advice = advise(result.merged, ctx, options_.advisor);
-  }
-  if (views & kViewMemLevels) {
-    result.mem_levels = mem_level_table(result.merged, ctx);
-    truncate_rows(result.mem_levels, options_.top_n);
-  }
-  if (views & kViewReuse) {
-    result.reuse = reuse_table(result.merged, ctx);
-    truncate_rows(result.reuse, options_.top_n);
-  }
-  if (views & kViewStrides) {
-    result.strides = stride_table(result.merged, ctx);
-    truncate_rows(result.strides, options_.top_n);
-  }
-  result.timings.views_ms = ms_since(t_views);
-  stage_views_us.add(us_of(result.timings.views_ms));
-  if (obs::Tracer::enabled()) {
-    obs::Tracer& tr = obs::Tracer::global();
-    tr.record_complete("analyze.views", ts_views, tr.now_ns() - ts_views);
-  }
-  result.timings.total_ms = ms_since(t_start);
-  if (views & kViewOverhead) {
+  timings.total_ms = ms_since(t_start);
+  if (options_.views & kViewOverhead) {
     result.overhead_report = render_overhead(result);
   }
   return result;

@@ -44,14 +44,13 @@ enum View : unsigned {
   kViewVariables = 1u << 1,    ///< data-centric variable table
   kViewHotAccesses = 1u << 2,  ///< heap access-site table
   kViewFunctions = 1u << 3,    ///< code-centric flat table
-  kViewAllocSites = 1u << 4,   ///< bottom-up allocation-site table
-  kViewThreads = 1u << 5,      ///< per-profile totals (pre-merge)
-  kViewAdvice = 1u << 6,       ///< rule-based optimization guidance
-  kViewOverhead = 1u << 7,     ///< the analyzer's own telemetry report
-  kViewMemLevels = 1u << 8,    ///< per-variable memory-level breakdown
-  kViewReuse = 1u << 9,        ///< per-variable reuse-distance summary
-  kViewStrides = 1u << 10,     ///< per-variable stride classification
-  kViewAll = (1u << 11) - 1,
+  kViewThreads = 1u << 4,      ///< per-profile totals (pre-merge)
+  kViewAdvice = 1u << 5,       ///< rule-based optimization guidance
+  kViewOverhead = 1u << 6,     ///< the analyzer's own telemetry report
+  kViewMemLevels = 1u << 7,    ///< per-variable memory-level breakdown
+  kViewReuse = 1u << 8,        ///< per-variable reuse-distance summary
+  kViewStrides = 1u << 9,      ///< per-variable stride classification
+  kViewAll = (1u << 10) - 1,
 };
 
 /// What fold_shard does with a profile file that fails validation.
@@ -168,7 +167,6 @@ struct AnalysisResult {
   std::vector<VariableRow> variables;
   std::vector<AccessRow> hot_accesses;
   std::vector<FunctionRow> functions;
-  std::vector<AllocSiteRow> alloc_sites;
   std::vector<ThreadRow> threads;  ///< in profile-file order, pre-merge
   std::vector<Advice> advice;
   std::string overhead_report;     ///< kViewOverhead: Table-1-style text
@@ -189,8 +187,7 @@ class Analyzer {
     /// Host threads for the streaming read+merge stage. Also the memory
     /// bound: at most this many profiles are resident at once.
     int workers = 1;
-    /// Row cap for the variable/access/function/alloc-site tables
-    /// (0 = unlimited).
+    /// Row cap for every view table (0 = unlimited).
     std::size_t top_n = 10;
     /// Sort key for every view table.
     core::Metric sort_metric = core::Metric::kLatency;

@@ -81,19 +81,4 @@ std::string format_count(std::uint64_t n) {
   return out;
 }
 
-std::string format_cycles(std::uint64_t cycles) {
-  if (cycles < 10'000'000ull) return format_count(cycles);
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3ge", static_cast<double>(cycles));
-  // %.3ge is not a standard combo; fall back to manual mantissa/exponent.
-  double v = static_cast<double>(cycles);
-  int exp = 0;
-  while (v >= 10.0) {
-    v /= 10.0;
-    ++exp;
-  }
-  std::snprintf(buf, sizeof buf, "%.2fe%d", v, exp);
-  return buf;
-}
-
 }  // namespace dcprof::analysis

@@ -25,6 +25,5 @@ class Table {
 
 std::string format_percent(double fraction);        // "94.9%"
 std::string format_count(std::uint64_t n);          // "12,345"
-std::string format_cycles(std::uint64_t cycles);    // "1.23e9" style
 
 }  // namespace dcprof::analysis

@@ -16,20 +16,6 @@ VarPattern& VarPattern::operator+=(const VarPattern& o) {
   return *this;
 }
 
-bool operator==(const VarPattern& a, const VarPattern& b) {
-  if (a.accesses != b.accesses || a.cold_lines != b.cold_lines) return false;
-  for (std::size_t l = 0; l < kNumMemLevels; ++l) {
-    if (a.level_channel[l][0] != b.level_channel[l][0] ||
-        a.level_channel[l][1] != b.level_channel[l][1]) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < kPatternBuckets; ++i) {
-    if (a.reuse[i] != b.reuse[i] || a.stride[i] != b.stride[i]) return false;
-  }
-  return true;
-}
-
 std::uint64_t VarPattern::loads() const {
   std::uint64_t n = 0;
   for (std::size_t l = 0; l < kNumMemLevels; ++l) n += level_channel[l][0];
@@ -48,13 +34,13 @@ std::uint64_t VarPattern::strides_recorded() const {
   return n;
 }
 
-void AccessPatternTable::memo_lookup(const VarPatternKey& key) {
+void PatternRecorder::memo_lookup(const VarPatternKey& key) {
   memo_key_ = key;
-  memo_pattern_ = &vars_[key];
+  memo_pattern_ = &table_->entry(key.cls, key.id);
   memo_runtime_ = &runtime_[key];
 }
 
-void AccessPatternTable::LineTable::grow() {
+void PatternRecorder::LineTable::grow() {
   std::vector<Slot> old = std::move(slots_);
   slots_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
   data_ = slots_.data();
@@ -67,11 +53,6 @@ void AccessPatternTable::LineTable::grow() {
     while (slots_[i].key != 0) i = (i + 1) & mask_;
     slots_[i] = s;
   }
-}
-
-void AccessPatternTable::add(std::uint8_t cls, std::uint64_t id,
-                             const VarPattern& p) {
-  vars_[VarPatternKey{cls, id}] += p;
 }
 
 void AccessPatternTable::merge_from(const AccessPatternTable& src,

@@ -11,18 +11,17 @@
 //     the analyzer classifies sequential / strided / random access;
 //   * the touched-line count (cold misses == footprint in cache lines).
 //
-// One implementation is shared by the production profiler, the verify
-// oracle, and both merge paths (materialized and streaming): the
-// recording and fold order is part of the serialization contract, so a
-// single definition is what keeps profiles byte-identical under the
-// fast/de-optimized/oracle three-way differential checks. Tables are
-// per-thread single-writer: each thread's samples are recorded in
-// sample order at attribution time, and results are only read after
-// measurement ends.
-//
-// Transient recording state (per-line last-access indices, the previous
-// sampled address) lives inside the table but is NOT serialized and does
-// not participate in equality: only the durable histograms do.
+// Two types split the work. AccessPatternTable is the durable data: the
+// counters a profile serializes, merges and compares, and nothing else.
+// PatternRecorder fills one table from one thread's samples, in sample
+// order at attribution time, and owns the transient state recording
+// needs (per-line last-access indices, the previous sampled address,
+// two memos). The production profiler keeps one recorder per thread beside
+// its other attribution caches, so that state never enters a profile;
+// the verify oracle records with its own unmemoized recorder
+// (verify/oracle.h), and the differential checks compare the two
+// byte for byte. Both merge paths (materialized and streaming) fold in
+// key order, which is part of the serialization contract.
 #pragma once
 
 #include <algorithm>
@@ -62,9 +61,8 @@ struct VarPatternKey {
     if (a.cls != b.cls) return a.cls < b.cls;
     return a.id < b.id;
   }
-  friend bool operator==(const VarPatternKey& a, const VarPatternKey& b) {
-    return a.cls == b.cls && a.id == b.id;
-  }
+  friend bool operator==(const VarPatternKey&,
+                         const VarPatternKey&) = default;
 };
 
 /// The durable per-variable counters (everything here serializes).
@@ -78,7 +76,7 @@ struct VarPattern {
   std::uint64_t stride[kPatternBuckets] = {};  ///< |addr delta| histogram
 
   VarPattern& operator+=(const VarPattern& o);
-  friend bool operator==(const VarPattern& a, const VarPattern& b);
+  friend bool operator==(const VarPattern&, const VarPattern&) = default;
 
   std::uint64_t loads() const;
   std::uint64_t stores() const;
@@ -103,15 +101,19 @@ inline std::uint64_t pattern_bucket_limit(std::size_t i) {
 /// serialization order == merge order, deterministically.
 class AccessPatternTable {
  public:
-  /// Records one sampled memory access at attribution time. `level`
-  /// indexes kNumMemLevels (sim::MemLevel values cast down).
-  void record(std::uint8_t cls, std::uint64_t id, std::uint64_t addr,
-              bool is_store, std::uint8_t level);
+  /// The counters of one variable, created zeroed on first use. Map
+  /// nodes are pointer-stable and the table never erases, so the
+  /// reference stays valid while the table lives (PatternRecorder's memo
+  /// keeps it).
+  VarPattern& entry(std::uint8_t cls, std::uint64_t id) {
+    return vars_[VarPatternKey{cls, id}];
+  }
 
   /// Folds one already-durable record in (deserialization and the
-  /// streaming merge). Transient reuse/stride state is untouched: merged
-  /// tables only aggregate, they do not keep recording.
-  void add(std::uint8_t cls, std::uint64_t id, const VarPattern& p);
+  /// streaming merge).
+  void add(std::uint8_t cls, std::uint64_t id, const VarPattern& p) {
+    entry(cls, id) += p;
+  }
 
   /// Remaps a source key while merging: returns the id valid in the
   /// destination profile (re-interned name for static/stack variables).
@@ -126,64 +128,40 @@ class AccessPatternTable {
   bool empty() const { return vars_.empty(); }
   std::size_t size() const { return vars_.size(); }
 
-  /// Durable contents only (transient recording state excluded).
-  friend bool operator==(const AccessPatternTable& a,
-                         const AccessPatternTable& b) {
-    return a.vars_ == b.vars_;
-  }
-
-  // The hot-path memo below caches raw node pointers into vars_ and
-  // runtime_; map nodes are stable across inserts (and the table never
-  // erases), but a copy must not inherit pointers into the source.
-  AccessPatternTable() = default;
-  AccessPatternTable(const AccessPatternTable& o)
-      : vars_(o.vars_), runtime_(o.runtime_) {}
-  AccessPatternTable(AccessPatternTable&& o) noexcept
-      : vars_(std::move(o.vars_)), runtime_(std::move(o.runtime_)) {}
-  AccessPatternTable& operator=(const AccessPatternTable& o) {
-    vars_ = o.vars_;
-    runtime_ = o.runtime_;
-    memo_pattern_ = nullptr;
-    memo_runtime_ = nullptr;
-    return *this;
-  }
-  AccessPatternTable& operator=(AccessPatternTable&& o) noexcept {
-    vars_ = std::move(o.vars_);
-    runtime_ = std::move(o.runtime_);
-    memo_pattern_ = nullptr;
-    memo_runtime_ = nullptr;
-    return *this;
-  }
+  friend bool operator==(const AccessPatternTable&,
+                         const AccessPatternTable&) = default;
 
  private:
-  /// Transient open-addressing cache-line -> last-access-index table
-  /// (power-of-2 capacity, multiplicative hash, linear probing). The
-  /// sample hot path pays one probe per access, so this replaces
+  std::map<VarPatternKey, VarPattern> vars_;
+};
+
+/// Records one thread's sampled memory accesses into one table. Not
+/// copyable: its memos point into the table and into its own state.
+class PatternRecorder {
+ public:
+  explicit PatternRecorder(AccessPatternTable& table) : table_(&table) {}
+  PatternRecorder(const PatternRecorder&) = delete;
+  PatternRecorder& operator=(const PatternRecorder&) = delete;
+
+  /// Records one sampled memory access at attribution time. `level`
+  /// indexes kNumMemLevels (sim::MemLevel values cast down).
+  void record(std::uint8_t cls, std::uint64_t id, std::uint64_t addr,
+              bool is_store, std::uint8_t level);
+
+ private:
+  /// Open-addressing cache-line -> last-access-index table (power-of-2
+  /// capacity, multiplicative hash, linear probing). The sample hot
+  /// path pays one probe per access, so this replaces
   /// std::unordered_map, whose prime-modulo bucket math alone costs a
   /// hardware division per touch. Slots use last == 0 as the empty
   /// marker — stored indices are the 1-based access counter, never 0.
+  /// Never copied (data_ points into slots_): it lives in a map node of
+  /// a recorder, which is not copyable.
   class LineTable {
    public:
     /// Returns {slot for the line's last-access index, first_touch}.
     /// On a first touch the slot is seeded with `index`; the caller
     /// updates it on re-touches. Inline: one probe per sampled access.
-    LineTable() = default;
-    LineTable(const LineTable& o)
-        : slots_(o.slots_), mask_(o.mask_), used_(o.used_),
-          grow_at_(o.grow_at_) {
-      data_ = slots_.data();
-    }
-    LineTable(LineTable&&) noexcept = default;  // buffer moves intact
-    LineTable& operator=(const LineTable& o) {
-      slots_ = o.slots_;
-      mask_ = o.mask_;
-      used_ = o.used_;
-      grow_at_ = o.grow_at_;
-      data_ = slots_.data();
-      return *this;
-    }
-    LineTable& operator=(LineTable&&) noexcept = default;
-
     std::pair<std::uint64_t*, bool> touch(std::uint64_t line,
                                           std::uint64_t index) {
       if (used_ >= grow_at_) grow();
@@ -215,16 +193,14 @@ class AccessPatternTable {
 
     std::vector<Slot> slots_;
     /// Hot-path copies of slots_ geometry (data pointer + size-1), so a
-    /// probe does not reload the vector header. grow() keeps them
-    /// fresh; the copy operations above re-point data_ at the copy's
-    /// own buffer.
+    /// probe does not reload the vector header. grow() keeps them fresh.
     Slot* data_ = nullptr;
     std::size_t mask_ = 0;
     std::size_t used_ = 0;
     std::size_t grow_at_ = 0;  ///< grow at 50% load (0 = not allocated)
   };
 
-  /// Transient per-variable recording state (never serialized).
+  /// Per-variable recording state.
   struct Runtime {
     std::uint64_t last_addr = 0;
     bool has_last = false;
@@ -232,32 +208,16 @@ class AccessPatternTable {
     /// Same-line memo: repeated samples of one hot line skip the probe.
     /// memo_slot always points at the most recent touch's slot, so it
     /// can never be stale across a grow (which only happens inside a
-    /// touch that then refreshes the memo). Copies drop it — it would
-    /// point into the source's slot buffer.
+    /// touch that then refreshes the memo).
     std::uint64_t memo_line = 0;
     std::uint64_t* memo_slot = nullptr;
-
-    Runtime() = default;
-    Runtime(const Runtime& o)
-        : last_addr(o.last_addr), has_last(o.has_last),
-          line_last(o.line_last) {}
-    Runtime(Runtime&&) noexcept = default;  // slot buffer moves intact
-    Runtime& operator=(const Runtime& o) {
-      last_addr = o.last_addr;
-      has_last = o.has_last;
-      line_last = o.line_last;
-      memo_line = 0;
-      memo_slot = nullptr;
-      return *this;
-    }
-    Runtime& operator=(Runtime&&) noexcept = default;
   };
 
-  std::map<VarPatternKey, VarPattern> vars_;
+  AccessPatternTable* table_;
   std::map<VarPatternKey, Runtime> runtime_;
 
-  /// Single-entry recording memo: consecutive samples overwhelmingly
-  /// hit the same variable, and map nodes are pointer-stable, so a key
+  /// Single-entry variable memo: consecutive samples overwhelmingly hit
+  /// the same variable, and map nodes are pointer-stable, so a key
   /// compare replaces two tree walks on the hot path.
   VarPatternKey memo_key_{};
   VarPattern* memo_pattern_ = nullptr;
@@ -271,9 +231,9 @@ class AccessPatternTable {
 // Inline: called once per sampled memory access from the attribution
 // hot path, which run_bench.sh holds to a <= 5% pattern-recording
 // overhead (BM_SampleHandlerPatterns).
-inline void AccessPatternTable::record(std::uint8_t cls, std::uint64_t id,
-                                       std::uint64_t addr, bool is_store,
-                                       std::uint8_t level) {
+inline void PatternRecorder::record(std::uint8_t cls, std::uint64_t id,
+                                    std::uint64_t addr, bool is_store,
+                                    std::uint8_t level) {
   const VarPatternKey key{cls, id};
   if (memo_pattern_ == nullptr || !(memo_key_ == key)) memo_lookup(key);
   VarPattern& p = *memo_pattern_;

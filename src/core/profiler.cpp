@@ -24,10 +24,10 @@ std::uint64_t steady_ns() {
 /// One access-pattern table update, keyed per patterns.h (heap -> the
 /// variable-identifying allocation-path IP, static/stack -> interned
 /// name, unknown -> 0), recorded at attribution time in sample order.
-void record_pattern(ThreadProfile& tp, StorageClass cls, std::uint64_t id,
+void record_pattern(PatternRecorder& rec, StorageClass cls, std::uint64_t id,
                     const pmu::Sample& s) {
-  tp.patterns.record(static_cast<std::uint8_t>(cls), id, s.eaddr, s.is_store,
-                     static_cast<std::uint8_t>(s.source));
+  rec.record(static_cast<std::uint8_t>(cls), id, s.eaddr, s.is_store,
+             static_cast<std::uint8_t>(s.source));
 }
 
 }  // namespace
@@ -116,9 +116,10 @@ ThreadProfile& Profiler::profile(sim::ThreadId tid) {
   return *profiles_[i];
 }
 
-Profiler::ThreadAttrState& Profiler::attr_state(std::size_t tid) {
+Profiler::ThreadAttrState& Profiler::attr_state(std::size_t tid,
+                                                 ThreadProfile& tp) {
   if (attr_.size() <= tid) attr_.resize(tid + 1);
-  if (!attr_[tid]) attr_[tid] = std::make_unique<ThreadAttrState>();
+  if (!attr_[tid]) attr_[tid] = std::make_unique<ThreadAttrState>(tp.patterns);
   return *attr_[tid];
 }
 
@@ -168,7 +169,7 @@ void Profiler::handle_sample(const pmu::Sample& sample) {
   OBS_SPAN("profiler.handle_sample");
   rt::ThreadCtx& ctx = *threads_[tid];
   ThreadProfile& tp = profile(sample.tid);
-  ThreadAttrState& as = attr_state(tid);
+  ThreadAttrState& as = attr_state(tid, tp);
   tm_.handled.inc();
   if (!obs::metrics_enabled()) {
     attribute_sample(sample, ctx, tp, as);
@@ -217,7 +218,8 @@ void Profiler::attribute_sample(const pmu::Sample& sample, rt::ThreadCtx& ctx,
   if (const HeapBlock* block = var_map_.find(sample.eaddr)) {
     tm_.class_samples[static_cast<std::size_t>(StorageClass::kHeap)].inc();
     if (cfg_.access_patterns) {
-      record_pattern(tp, StorageClass::kHeap, block->pattern_id, sample);
+      record_pattern(as.patterns, StorageClass::kHeap, block->pattern_id,
+                     sample);
     }
     // Prepend the variable's allocation path (possibly unwound in another
     // thread; AllocPaths are immutable so this copy is lock-free), then
@@ -254,7 +256,7 @@ void Profiler::attribute_sample(const pmu::Sample& sample, rt::ThreadCtx& ctx,
       as.static_names.emplace(hit->sym->lo, name);
     }
     if (cfg_.access_patterns) {
-      record_pattern(tp, StorageClass::kStatic, name, sample);
+      record_pattern(as.patterns, StorageClass::kStatic, name, sample);
     }
     Cct& cct = tp.cct(StorageClass::kStatic);
     const Cct::NodeId dummy =
@@ -276,7 +278,7 @@ void Profiler::attribute_sample(const pmu::Sample& sample, rt::ThreadCtx& ctx,
       as.stack_names.emplace(owner, name);
     }
     if (cfg_.access_patterns) {
-      record_pattern(tp, StorageClass::kStack, name, sample);
+      record_pattern(as.patterns, StorageClass::kStack, name, sample);
     }
     Cct& cct = tp.cct(StorageClass::kStack);
     const Cct::NodeId dummy =
@@ -288,7 +290,7 @@ void Profiler::attribute_sample(const pmu::Sample& sample, rt::ThreadCtx& ctx,
 
   tm_.class_samples[static_cast<std::size_t>(StorageClass::kUnknown)].inc();
   if (cfg_.access_patterns) {
-    record_pattern(tp, StorageClass::kUnknown, 0, sample);
+    record_pattern(as.patterns, StorageClass::kUnknown, 0, sample);
   }
   attribute_context(tp, StorageClass::kUnknown, as, Cct::kRootId,
                     ctx.call_stack(), leaf_ip, m);
@@ -308,10 +310,11 @@ std::vector<ThreadProfile> Profiler::take_profiles() {
       out.push_back(std::move(*p));
     }
   }
-  profiles_.clear();
-  // Every cached NodeId and StringId referred to the profiles just moved
-  // out; a new measurement phase starts cold.
+  // Every cached NodeId and StringId referred to the profiles moved out,
+  // and each recorder to one of their tables; a new measurement phase
+  // starts cold.
   attr_.clear();
+  profiles_.clear();
   return out;
 }
 

@@ -113,9 +113,12 @@ class Profiler {
     std::size_t valid = 0;
   };
 
-  /// Per-thread attribution caches. All cached ids are local to the
-  /// thread's current ThreadProfile, so take_profiles resets this state.
+  /// Per-thread attribution caches and the pattern recorder. All cached
+  /// ids are local to the thread's current ThreadProfile, and the
+  /// recorder fills that profile's table, so take_profiles resets this
+  /// state.
   struct ThreadAttrState {
+    explicit ThreadAttrState(AccessPatternTable& table) : patterns(table) {}
     ClassMemo memo[kNumStorageClasses];
     // Last heap sample's allocation path -> its kVarData anchor node
     // (AllocPaths are interned for the profiler's lifetime, so pointer
@@ -127,9 +130,11 @@ class Profiler {
     // allocate nothing.
     std::unordered_map<sim::Addr, StringId> static_names;
     std::unordered_map<std::uint64_t, StringId> stack_names;
+    PatternRecorder patterns;
   };
 
-  ThreadAttrState& attr_state(std::size_t tid);
+  /// `tp` is thread `tid`'s profile: its state records into tp's table.
+  ThreadAttrState& attr_state(std::size_t tid, ThreadProfile& tp);
 
   /// Classifies one sample and attributes it (the body of handle_sample,
   /// split out so telemetry can bracket every exit path).

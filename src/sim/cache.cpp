@@ -33,11 +33,9 @@ bool SetAssocCache::access(Addr addr) {
       // Move to MRU position.
       std::copy_backward(base, base + i, base + i + 1);
       base[0] = key;
-      ++hits_;
       return true;
     }
   }
-  ++misses_;
   // Fill: shift everything down one way, insert at MRU; LRU way falls off.
   std::copy_backward(base, base + assoc_ - 1, base + assoc_);
   base[0] = key;
@@ -70,11 +68,9 @@ bool Tlb::access(Addr addr) {
     if (p[i] == key) {
       std::copy_backward(p, p + i, p + i + 1);
       p[0] = key;
-      ++hits_;
       return true;
     }
   }
-  ++misses_;
   if (size_ < entries_) ++size_;  // else the LRU entry falls off the back
   std::copy_backward(p, p + size_ - 1, p + size_);
   p[0] = key;
@@ -89,10 +85,7 @@ bool Tlb::access(Addr addr, std::uint64_t& view_misses) {
   unsigned i = 0;
   while (i < size_ && (p[i] & ~kUnquiet) != key) ++i;
   const bool hit = i < size_;
-  if (hit) {
-    ++hits_;
-  } else {
-    ++misses_;
+  if (!hit) {
     if (size_ < entries_) {
       ++size_;
     } else {

@@ -22,13 +22,10 @@ class SetAssocCache {
   bool access(Addr addr);
 
   /// True when `addr`'s line is the MRU way of its set. A hit there
-  /// changes no replacement state, so the caller may resolve it inline:
-  /// probe here, then record it with count_hit().
+  /// changes no state, so the caller may resolve it inline.
   bool mru_holds(Addr addr) const {
     return ways_[set_index(addr) * assoc_] == key_of(addr);
   }
-  /// Counts a hit found by mru_holds() — the only state such a hit changes.
-  void count_hit() { ++hits_; }
 
   /// Looks up without filling. Used by tests and inclusive-probe logic.
   bool contains(Addr addr) const;
@@ -39,8 +36,6 @@ class SetAssocCache {
   /// Drops all lines.
   void clear();
 
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
   unsigned line_bytes() const { return 1u << line_shift_; }
   std::size_t num_sets() const { return sets_; }
   unsigned associativity() const { return assoc_; }
@@ -57,8 +52,6 @@ class SetAssocCache {
   unsigned assoc_;
   // Ways within a set are kept in MRU-first order; eviction takes the back.
   std::vector<Addr> ways_;  // sets_ * assoc_, set-major
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 /// Fully-associative LRU TLB over pages. It can also carry up to
@@ -94,13 +87,9 @@ class Tlb {
   /// this probe finds needs no view step.
   bool access_recent(Addr addr) {
     const Addr key = key_of(addr);
-    if (pages_[0] == key) {
-      ++hits_;
-      return true;
-    }
+    if (pages_[0] == key) return true;
     if (pages_[1] == key) {
       std::swap(pages_[0], pages_[1]);
-      ++hits_;
       return true;
     }
     return false;
@@ -123,8 +112,6 @@ class Tlb {
   /// Drops every entry, the views' included.
   void clear();
 
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
   /// Accesses that stepped the views.
   std::uint64_t view_steps() const { return view_steps_; }
 
@@ -174,8 +161,6 @@ class Tlb {
   std::vector<Marks> marks_;  ///< parallel to pages_; empty without views
   std::vector<View> views_;
   std::uint64_t all_views_ = 0;  ///< one bit per view
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
   std::uint64_t view_steps_ = 0;
 };
 

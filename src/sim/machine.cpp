@@ -31,7 +31,6 @@ AccessResult Machine::access_full(ThreadId tid, CoreId core, Addr ip,
                                   Addr addr, std::uint32_t size, bool is_store,
                                   Cycles& clock) {
   ++instructions_;
-  ++mem_accesses_;
   const AccessResult result = memory_.access(tid, core, addr, is_store, clock);
   const Cycles at = clock;
   clock += result.latency;

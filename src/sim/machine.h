@@ -83,7 +83,6 @@ class Machine {
     if ((q.budget != 0 || observer_ == nullptr) &&
         memory_.access_mru(core, addr, is_store, r)) {
       ++instructions_;
-      ++mem_accesses_;
       clock += r.latency;
       if (q.budget != 0) {
         --q.budget;
@@ -109,9 +108,10 @@ class Machine {
     }
   }
 
-  /// Total retired instructions / memory accesses.
+  /// Total retired instructions / memory accesses (each access counts
+  /// once at the level that served it).
   std::uint64_t instructions_retired() const { return instructions_; }
-  std::uint64_t memory_accesses() const { return mem_accesses_; }
+  std::uint64_t memory_accesses() const { return memory_.stats().total(); }
 
  private:
   /// One core's quiet-op state: ops it may still retire without a
@@ -137,7 +137,6 @@ class Machine {
   AccessObserver* observer_ = nullptr;
   std::vector<Quiet> quiet_;  // per core
   std::uint64_t instructions_ = 0;
-  std::uint64_t mem_accesses_ = 0;
 };
 
 }  // namespace dcprof::sim

@@ -207,20 +207,6 @@ class MemorySystem {
   /// miss, or a hit on an entry that is not quiet), over all cores.
   std::uint64_t variant_tlb_steps() const;
 
-  /// Per-core and per-socket components, for hit/miss inspection.
-  const SetAssocCache& l1(CoreId core) const {
-    return l1_[static_cast<std::size_t>(core)];
-  }
-  const SetAssocCache& l2(CoreId core) const {
-    return l2_[static_cast<std::size_t>(core)];
-  }
-  const SetAssocCache& l3(int socket) const {
-    return l3_[static_cast<std::size_t>(socket)];
-  }
-  const Tlb& tlb(CoreId core) const {
-    return tlbs_[static_cast<std::size_t>(core)];
-  }
-
  private:
   /// One timing variant: the state its overrides can make differ from
   /// the primary's (add_variant).
@@ -247,11 +233,10 @@ class MemorySystem {
   bool mru_hit(CoreId core, Addr addr, bool is_store, bool skip_tlb,
                AccessResult& r) {
     const auto ci = static_cast<std::size_t>(core);
-    SetAssocCache& l1 = l1_[ci];
-    if (!l1.mru_holds(addr) || !(skip_tlb || tlbs_[ci].access_recent(addr))) {
+    if (!l1_[ci].mru_holds(addr) ||
+        !(skip_tlb || tlbs_[ci].access_recent(addr))) {
       return false;
     }
-    l1.count_hit();
     tm_.l1.inc();
     r.latency = is_store ? cfg_.lat.store_hit : cfg_.lat.l1;
     return true;  // level kL1, no TLB miss: r's defaults

@@ -8,6 +8,7 @@
 #include "core/checksum.h"
 #include "core/profile.h"
 #include "verify/invariants.h"
+#include "verify/oracle.h"
 #include "verify/rng.h"
 
 namespace dcprof::verify {
@@ -69,15 +70,15 @@ ThreadProfile make_basic() {
                    metrics(1, 400, Metric::kLocalDram, 1));
   // v4 pattern records for the same variables (heap keyed by alloc IP,
   // static/stack by their interned name ids).
+  OraclePatternRecorder rec(p.patterns);
   for (int i = 0; i < 7; ++i) {
-    p.patterns.record(static_cast<std::uint8_t>(StorageClass::kHeap), 0x208,
-                      0x9000 + 64u * static_cast<unsigned>(i % 3), i % 2 == 0,
-                      4);
+    rec.record(static_cast<std::uint8_t>(StorageClass::kHeap), 0x208,
+               0x9000 + 64u * static_cast<unsigned>(i % 3), i % 2 == 0, 4);
   }
-  p.patterns.record(static_cast<std::uint8_t>(StorageClass::kStatic), 0,
-                    0x5000, false, 1);
-  p.patterns.record(static_cast<std::uint8_t>(StorageClass::kStack), 1,
-                    0x7000, true, 0);
+  rec.record(static_cast<std::uint8_t>(StorageClass::kStatic), 0, 0x5000,
+             false, 1);
+  rec.record(static_cast<std::uint8_t>(StorageClass::kStack), 1, 0x7000, true,
+             0);
   return p;
 }
 
@@ -197,11 +198,6 @@ std::vector<std::string> builtin_corpus() {
   return {ThreadProfile{}.serialize(), make_basic().serialize(),
           make_aggregate().serialize(), make_strings_heavy().serialize(),
           make_deep().serialize()};
-}
-
-std::vector<std::string> builtin_corpus_names() {
-  return {"empty_v4.dcpf", "basic_v4.dcpf", "aggregate_v4.dcpf",
-          "strings_v4.dcpf", "deep_v4.dcpf"};
 }
 
 FuzzCaseResult run_fuzz_case(std::uint64_t case_seed,

@@ -30,10 +30,6 @@ namespace dcprof::verify {
 /// access-pattern tables). Same bytes on every call.
 std::vector<std::string> builtin_corpus();
 
-/// The filename (without directory) each builtin corpus entry is written
-/// under by `dcprof_verify --write-corpus`; parallel to builtin_corpus().
-std::vector<std::string> builtin_corpus_names();
-
 /// One fuzz failure, replayable by seed.
 struct FuzzFailure {
   std::uint64_t seed = 0;

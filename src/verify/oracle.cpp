@@ -62,6 +62,31 @@ std::uint64_t OracleStringTable::intern(const std::string& s) {
   return id;
 }
 
+// --- OraclePatternRecorder ---------------------------------------------
+
+void OraclePatternRecorder::record(std::uint8_t cls, std::uint64_t id,
+                                   std::uint64_t addr, bool is_store,
+                                   std::uint8_t level) {
+  core::VarPattern& p = table_->entry(cls, id);
+  Var& v = vars_[core::VarPatternKey{cls, id}];
+  const std::uint64_t index = ++v.accesses;
+  ++p.accesses;
+  if (level < core::kNumMemLevels) ++p.level_channel[level][is_store ? 1 : 0];
+  const auto [last, first_touch] =
+      v.last_touch.try_emplace(addr >> core::kPatternLineShift, index);
+  if (first_touch) {
+    ++p.cold_lines;
+  } else {
+    ++p.reuse[core::pattern_bucket(index - last->second)];
+    last->second = index;
+  }
+  if (v.last_addr) {
+    const std::uint64_t prev = *v.last_addr;
+    ++p.stride[core::pattern_bucket(addr >= prev ? addr - prev : prev - addr)];
+  }
+  v.last_addr = addr;
+}
+
 // --- OracleProfile -----------------------------------------------------
 
 OracleProfile OracleProfile::from(const ThreadProfile& p) {
@@ -248,8 +273,10 @@ void OracleProfiler::handle_sample(const pmu::Sample& sample) {
   }
   const auto record = [&](StorageClass sc, std::uint64_t id) {
     if (!cfg_.access_patterns) return;
-    p.patterns.record(static_cast<std::uint8_t>(sc), id, sample.eaddr,
-                      sample.is_store, static_cast<std::uint8_t>(sample.source));
+    recorders_.try_emplace(tid, p.patterns)
+        .first->second.record(static_cast<std::uint8_t>(sc), id, sample.eaddr,
+                              sample.is_store,
+                              static_cast<std::uint8_t>(sample.source));
   };
   if (const Block* block = find_block(sample.eaddr)) {
     // Same heap key the production profiler uses: the innermost
@@ -302,6 +329,7 @@ std::vector<ThreadProfile> OracleProfiler::take_profiles() {
       out.push_back(p->to_profile());
     }
   }
+  recorders_.clear();
   profiles_.clear();
   return out;
 }

@@ -9,7 +9,9 @@
 //   * every sample walks its full calling context from the anchor — no
 //     watermarks, no per-class memo, no anchor cache;
 //   * the heap map is a plain std::map interval probe — no MRU ways;
-//   * strings intern through an ordered std::map.
+//   * strings intern through an ordered std::map;
+//   * access patterns record through ordered maps — no line hash table,
+//     no variable or same-line memo.
 //
 // The oracle still assigns node ids in creation order and interns strings
 // first-use order, because that *is* the serialization contract — so a
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -79,12 +82,31 @@ class OracleStringTable {
   std::map<std::string, std::uint64_t> index_;
 };
 
-/// A profile held entirely in oracle structures. The access-pattern
-/// table is the one structure shared with production (core::
-/// AccessPatternTable): its recording order is part of the serialization
-/// contract and it has no fast-path data structure to verify — sharing
-/// the definition is what keeps the byte-identity comparison meaningful
-/// for everything around it.
+/// Reference access-pattern recorder: the counters core::PatternRecorder
+/// records into a table, computed the obvious way. Per variable, an
+/// ordered map from cache line to the index of the variable's access
+/// that last touched it, plus the previous sampled address.
+class OraclePatternRecorder {
+ public:
+  explicit OraclePatternRecorder(core::AccessPatternTable& table)
+      : table_(&table) {}
+
+  void record(std::uint8_t cls, std::uint64_t id, std::uint64_t addr,
+              bool is_store, std::uint8_t level);
+
+ private:
+  struct Var {
+    std::uint64_t accesses = 0;
+    std::map<std::uint64_t, std::uint64_t> last_touch;  ///< line -> index
+    std::optional<std::uint64_t> last_addr;
+  };
+  core::AccessPatternTable* table_;
+  std::map<core::VarPatternKey, Var> vars_;
+};
+
+/// A profile held entirely in oracle structures. Its access-pattern
+/// table is core::AccessPatternTable, plain counters with nothing of a
+/// fast path in them; OracleProfiler fills it with OraclePatternRecorder.
 struct OracleProfile {
   std::int32_t rank = 0;
   std::int32_t tid = 0;
@@ -162,6 +184,7 @@ class OracleProfiler {
   std::map<sim::ThreadId, std::uint64_t> small_countdown_;  // by tid
   std::vector<rt::ThreadCtx*> threads_;                   // by tid
   std::vector<std::unique_ptr<OracleProfile>> profiles_;  // by tid
+  std::map<std::size_t, OraclePatternRecorder> recorders_;  // by tid
 };
 
 }  // namespace dcprof::verify

@@ -13,8 +13,8 @@
 # --policy quarantine moves it into quarantine/, and --strict (the old
 # flag) or an unknown policy is a usage error. A structure.dcst with
 # bytes after its last table fails the analysis (exit 1, naming it).
-# dcprof_verify --write-corpus removes a file its corpus.manifest lists
-# that the builtin corpus no longer has, and keeps a user's file beside it.
+# dcprof_verify --fuzz takes a measurement directory's .dcpf files as
+# extra mutation bases (--corpus), and a missing one fails with exit 1.
 #
 #   cli_smoke.sh <dcprof_measure> <dcprof_analyze> <dcprof_verify>
 set -u
@@ -123,24 +123,13 @@ expect_usage_error 'unknown option --strict' \
 expect_usage_error "unknown --policy 'bogus'" \
     "$analyze" "$tmpdir/meas" --policy bogus
 
-corpus="$tmpdir/corpus"
-"$verify" --write-corpus "$corpus" > /dev/null \
-    || fail "dcprof_verify --write-corpus exited $?"
-[ -s "$corpus/corpus.manifest" ] || fail "--write-corpus wrote no manifest"
-# A file an older build wrote (recorded, no longer builtin) beside a user's.
-cp "$corpus/basic_v4.dcpf" "$corpus/dropped_v4.dcpf"
-echo dropped_v4.dcpf >> "$corpus/corpus.manifest"
-cp "$corpus/basic_v4.dcpf" "$corpus/mine.dcpf"
-"$verify" --write-corpus "$corpus" > "$tmpdir/corpus.out" \
-    || fail "dcprof_verify --write-corpus exited $? on a written corpus"
-[ ! -e "$corpus/dropped_v4.dcpf" ] \
-    || fail "--write-corpus kept a file the builtin corpus dropped"
-[ -f "$corpus/mine.dcpf" ] || fail "--write-corpus removed a user's file"
-[ -f "$corpus/basic_v4.dcpf" ] || fail "--write-corpus removed its own file"
-if grep -q dropped_v4.dcpf "$corpus/corpus.manifest"; then
-  fail "corpus.manifest still lists the dropped file"
-fi
-grep -q 'removed 1' "$tmpdir/corpus.out" \
-    || fail "--write-corpus did not report the removal"
+"$verify" --fuzz 20 --corpus "$tmpdir/meas" > "$tmpdir/fuzz.out" 2>&1 \
+    || fail "dcprof_verify --fuzz 20 --corpus <measurement> exited $?"
+"$verify" --fuzz 20 --corpus "$tmpdir/no-such-corpus" \
+    > "$tmpdir/nocorpus.out" 2>&1
+rc=$?
+[ "$rc" -eq 1 ] || fail "--corpus <missing dir> exited $rc, expected 1"
+grep -q '^error: ' "$tmpdir/nocorpus.out" \
+    || fail "--corpus <missing dir> printed no error line"
 
 echo "cli_smoke OK"

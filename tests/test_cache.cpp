@@ -19,8 +19,6 @@ TEST(SetAssocCache, MissesThenHits) {
   EXPECT_FALSE(cache.access(0x1000));
   EXPECT_TRUE(cache.access(0x1000));
   EXPECT_TRUE(cache.access(0x1008));  // same line
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 2u);
 }
 
 TEST(SetAssocCache, DistinctLinesMissIndependently) {
@@ -111,24 +109,23 @@ TEST_P(CacheGeometry, ResidentWorkingSetNeverMissesAgain) {
   for (std::size_t i = 0; i < lines; ++i) {
     cache.access(static_cast<Addr>(i) * g.line);
   }
-  const auto misses_before = cache.misses();
   for (std::size_t i = 0; i < lines; ++i) {
     EXPECT_TRUE(cache.access(static_cast<Addr>(i) * g.line));
   }
-  EXPECT_EQ(cache.misses(), misses_before);
 }
 
 TEST_P(CacheGeometry, OversizedWorkingSetThrashes) {
   const Geometry g = GetParam();
   SetAssocCache cache(CacheConfig{g.size, g.assoc, g.line});
   const std::size_t lines = 2 * g.size / g.line;  // 2x capacity
+  std::size_t misses = 0;
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t i = 0; i < lines; ++i) {
-      cache.access(static_cast<Addr>(i) * g.line);
+      misses += cache.access(static_cast<Addr>(i) * g.line) ? 0 : 1;
     }
   }
   // Sequential sweep over 2x capacity with LRU: every access misses.
-  EXPECT_EQ(cache.misses(), 2 * lines);
+  EXPECT_EQ(misses, 2 * lines);
 }
 
 INSTANTIATE_TEST_SUITE_P(

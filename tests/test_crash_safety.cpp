@@ -187,13 +187,14 @@ TEST(CrashSafety, TruncationAtEveryByteIsRejectedAndSalvagedExactly) {
   ThreadProfile p = make_profile(5);
   // Populate the v4 access-pattern section so the sweep also cuts inside
   // pattern entries, not just strings and CCT nodes.
+  core::PatternRecorder rec(p.patterns);
   for (int a = 0; a < 6; ++a) {
-    p.patterns.record(static_cast<std::uint8_t>(StorageClass::kHeap), 0x99,
-                      0x9000 + 64 * static_cast<std::uint64_t>(a % 3),
-                      a % 2 == 0, 4);
+    rec.record(static_cast<std::uint8_t>(StorageClass::kHeap), 0x99,
+               0x9000 + 64 * static_cast<std::uint64_t>(a % 3), a % 2 == 0,
+               4);
   }
-  p.patterns.record(static_cast<std::uint8_t>(StorageClass::kStatic), 0,
-                    0x4000, false, 1);
+  rec.record(static_cast<std::uint8_t>(StorageClass::kStatic), 0, 0x4000,
+             false, 1);
   const std::string bytes = serialized(p);
   const Layout l = layout_of(p);
   constexpr std::size_t kFooterBytes = 4 + 8 + 4;

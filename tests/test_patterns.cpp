@@ -14,6 +14,8 @@
 #include "core/profiler.h"
 #include "obs/registry.h"
 #include "rt/team.h"
+#include "support/rng.h"
+#include "verify/oracle.h"
 
 namespace dcprof {
 namespace {
@@ -23,6 +25,7 @@ using analysis::StridePattern;
 using core::AccessPatternTable;
 using core::kNumMemLevels;
 using core::kPatternBuckets;
+using core::PatternRecorder;
 using core::StorageClass;
 using core::ThreadProfile;
 using core::VarPattern;
@@ -31,6 +34,9 @@ using core::VarPatternKey;
 constexpr std::uint8_t kStatic =
     static_cast<std::uint8_t>(StorageClass::kStatic);
 constexpr std::uint8_t kHeap = static_cast<std::uint8_t>(StorageClass::kHeap);
+constexpr std::uint8_t kStack = static_cast<std::uint8_t>(StorageClass::kStack);
+constexpr std::uint8_t kUnknown =
+    static_cast<std::uint8_t>(StorageClass::kUnknown);
 
 TEST(Patterns, BucketSchemeClampsAtTheTop) {
   EXPECT_EQ(core::pattern_bucket(0), 0u);
@@ -68,7 +74,8 @@ TEST(Patterns, BucketSchemeMatchesObsHistogram) {
 
 TEST(Patterns, SingleAccessHasNoReuseAndNoStride) {
   AccessPatternTable t;
-  t.record(kStatic, 7, 0x1000, /*is_store=*/false, /*level=*/0);
+  PatternRecorder(t).record(kStatic, 7, 0x1000, /*is_store=*/false,
+                            /*level=*/0);
   ASSERT_EQ(t.size(), 1u);
   const VarPattern& p = t.vars().at(VarPatternKey{kStatic, 7});
   EXPECT_EQ(p.accesses, 1u);
@@ -83,8 +90,9 @@ TEST(Patterns, SingleAccessHasNoReuseAndNoStride) {
 
 TEST(Patterns, HugeStrideClampsIntoTheTopBucket) {
   AccessPatternTable t;
-  t.record(kHeap, 0x99, 0x1000, false, 4);
-  t.record(kHeap, 0x99, 0x1000 + (1ull << 40), false, 4);
+  PatternRecorder rec(t);
+  rec.record(kHeap, 0x99, 0x1000, false, 4);
+  rec.record(kHeap, 0x99, 0x1000 + (1ull << 40), false, 4);
   const VarPattern& p = t.vars().at(VarPatternKey{kHeap, 0x99});
   EXPECT_EQ(p.strides_recorded(), 1u);
   EXPECT_EQ(p.stride[kPatternBuckets - 1], 1u);
@@ -92,9 +100,10 @@ TEST(Patterns, HugeStrideClampsIntoTheTopBucket) {
 
 TEST(Patterns, ReuseDistanceCountsAccessesBetweenLineTouches) {
   AccessPatternTable t;
-  t.record(kStatic, 1, 0x1000, false, 1);  // line A, first touch
-  t.record(kStatic, 1, 0x2000, false, 1);  // line B, first touch
-  t.record(kStatic, 1, 0x1008, false, 1);  // line A again, distance 2
+  PatternRecorder rec(t);
+  rec.record(kStatic, 1, 0x1000, false, 1);  // line A, first touch
+  rec.record(kStatic, 1, 0x2000, false, 1);  // line B, first touch
+  rec.record(kStatic, 1, 0x1008, false, 1);  // line A again, distance 2
   const VarPattern& p = t.vars().at(VarPatternKey{kStatic, 1});
   EXPECT_EQ(p.accesses, 3u);
   EXPECT_EQ(p.cold_lines, 2u);
@@ -106,11 +115,12 @@ TEST(Patterns, ReuseDistanceCountsAccessesBetweenLineTouches) {
 
 TEST(Patterns, LevelChannelMatrixTracksLoadsAndStores) {
   AccessPatternTable t;
-  t.record(kStatic, 1, 0x1000, /*is_store=*/false, /*level=*/0);  // L1 load
-  t.record(kStatic, 1, 0x1040, /*is_store=*/true, /*level=*/4);   // rDRAM st
+  PatternRecorder rec(t);
+  rec.record(kStatic, 1, 0x1000, /*is_store=*/false, /*level=*/0);  // L1 load
+  rec.record(kStatic, 1, 0x1040, /*is_store=*/true, /*level=*/4);  // rDRAM st
   // An out-of-range level still counts as an access, just without a
   // level cell (defensive: levels come off the wire in merged input).
-  t.record(kStatic, 1, 0x1080, false, kNumMemLevels + 2);
+  rec.record(kStatic, 1, 0x1080, false, kNumMemLevels + 2);
   const VarPattern& p = t.vars().at(VarPatternKey{kStatic, 1});
   EXPECT_EQ(p.accesses, 3u);
   EXPECT_EQ(p.level_channel[0][0], 1u);
@@ -118,24 +128,35 @@ TEST(Patterns, LevelChannelMatrixTracksLoadsAndStores) {
   EXPECT_EQ(p.loads() + p.stores(), 2u);
 }
 
-TEST(Patterns, EqualityIgnoresTransientRecordingState) {
+TEST(Patterns, RecordedTableCopiesAsPlainCounters) {
   AccessPatternTable recorded;
-  recorded.record(kStatic, 3, 0x1000, true, 2);
-  AccessPatternTable folded;  // same durable counters via add()
+  PatternRecorder rec(recorded);
+  rec.record(kStatic, 3, 0x1000, true, 2);
+  const AccessPatternTable copy = recorded;
+  AccessPatternTable folded;  // same counters via add()
   VarPattern p;
   p.accesses = 1;
   p.cold_lines = 1;
   p.level_channel[2][1] = 1;
   folded.add(kStatic, 3, p);
-  EXPECT_TRUE(recorded == folded);
+  EXPECT_TRUE(copy == folded);
+  // The recorder keeps filling its own table, never the copy: a re-touch
+  // of the line is a reuse at distance 1 there.
+  rec.record(kStatic, 3, 0x1008, false, 0);
+  EXPECT_TRUE(copy == folded);
+  const VarPattern& q = recorded.vars().at(VarPatternKey{kStatic, 3});
+  EXPECT_EQ(q.accesses, 2u);
+  EXPECT_EQ(q.cold_lines, 1u);
+  EXPECT_EQ(q.reuse[core::pattern_bucket(1)], 1u);
 }
 
 TEST(Patterns, MergeFromRemapsKeysAndAggregates) {
   AccessPatternTable src;
-  src.record(kStatic, 1, 0x1000, false, 0);
-  src.record(kHeap, 0x99, 0x2000, true, 4);
+  PatternRecorder src_rec(src);
+  src_rec.record(kStatic, 1, 0x1000, false, 0);
+  src_rec.record(kHeap, 0x99, 0x2000, true, 4);
   AccessPatternTable dst;
-  dst.record(kStatic, 5, 0x3000, false, 1);
+  PatternRecorder(dst).record(kStatic, 5, 0x3000, false, 1);
   // Static/stack ids are re-interned during merge; heap ids pass through.
   dst.merge_from(src, [](std::uint8_t cls, std::uint64_t id) {
     return cls == kStatic ? id + 4 : id;
@@ -146,11 +167,60 @@ TEST(Patterns, MergeFromRemapsKeysAndAggregates) {
   EXPECT_EQ(dst.vars().at(VarPatternKey{kHeap, 0x99}).accesses, 1u);
 }
 
+// The production recorder against the oracle's: one stream must fill
+// equal tables. It interleaves five variables of four classes (the
+// variable memo switches), repeats lines in runs (the same-line memo),
+// walks one variable over 6,000 distinct lines (its line table grows
+// from 64 to 16,384 slots), and touches line 0 and strides of 2^40.
+TEST(Patterns, RecorderMatchesTheOracleRecorder) {
+  const VarPatternKey vars[] = {
+      {kStatic, 1}, {kHeap, 0x99}, {kStack, 2}, {kUnknown, 0}, {kHeap, 0x42}};
+  const VarPatternKey& walker = vars[4];
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(test::seed_note(seed));
+    test::Rng rng(seed);
+    AccessPatternTable fast;
+    AccessPatternTable ref;
+    PatternRecorder fast_rec(fast);
+    verify::OraclePatternRecorder ref_rec(ref);
+    std::uint64_t walked = 0;  // distinct lines the walker touched
+    std::uint64_t seq = 0;     // the sequential variable's cursor
+    while (walked < 6000) {
+      const std::size_t v = rng.next(5);
+      std::uint64_t addr = 0;
+      switch (v) {
+        case 0: addr = 0x10000 + 8 * rng.next(512); break;   // 64 lines
+        case 1: addr = 0x40000 + (seq += 8) % 0x10000; break;  // sequential
+        case 2:  // line 0, or 2^40 apart
+          addr = rng.next(4) * (1ull << 40) + rng.next(64);
+          break;
+        case 3: addr = rng.next() << 20 | rng.next(1u << 20); break;
+        default: {  // mostly a new line, sometimes an old one again
+          const bool fresh = walked == 0 || rng.chance(3, 4);
+          addr = 0x100000 + 64 * (fresh ? walked++ : rng.next(walked));
+          break;
+        }
+      }
+      const std::uint64_t repeats = rng.chance(1, 3) ? 1 + rng.next(6) : 1;
+      for (std::uint64_t r = 0; r < repeats; ++r) {
+        const std::uint64_t a = r == 0 ? addr : (addr & ~63ull) + rng.next(64);
+        const bool store = rng.chance(1, 3);
+        const auto level = static_cast<std::uint8_t>(rng.next(kNumMemLevels));
+        fast_rec.record(vars[v].cls, vars[v].id, a, store, level);
+        ref_rec.record(vars[v].cls, vars[v].id, a, store, level);
+      }
+    }
+    EXPECT_GT(fast.vars().at(walker).cold_lines, 5000u);
+    EXPECT_TRUE(fast == ref);
+  }
+}
+
 TEST(Patterns, RoundTripsThroughSerializedProfile) {
   ThreadProfile p;
-  p.patterns.record(kStatic, p.strings.intern("g_tbl"), 0x1000, false, 0);
+  PatternRecorder rec(p.patterns);
+  rec.record(kStatic, p.strings.intern("g_tbl"), 0x1000, false, 0);
   for (int i = 0; i < 5; ++i) {
-    p.patterns.record(kHeap, 0x42, 0x9000 + 64ull * i, i % 2 == 0, 3);
+    rec.record(kHeap, 0x42, 0x9000 + 64ull * i, i % 2 == 0, 3);
   }
   std::ostringstream out;
   p.write(out);

@@ -77,11 +77,5 @@ TEST(Format, CountGroupsThousands) {
   EXPECT_EQ(format_count(12345678), "12,345,678");
 }
 
-TEST(Format, CyclesSwitchesToExponent) {
-  EXPECT_EQ(format_cycles(1234), "1,234");
-  const std::string big = format_cycles(123'456'789'000ull);
-  EXPECT_NE(big.find('e'), std::string::npos);
-}
-
 }  // namespace
 }  // namespace dcprof::analysis

@@ -94,11 +94,9 @@ TEST(DcpfFuzz, SmallCampaignHoldsTheReaderContract) {
 
 TEST(DcpfFuzz, BuiltinCorpusIsValid) {
   const auto corpus = verify::builtin_corpus();
-  const auto names = verify::builtin_corpus_names();
-  ASSERT_EQ(corpus.size(), names.size());
   ASSERT_GE(corpus.size(), 5u);
   for (std::size_t i = 0; i < corpus.size(); ++i) {
-    SCOPED_TRACE(names[i]);
+    SCOPED_TRACE("corpus entry " + std::to_string(i));
     ThreadProfile p;
     ASSERT_NO_THROW(p = ThreadProfile::read(corpus[i]))
         << "corpus entry rejected";

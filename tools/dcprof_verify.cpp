@@ -3,7 +3,7 @@
 // Usage:
 //   dcprof_verify [--oracle [all|amg|sweep3d|lulesh|streamcluster|nw]]
 //                 [--traces N] [--fuzz N] [--seed S] [--replay S]
-//                 [--corpus DIR] [--write-corpus DIR] [--verbose]
+//                 [--corpus DIR] [--verbose]
 //
 // Modes (combinable; no mode flags = a quick default of --traces 10
 // --fuzz 100):
@@ -13,13 +13,9 @@
 //                  de-optimized path vs oracle, plus invariants, merge
 //                  algebra, and reduce cross-checks);
 //   --fuzz N       run N mutational .dcpf reader cases over the builtin
-//                  corpus (plus --corpus files);
+//                  corpus (plus the .dcpf files of a --corpus DIR);
 //   --replay S     re-run exactly the trace differential and fuzz case
-//                  for seed S (the seed printed by a failure);
-//   --write-corpus write the builtin corpus as .dcpf files into DIR, and
-//                  remove the files an earlier --write-corpus wrote there
-//                  that the builtin corpus no longer has (DIR's
-//                  corpus.manifest lists them; other files stay).
+//                  for seed S (the seed printed by a failure).
 //
 // Every failure prints its case seed; exit status is non-zero if any
 // check failed.
@@ -30,7 +26,6 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -58,47 +53,6 @@ std::vector<std::string> load_corpus_dir(const std::string& dir) {
   return out;
 }
 
-/// The file in a --write-corpus directory listing the names written there,
-/// one per line: a later run removes those the builtin corpus dropped,
-/// and never a file it did not write.
-constexpr const char* kCorpusManifest = "corpus.manifest";
-
-int write_corpus(const std::string& dir) {
-  namespace fs = std::filesystem;
-  const auto corpus = verify::builtin_corpus();
-  const auto names = verify::builtin_corpus_names();
-  const fs::path manifest = fs::path(dir) / kCorpusManifest;
-  std::size_t removed = 0;
-  try {
-    fs::create_directories(dir);
-    if (fs::exists(manifest)) {
-      std::istringstream listed(core::read_file(manifest));
-      for (std::string name; std::getline(listed, name);) {
-        // Only a plain corpus file name, as written: never a path.
-        const fs::path file(name);
-        if (file.filename() != file || file.extension() != ".dcpf" ||
-            std::find(names.begin(), names.end(), name) != names.end()) {
-          continue;
-        }
-        removed += fs::remove(fs::path(dir) / file) ? 1 : 0;
-      }
-    }
-    std::string written;
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-      core::write_file_atomic(fs::path(dir) / names[i], corpus[i]);
-      written += names[i] + "\n";
-    }
-    core::write_file_atomic(manifest, written);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-  std::printf("wrote %zu corpus files to %s", corpus.size(), dir.c_str());
-  if (removed > 0) std::printf(", removed %zu it no longer has", removed);
-  std::printf("\n");
-  return 0;
-}
-
 void print_replay_hint(std::uint64_t seed) {
   std::printf("    replay with: dcprof_verify --replay %llu\n",
               static_cast<unsigned long long>(seed));
@@ -114,7 +68,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::uint64_t replay_seed = 0;
   std::string corpus_dir;
-  std::string write_corpus_dir;
   bool verbose = false;
 
   cli::Parser p("dcprof_verify",
@@ -129,13 +82,8 @@ int main(int argc, char** argv) {
   p.option("--replay", &replay_seed,
            "re-run exactly the case for seed S (printed on failure)", "S");
   p.option("--corpus", &corpus_dir, "extra .dcpf corpus directory", "DIR");
-  p.option("--write-corpus", &write_corpus_dir,
-           "write the builtin corpus as .dcpf files into DIR and exit",
-           "DIR");
   p.flag("--verbose", &verbose, "print passing cases too");
   if (const auto rc = p.parse(argc, argv)) return *rc;
-
-  if (!write_corpus_dir.empty()) return write_corpus(write_corpus_dir);
 
   std::vector<std::string> oracle_workloads;
   if (oracle_mode && !oracle_arg.empty() && oracle_arg != "all") {
