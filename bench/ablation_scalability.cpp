@@ -117,8 +117,8 @@ int main() {
   // The same replicated profile set, written to disk and analyzed two
   // ways: a load-all read (every profile materialized via
   // list_profile_files + read_profile_file, then reduce; peak residency
-  // = N) versus the Analyzer, which streams profiles into per-worker
-  // partials (peak residency bounded by the worker count).
+  // = N) versus the Analyzer, which folds profiles into one aggregate
+  // as its read-ahead threads hand them over (peak residency 1).
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "dcprof-ablation-a2c";
   analysis::Table stream_table({"profiles", "mode", "wall (ms)",
@@ -177,8 +177,8 @@ int main() {
   fs::remove_all(dir, ec);
   std::printf("%s\n", stream_table.render().c_str());
   std::printf("(the streaming pipeline merges each profile as it is "
-              "read: peak residency stays at the worker count instead of "
-              "growing with the directory, so analysis memory no longer "
-              "scales with rank x thread count)\n");
+              "read: peak residency stays at one profile at any worker "
+              "count instead of growing with the directory, so analysis "
+              "memory no longer scales with rank x thread count)\n");
   return 0;
 }

@@ -160,27 +160,37 @@ std::size_t IngestService::poll_once() {
   if (fresh) list_dir(0);
   for (;;) {
     while (listing_next_ < listing_.size()) {
-      if (opts_.max_files_per_poll != 0 &&
-          folded >= opts_.max_files_per_poll) {
-        return folded;
+      const std::size_t room = opts_.max_files_per_poll == 0
+                                   ? listing_.size()
+                                   : opts_.max_files_per_poll - folded;
+      if (room == 0) return folded;
+      // The next shards to fold, at most as many as the poll may still
+      // fold, so the read-ahead reads nothing past the poll's bound. A
+      // fold never adds a later entry of the listing to the manifest or
+      // the skip set, so filtering ahead of the folds is exact.
+      std::vector<std::string> batch;
+      while (listing_next_ < listing_.size() && batch.size() < room) {
+        std::string key = std::move(listing_[listing_next_++]);
+        if (manifest_.count(key) != 0 || skipped_.count(key) != 0) continue;
+        if (fs::path(key) == opts_.checkpoint) continue;
+        batch.push_back(std::move(key));
       }
-      const std::string key = std::move(listing_[listing_next_++]);
-      if (manifest_.count(key) != 0 || skipped_.count(key) != 0) continue;
-      const fs::path file(key);
-      if (file == opts_.checkpoint) continue;
-      if (ingest_file(dirs_[listing_dir_], file)) {
-        ++folded;
-        if (opts_.checkpoint_every != 0 &&
-            ++folds_since_checkpoint_ >= opts_.checkpoint_every) {
-          checkpoint();
+      ReadAhead reads(batch, hardware_workers());
+      for (const std::string& key : batch) {
+        if (ingest_file(dirs_[listing_dir_], fs::path(key), reads.next())) {
+          ++folded;
+          if (opts_.checkpoint_every != 0 &&
+              ++folds_since_checkpoint_ >= opts_.checkpoint_every) {
+            checkpoint();
+          }
         }
-      }
-      if (rolled_back_) {
-        // A poison shard rewound the aggregate to the last checkpoint
-        // and dropped the listing: un-checkpointed folds must re-enter
-        // in sorted order before anything newer.
-        rolled_back_ = false;
-        return folded;
+        if (rolled_back_) {
+          // A poison shard rewound the aggregate to the last checkpoint
+          // and dropped the listing: un-checkpointed folds must re-enter
+          // in sorted order before anything newer.
+          rolled_back_ = false;
+          return folded;
+        }
       }
     }
     if (listing_dir_ + 1 < dirs_.size()) {
@@ -194,11 +204,12 @@ std::size_t IngestService::poll_once() {
   }
 }
 
-bool IngestService::ingest_file(const fs::path& dir, const fs::path& file) {
+bool IngestService::ingest_file(const fs::path& dir, const fs::path& file,
+                                ShardImage image) {
   ShardFold r;
   try {
-    r = fold_shard(dir, file, merged_, opts_.corrupt_policy,
-                   /*salvage=*/false);
+    r = fold_shard(dir, file, std::move(image), merged_,
+                   opts_.corrupt_policy, /*salvage=*/false);
   } catch (...) {
     // kStrict: the shard may have died part-way through its merge.
     // Leave the service at its last durable state, as a restart would.

@@ -7,10 +7,13 @@
 //              shards already in the manifest; a poll bounded by
 //              max_files_per_poll keeps the rest of its listing for the
 //              next poll, which lists again only once it is used up
-//   fold       fold_shard (analysis/pipeline.h) — the Analyzer's own
-//              per-file fold: read the file whole (core::read_file),
-//              one CRC32C framing check with one re-read retry, then
-//              merge_serialized straight off its payload — so the
+//   fold       the Analyzer's own stream (analysis/pipeline.h): a
+//              ReadAhead runs read_shard (read the file whole, one
+//              CRC32C framing check with one re-read retry) on
+//              hardware_workers() - 1 helper threads, never past the
+//              poll's max_files_per_poll bound, while poll_once folds
+//              each image in listing order with fold_shard
+//              (merge_serialized straight off its payload) — so the
 //              aggregate is byte-identical to a one-shot Analyzer::run
 //              over the same shards (when shards arrive in listed
 //              order; out-of-order arrivals yield a
@@ -133,10 +136,11 @@ class IngestService {
   /// checkpoint (or fresh state if none): the recovery move shared by
   /// process restart and a mid-merge poison shard.
   void rollback_to_checkpoint();
-  /// Folds one shard through fold_shard and records the outcome; returns
-  /// true when the shard was folded (vs skipped/quarantined/vanished).
+  /// Folds one shard's image (read_shard of `file`) through fold_shard
+  /// and records the outcome; returns true when the shard was folded (vs
+  /// skipped/quarantined/vanished).
   bool ingest_file(const std::filesystem::path& dir,
-                   const std::filesystem::path& file);
+                   const std::filesystem::path& file, ShardImage image);
   void note_skip(const std::filesystem::path& file, const std::string& why);
   /// Makes `listing_` the sorted listing of dirs_[i] (empty when the
   /// directory is missing).

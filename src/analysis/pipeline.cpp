@@ -67,24 +67,6 @@ ThreadRow thread_row(const core::ThreadProfile& p) {
   return row;
 }
 
-/// Everything one worker produces from its contiguous shard of the
-/// sorted file list.
-struct WorkerOutput {
-  std::optional<core::ThreadProfile> partial;
-  std::vector<ThreadRow> threads;
-  std::vector<std::string> skipped;
-  std::vector<std::string> quarantined;
-  std::vector<std::string> salvaged;
-  std::uint64_t bytes = 0;
-  std::size_t files_read = 0;
-  std::size_t files_salvaged = 0;
-  std::size_t records_salvaged = 0;
-  std::size_t records_dropped = 0;
-  std::size_t transient_retries = 0;
-  double merge_ms = 0;
-  std::exception_ptr error;
-};
-
 template <typename Rows>
 void truncate_rows(Rows& rows, std::size_t top_n) {
   if (top_n != 0 && rows.size() > top_n) rows.resize(top_n);
@@ -102,12 +84,13 @@ std::string render_overhead(const AnalysisResult& r) {
       << "    stream              " << r.timings.stream_ms << " ms  ("
       << r.workers_used << " workers, " << r.files_read << " files, "
       << r.bytes_streamed / 1024.0 << " KB)\n"
-      << "    combine             " << r.timings.combine_ms << " ms\n"
+      << "      merge             " << r.merge_ms << " ms  (folding thread)\n"
       << "    views               " << r.timings.views_ms << " ms\n"
       << "  peak resident profiles  " << r.peak_resident_profiles << "\n";
-  for (const auto& s : r.shards) {
-    out << "  shard " << s.worker << "  " << s.files << " files, "
-        << s.bytes / 1024.0 << " KB, " << s.merge_ms << " ms\n";
+  for (std::size_t k = 0; k < r.readers.size(); ++k) {
+    const ReaderStat& s = r.readers[k];
+    out << "  reader " << k << "  " << s.files << " files, "
+        << s.bytes / 1024.0 << " KB, " << s.busy_ms << " ms busy\n";
   }
   return std::move(out).str();
 }
@@ -121,33 +104,45 @@ std::optional<CorruptPolicy> parse_corrupt_policy(std::string_view name) {
   return std::nullopt;
 }
 
-ShardFold fold_shard(const fs::path& dir, const fs::path& file,
-                     std::optional<core::ThreadProfile>& agg,
-                     CorruptPolicy policy, bool salvage) {
-  ShardFold r;
-  std::optional<std::string> bytes;
+ShardImage read_shard(const fs::path& file) {
+  ShardImage image;
   // One re-read before a shard is declared corrupt: a transient I/O
   // error (torn read, racing writer) passes the second time; real
   // corruption fails again.
   for (int attempt = 0; attempt < 2; ++attempt) {
     try {
-      bytes = core::read_file(file);
-      r.error = core::ThreadProfile::check_framing(*bytes);
+      image.bytes = core::read_file(file);
+      image.error = core::ThreadProfile::check_framing(*image.bytes);
     } catch (const std::exception& e) {
-      bytes.reset();
+      image.bytes.reset();
       std::error_code ec;
       if (!fs::exists(file, ec)) {
-        r.outcome = FoldOutcome::kVanished;
-        r.error = "vanished after listing";
-        return r;
+        image.vanished = true;
+        image.error = "vanished after listing";
+        return image;
       }
-      r.error = e.what();
+      image.error = e.what();
     }
-    if (r.error.empty()) {
-      r.retried = attempt > 0;
+    if (image.error.empty()) {
+      image.retried = attempt > 0;
       break;
     }
   }
+  return image;
+}
+
+ShardFold fold_shard(const fs::path& dir, const fs::path& file,
+                     ShardImage image,
+                     std::optional<core::ThreadProfile>& agg,
+                     CorruptPolicy policy, bool salvage) {
+  ShardFold r;
+  r.error = std::move(image.error);
+  r.retried = image.retried;
+  if (image.vanished) {
+    r.outcome = FoldOutcome::kVanished;
+    return r;
+  }
+  const std::optional<std::string>& bytes = image.bytes;
   bool poisoned = false;
   if (r.error.empty()) {
     const std::string_view payload = core::sealed_payload(*bytes);
@@ -199,6 +194,122 @@ ShardFold fold_shard(const fs::path& dir, const fs::path& file,
   return r;
 }
 
+int hardware_workers() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+/// One image place of the window: file k lives in slot k % window.
+struct ReadAhead::Slot {
+  std::atomic<std::size_t> filled{0};  ///< k + 1 once file k's image is in
+  ShardImage image;
+  std::exception_ptr error;  ///< what read_shard threw instead
+};
+
+ReadAhead::ReadAhead(std::span<const std::string> files, int workers,
+                     std::size_t window)
+    : files_(files),
+      window_(std::max<std::size_t>(window, 1)),
+      slots_(std::make_unique<Slot[]>(window_)) {
+  const std::size_t readers =
+      static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
+          workers, 1, std::max<std::ptrdiff_t>(1, files.size()))) -
+      1;
+  stats_.resize(std::max<std::size_t>(readers, 1));
+  threads_.reserve(readers);
+  try {
+    for (std::size_t k = 0; k < readers; ++k) {
+      threads_.emplace_back([this, k] { read_loop(k); });
+    }
+  } catch (...) {
+    stop();
+    throw;
+  }
+}
+
+ReadAhead::~ReadAhead() { stop(); }
+
+void ReadAhead::stop() {
+  stop_.store(true, std::memory_order_relaxed);
+  // Free every slot, so a reader waiting for one wakes, sees stop_ and
+  // leaves.
+  taken_.store(files_.size(), std::memory_order_release);
+  taken_.notify_all();
+  for (std::thread& t : threads_) {
+    if (t.joinable()) t.join();
+  }
+}
+
+void ReadAhead::read_loop(std::size_t reader) {
+  if (obs::Tracer::enabled()) {
+    obs::Tracer::global().set_thread_name("read-ahead-" +
+                                          std::to_string(reader));
+  }
+  OBS_SPAN_V("analyze.read_ahead", "reader", reader);
+  ReaderStat& stat = stats_[reader];
+  for (;;) {
+    const std::size_t k = claimed_.fetch_add(1, std::memory_order_relaxed);
+    if (k >= files_.size()) return;
+    // Slot k % window is free once the caller has taken file k - window.
+    for (std::size_t t = taken_.load(std::memory_order_acquire);
+         k >= t + window_; t = taken_.load(std::memory_order_acquire)) {
+      taken_.wait(t, std::memory_order_acquire);
+    }
+    if (stop_.load(std::memory_order_relaxed)) return;
+    Slot& slot = slots_[k % window_];
+    const auto t0 = Clock::now();
+    try {
+      slot.image = read_shard(files_[k]);
+      if (slot.image.bytes) stat.bytes += slot.image.bytes->size();
+    } catch (...) {
+      slot.error = std::current_exception();
+    }
+    stat.busy_ms += ms_since(t0);
+    ++stat.files;
+    slot.filled.store(k + 1, std::memory_order_release);
+    slot.filled.notify_one();
+  }
+}
+
+ShardImage ReadAhead::next() {
+  const std::size_t k = taken_.load(std::memory_order_relaxed);
+  if (threads_.empty()) {
+    taken_.store(k + 1, std::memory_order_relaxed);
+    const auto t0 = Clock::now();
+    ShardImage image = read_shard(files_[k]);
+    ReaderStat& stat = stats_[0];
+    stat.busy_ms += ms_since(t0);
+    ++stat.files;
+    if (image.bytes) stat.bytes += image.bytes->size();
+    return image;
+  }
+  Slot& slot = slots_[k % window_];
+  std::size_t filled = slot.filled.load(std::memory_order_acquire);
+  if (filled != k + 1) {
+    // About to wait: first wake the readers waiting for a slot, since
+    // the one that owns file k may be among them.
+    taken_.notify_all();
+    for (; filled != k + 1;
+         filled = slot.filled.load(std::memory_order_acquire)) {
+      slot.filled.wait(filled, std::memory_order_acquire);
+    }
+  }
+  ShardImage image = std::move(slot.image);
+  const std::exception_ptr error = std::exchange(slot.error, nullptr);
+  taken_.store(k + 1, std::memory_order_release);
+  // Waking the readers once per quarter window, not per image, keeps
+  // the folding thread off the futex on most takes.
+  if ((k + 1) % std::max<std::size_t>(window_ / 4, 1) == 0) {
+    taken_.notify_all();
+  }
+  if (error) std::rethrow_exception(error);
+  return image;
+}
+
+std::vector<ReaderStat> ReadAhead::finish() {
+  stop();
+  return stats_;
+}
+
 AnalysisContext AnalysisResult::context() const {
   AnalysisContext ctx;
   ctx.modules = &structure;
@@ -227,164 +338,98 @@ AnalysisResult Analyzer::run(const fs::path& dir) const {
     throw std::runtime_error("no profiles in " + dir.string());
   }
 
-  // Stage 2: stream. Contiguous shards keep the overall fold order equal
-  // to the sorted file list, so the result is byte-identical to
-  // reduce(); within a shard each worker holds exactly one deserialized
-  // profile (its running partial) because every file after the first is
-  // merged straight off the bytes read from it.
-  const int workers = std::clamp<int>(
-      options_.workers, 1, static_cast<int>(files.size()));
-  std::vector<WorkerOutput> outs(static_cast<std::size_t>(workers));
+  // Stage 2: stream. The calling thread folds every file into one
+  // aggregate in listing order, so the result is byte-identical to
+  // reduce(); the read-ahead only moves the reads and framing checks to
+  // other threads. Every file after the first is merged straight off
+  // the bytes read from it, so the aggregate is the one deserialized
+  // profile.
   obs::Gauge gauge = reg.gauge("analyze.resident_profiles");
+  std::optional<core::ThreadProfile> merged;
   {
     const StageTimer timer("analyze.stream", "stream", timings.stream_ms);
     const CorruptPolicy policy = options_.corrupt_policy;
     const bool salvage = options_.salvage;
     const bool want_threads = (options_.views & kViewThreads) != 0;
-    std::vector<obs::Counter> shard_merge_us;
-    for (int w = 0; w < workers; ++w) {
-      shard_merge_us.push_back(reg.counter("analyze.shard_merge_us",
-                                           {{"shard", std::to_string(w)}}));
-    }
-    std::atomic<std::size_t> files_done{0};
-    const auto& progress = options_.progress;
-
-    const auto shard = [&](int w, std::size_t begin, std::size_t end,
-                           WorkerOutput& out) {
-      OBS_SPAN_V("analyze.shard", "worker", w);
-      const auto t_shard = Clock::now();
-      // The files folded whole into the partial so far, in order: what a
-      // re-fold replays after a poisoned merge. (Poison is only reported
-      // with salvage off, so these are the partial's only contributions.)
-      std::vector<std::size_t> whole;
-      try {
-        for (std::size_t i = begin; i < end; ++i) {
-          OBS_SPAN_V("analyze.file", "index", i);
-          const bool had_partial = out.partial.has_value();
-          const ShardFold r =
-              fold_shard(dir, files[i], out.partial, policy, salvage);
-          if (r.retried) ++out.transient_retries;
-          switch (r.outcome) {
-            case FoldOutcome::kFolded:
-              whole.push_back(i);
-              if (want_threads) out.threads.push_back(r.row);
-              ++out.files_read;
-              break;
-            case FoldOutcome::kSalvaged:
-              // Salvaged files are work done: their bytes were streamed and
-              // their prefix folded (files_read stays whole-only; ShardStat
-              // adds files_salvaged).
-              ++out.files_salvaged;
-              out.records_salvaged += r.salvage.records_kept;
-              out.records_dropped += r.salvage.records_dropped;
-              out.salvaged.push_back(
-                  files[i] + ": kept " +
-                  std::to_string(r.salvage.records_kept) + ", dropped " +
-                  std::to_string(r.salvage.records_dropped));
-              break;
-            case FoldOutcome::kPoisoned:
-              // Part of files[i] reached the partial: rebuild it from the
-              // whole shards before it. Published files are immutable, so
-              // each must fold whole again (kStrict: no side effects).
-              out.partial.reset();
-              for (const std::size_t j : whole) {
-                if (fold_shard(dir, files[j], out.partial,
-                               CorruptPolicy::kStrict, false)
-                        .outcome != FoldOutcome::kFolded) {
-                  throw std::runtime_error(files[j] +
-                                           ": changed during analysis");
-                }
-              }
-              break;
-            case FoldOutcome::kVanished:
-              if (policy == CorruptPolicy::kStrict) {
-                throw std::runtime_error(files[i] + ": " + r.error);
-              }
-              break;
-            case FoldOutcome::kSkipped:
-              break;
+    if (want_threads) result.threads.reserve(files.size());
+    // The files folded whole so far, in order: what a re-fold replays
+    // after a poisoned merge. (Poison is only reported with salvage off,
+    // so these are the aggregate's only contributions.)
+    std::vector<std::size_t> whole;
+    ReadAhead reads(files, options_.workers);
+    result.workers_used = reads.workers();
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      ShardImage image = reads.next();
+      OBS_SPAN_V("analyze.file", "index", i);
+      const auto t_fold = Clock::now();
+      const bool had_profile = merged.has_value();
+      const ShardFold r =
+          fold_shard(dir, files[i], std::move(image), merged, policy,
+                     salvage);
+      if (r.retried) ++result.transient_retries;
+      switch (r.outcome) {
+        case FoldOutcome::kFolded:
+          whole.push_back(i);
+          if (want_threads) result.threads.push_back(r.row);
+          ++result.files_read;
+          break;
+        case FoldOutcome::kSalvaged:
+          // Salvaged files are work done: their bytes were streamed and
+          // their prefix folded (files_read stays whole-only).
+          ++result.files_salvaged;
+          result.records_salvaged += r.salvage.records_kept;
+          result.records_dropped += r.salvage.records_dropped;
+          result.salvaged.push_back(
+              files[i] + ": kept " + std::to_string(r.salvage.records_kept) +
+              ", dropped " + std::to_string(r.salvage.records_dropped));
+          break;
+        case FoldOutcome::kPoisoned:
+          // Part of files[i] reached the aggregate: rebuild it from the
+          // whole shards before it. Published files are immutable, so
+          // each must fold whole again (kStrict: no side effects).
+          merged.reset();
+          for (const std::size_t j : whole) {
+            if (fold_shard(dir, files[j], read_shard(files[j]), merged,
+                           CorruptPolicy::kStrict, false)
+                    .outcome != FoldOutcome::kFolded) {
+              throw std::runtime_error(files[j] +
+                                       ": changed during analysis");
+            }
           }
-          if (!had_partial && out.partial) gauge.add(1);
-          out.bytes += r.bytes;
-          if (r.outcome != FoldOutcome::kFolded) {
-            out.skipped.push_back(files[i] + ": " + r.error);
+          break;
+        case FoldOutcome::kVanished:
+          if (policy == CorruptPolicy::kStrict) {
+            throw std::runtime_error(files[i] + ": " + r.error);
           }
-          if (!r.quarantined_to.empty()) {
-            out.quarantined.push_back(files[i] + " -> " +
-                                      r.quarantined_to);
-          }
-          if (progress) progress(++files_done, files.size());
-        }
-      } catch (...) {
-        out.error = std::current_exception();
+          break;
+        case FoldOutcome::kSkipped:
+          break;
       }
-      out.merge_ms = ms_since(t_shard);
-      shard_merge_us[static_cast<std::size_t>(w)].add(us_of(out.merge_ms));
-    };
-
-    if (workers == 1) {
-      shard(0, 0, files.size(), outs[0]);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(workers));
-      for (int w = 0; w < workers; ++w) {
-        const std::size_t begin = files.size() * w / workers;
-        const std::size_t end = files.size() * (w + 1) / workers;
-        pool.emplace_back([&, w, begin, end] {
-          if (obs::Tracer::enabled()) {
-            obs::Tracer::global().set_thread_name(
-                "analyze-worker-" + std::to_string(w));
-          }
-          shard(w, begin, end, outs[static_cast<std::size_t>(w)]);
-        });
+      if (!had_profile && merged) gauge.add(1);
+      result.bytes_streamed += r.bytes;
+      if (r.outcome != FoldOutcome::kFolded) {
+        result.skipped.push_back(files[i] + ": " + r.error);
       }
-      for (auto& t : pool) t.join();
-    }
-    for (auto& out : outs) {
-      if (out.error) std::rethrow_exception(out.error);
-    }
-    for (int w = 0; w < workers; ++w) {
-      auto& out = outs[static_cast<std::size_t>(w)];
-      result.files_read += out.files_read;
-      result.bytes_streamed += out.bytes;
-      result.files_salvaged += out.files_salvaged;
-      result.records_salvaged += out.records_salvaged;
-      result.records_dropped += out.records_dropped;
-      result.transient_retries += out.transient_retries;
-      for (auto& row : out.threads) result.threads.push_back(row);
-      for (auto& s : out.skipped) result.skipped.push_back(std::move(s));
-      for (auto& s : out.quarantined) {
-        result.quarantined.push_back(std::move(s));
+      if (!r.quarantined_to.empty()) {
+        result.quarantined.push_back(files[i] + " -> " + r.quarantined_to);
       }
-      for (auto& s : out.salvaged) result.salvaged.push_back(std::move(s));
-      result.shards.push_back(ShardStat{
-          w, out.files_read + out.files_salvaged, out.bytes, out.merge_ms});
+      result.merge_ms += ms_since(t_fold);
+      if (options_.progress) options_.progress(i + 1, files.size());
     }
+    result.readers = reads.finish();
     result.files_skipped = result.skipped.size();
     result.files_quarantined = result.quarantined.size();
-    result.workers_used = workers;
-  }
-
-  // Stage 3: combine the worker partials, in shard order.
-  {
-    const StageTimer timer("analyze.combine", "combine", timings.combine_ms);
-    std::optional<core::ThreadProfile> merged;
-    for (auto& out : outs) {
-      if (!out.partial) continue;  // shard was all-corrupt
-      if (!merged) {
-        merged = std::move(*out.partial);
-      } else {
-        merge_into(*merged, *out.partial);
-        gauge.add(-1);
-      }
-      out.partial.reset();
+    reg.counter("analyze.merge_us").add(us_of(result.merge_ms));
+    for (std::size_t k = 0; k < result.readers.size(); ++k) {
+      reg.counter("analyze.read_us", {{"reader", std::to_string(k)}})
+          .add(us_of(result.readers[k].busy_ms));
     }
-    if (!merged) {
-      throw std::runtime_error("no readable profiles in " + dir.string());
-    }
-    result.merged = std::move(*merged);
-    result.peak_resident_profiles = static_cast<std::size_t>(gauge.max());
   }
+  if (!merged) {
+    throw std::runtime_error("no readable profiles in " + dir.string());
+  }
+  result.merged = std::move(*merged);
+  result.peak_resident_profiles = static_cast<std::size_t>(gauge.max());
 
   // Stage 4: views.
   {

@@ -3,29 +3,32 @@
 // tables, using a streaming, memory-bounded pipeline:
 //
 //   discover   list profile-<rank>-<tid>.dcpf files + load structure
-//   stream     `workers` host threads each fold a contiguous shard of
-//              the file list into one partial aggregate, one fold_shard
-//              call per file: read it whole (core::read_file), one
-//              CRC32C framing check, one streaming merge off its
-//              payload (analysis/merge.h)
-//   combine    fold the <= `workers` partials, in shard order
+//   stream     a ReadAhead runs each file's read half (read_shard: read
+//              it whole, one CRC32C framing check) on `workers - 1`
+//              helper threads, while the calling thread runs the fold
+//              half (fold_shard: one streaming merge off the payload,
+//              analysis/merge.h) into one aggregate, in listing order
 //   views      compute the selected presentation tables
 //
-// Peak residency is bounded by the worker count — at most one
-// deserialized profile (its running partial) per worker, never the whole
-// directory — which is what lets analysis scale to rank*thread counts
-// whose profiles do not fit in memory (the paper's parallel reduction,
-// recast as an out-of-core fold). The merged output is byte-identical
-// to `reduce` over every profile read via `core::list_profile_files` +
+// Residency is one deserialized profile (the aggregate) plus at most
+// kReadAheadWindow shard images, whatever the thread count or directory
+// size — which is what lets analysis scale to rank*thread counts whose
+// profiles do not fit in memory (the paper's parallel reduction, recast
+// as an out-of-core fold). The merged output is byte-identical to
+// `reduce` over every profile read via `core::list_profile_files` +
 // `core::read_profile_file` in listed order.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "analysis/advisor.h"
@@ -54,7 +57,8 @@ enum View : unsigned {
 };
 
 /// What fold_shard does with a profile file that fails validation.
-/// Every file failing its framing check is first re-read once, so a
+/// Every file failing its framing check is first re-read once (by
+/// read_shard), so a
 /// transient I/O error (NFS hiccup, racing writer) is distinguished from
 /// real corruption: only a file that fails twice is treated as corrupt.
 enum class CorruptPolicy {
@@ -90,47 +94,113 @@ struct ShardFold {
   ThreadRow row;               ///< rank, tid and node total (kFolded)
 };
 
-/// The one validate-and-fold path for a `.dcpf` shard, shared by the
-/// Analyzer's stream stage and the ingestion daemon. Reads `file` whole
-/// (core::read_file), runs ThreadProfile::check_framing (re-reading once
-/// if it fails), then folds the checked payload straight off those
-/// bytes: `agg = read_payload(payload)` when `agg` is empty, else
-/// `merge_serialized(*agg, payload)` — the order that makes every fold
-/// byte-identical to `reduce` over the same files. A corrupt shard then
-/// follows `policy`: kStrict throws std::runtime_error naming the file;
-/// kQuarantine moves it to `<dir>/quarantine/` (falling back to a plain
-/// skip if the move fails); with `salvage` (ignored under kStrict) its
-/// valid record prefix is folded, exactly as read_salvage keeps it.
+/// A shard's read half, as read_shard hands it to fold_shard.
+struct ShardImage {
+  std::optional<std::string> bytes;  ///< the file whole, if it could be read
+  /// Why the image failed its framing check twice, or "vanished after
+  /// listing"; empty when the image is intact.
+  std::string error;
+  bool retried = false;   ///< a re-read cleared a framing failure
+  bool vanished = false;  ///< gone before it could be read
+};
+
+/// The read half of the one validate-and-fold path for a `.dcpf` shard:
+/// reads `file` whole (core::read_file) and runs
+/// ThreadProfile::check_framing, re-reading once if either fails. A
+/// file that is gone (a racing claim or quarantine) is reported
+/// vanished. Touches nothing but `file`, so any thread may run it.
+ShardImage read_shard(const std::filesystem::path& file);
+
+/// The fold half, shared by the Analyzer's stream stage and the
+/// ingestion daemon. Folds `image` (read_shard of `file`) straight off
+/// its checked payload: `agg = read_payload(payload)` when `agg` is
+/// empty, else `merge_serialized(*agg, payload)` — the order that makes
+/// every fold byte-identical to `reduce` over the same files. A corrupt
+/// shard then follows `policy`: kStrict throws std::runtime_error naming
+/// the file; kQuarantine moves it to `<dir>/quarantine/` (falling back
+/// to a plain skip if the move fails); with `salvage` (ignored under
+/// kStrict) its valid record prefix is folded, exactly as read_salvage
+/// keeps it. A vanished shard folds nothing and follows no policy.
 ///
 /// kPoisoned is the one outcome that leaves `agg` unusable: the caller
-/// must discard it (the daemon rolls back to its checkpoint; a batch
-/// worker re-folds its earlier shards). Under salvage a poisoned merge
-/// already holds exactly the salvaged prefix (merge_serialized's
-/// contract), so it reports kSalvaged instead.
+/// must discard it (the daemon rolls back to its checkpoint; the
+/// Analyzer re-folds the shards it folded whole). Under salvage a
+/// poisoned merge already holds exactly the salvaged prefix
+/// (merge_serialized's contract), so it reports kSalvaged instead.
 ShardFold fold_shard(const std::filesystem::path& dir,
-                     const std::filesystem::path& file,
+                     const std::filesystem::path& file, ShardImage image,
                      std::optional<core::ThreadProfile>& agg,
                      CorruptPolicy policy, bool salvage);
+
+/// One per hardware thread (std::thread::hardware_concurrency), at
+/// least 1: the host threads a stream stage uses by default.
+int hardware_workers();
+
+/// Shard images a ReadAhead holds at most: read, or being read, and not
+/// yet taken by the folding thread.
+inline constexpr std::size_t kReadAheadWindow = 64;
+
+/// One read_shard thread's work in a ReadAhead.
+struct ReaderStat {
+  std::size_t files = 0;     ///< images read
+  std::uint64_t bytes = 0;   ///< their bytes
+  double busy_ms = 0;        ///< wall time inside read_shard
+};
+
+/// The bounded read-ahead both folds stream through. `workers` counts
+/// the host threads, the caller included (clamped to [1, files]): the
+/// other `workers - 1` threads claim files one at a time and run
+/// read_shard on them, never more than `window` images ahead of the
+/// caller, who takes the images with next() in listing order and folds
+/// them. With one worker next() reads on the caller: the serial fold,
+/// through the same code. The destructor stops and joins the readers
+/// wherever the caller left off, so a throw or an early return leaves
+/// none running; a reader never reads a file outside `files`.
+class ReadAhead {
+ public:
+  ReadAhead(std::span<const std::string> files, int workers,
+            std::size_t window = kReadAheadWindow);
+  ~ReadAhead();
+  ReadAhead(const ReadAhead&) = delete;
+  ReadAhead& operator=(const ReadAhead&) = delete;
+
+  /// Host threads in use, the caller included.
+  int workers() const { return static_cast<int>(threads_.size()) + 1; }
+
+  /// read_shard of the next file in listing order: files[k] on the k-th
+  /// call, waiting for its reader if need be. At most files.size() calls.
+  ShardImage next();
+
+  /// Joins the readers and returns what each read (one entry, the
+  /// caller's, with one worker).
+  std::vector<ReaderStat> finish();
+
+ private:
+  struct Slot;
+  void read_loop(std::size_t reader);
+  void stop();
+
+  std::span<const std::string> files_;
+  std::size_t window_;
+  std::unique_ptr<Slot[]> slots_;
+  std::atomic<std::size_t> claimed_{0};  ///< files handed to readers
+  std::atomic<std::size_t> taken_{0};    ///< images the caller has taken
+  std::atomic<bool> stop_{false};
+  std::vector<ReaderStat> stats_;
+  std::vector<std::thread> threads_;
+};
 
 /// Wall time per pipeline stage, in milliseconds. A view over the same
 /// measurements that feed the registry's `analyze.stage_us{stage=...}`
 /// counters (which accumulate across runs).
 struct StageTimings {
   double discover_ms = 0;  ///< directory listing + structure load
-  double stream_ms = 0;    ///< parallel read + streaming merge
-  double combine_ms = 0;   ///< fold of the worker partials
+  double stream_ms = 0;    ///< read-ahead + fold into the one aggregate
+  /// Always 0: the stream stage folds into one aggregate, so there are
+  /// no partials left to combine. Kept while perfbench reads it.
+  double combine_ms = 0;
   double views_ms = 0;     ///< post-merge table computation
   double total_ms = 0;
-};
-
-/// One stream-stage worker's shard, as it ran.
-struct ShardStat {
-  int worker = 0;
-  /// Files folded into the partial: whole shards plus salvaged prefixes
-  /// (skipped files excluded — no bytes of theirs were merged).
-  std::size_t files = 0;
-  std::uint64_t bytes = 0;     ///< serialized bytes streamed (incl. salvaged)
-  double merge_ms = 0;         ///< wall time of the whole shard fold
 };
 
 struct AnalysisResult {
@@ -157,10 +227,18 @@ struct AnalysisResult {
   /// Profile + structure bytes streamed, salvaged files included (their
   /// bytes were read and their valid prefix merged — that work counts).
   std::uint64_t bytes_streamed = 0;
-  std::size_t peak_resident_profiles = 0;  ///< high-water; <= workers + 1
-  int workers_used = 0;
+  /// High-water of deserialized profiles: 1, the aggregate, at any
+  /// worker count.
+  std::size_t peak_resident_profiles = 0;
+  int workers_used = 0;  ///< stream-stage host threads, the caller included
   StageTimings timings;
-  std::vector<ShardStat> shards;  ///< one per stream-stage worker
+  /// What each read_shard thread of the stream stage did (one entry, the
+  /// folding thread's own reads, with one worker).
+  std::vector<ReaderStat> readers;
+  /// The folding thread's time in fold_shard (merges, salvage,
+  /// quarantine, poison re-folds); stream_ms less this is its wait for
+  /// images and, with one worker, its own reads.
+  double merge_ms = 0;
 
   // View tables (filled per Options::views; empty otherwise).
   ClassSummary summary;
@@ -184,9 +262,11 @@ struct AnalysisResult {
 class Analyzer {
  public:
   struct Options {
-    /// Host threads for the streaming read+merge stage. Also the memory
-    /// bound: at most this many profiles are resident at once.
-    int workers = 1;
+    /// Host threads of the stream stage, the folding thread included:
+    /// `workers - 1` of them read ahead (clamped to the file count). The
+    /// aggregate is the same at any count; residency is the aggregate
+    /// plus at most kReadAheadWindow images. 1 is the serial fold.
+    int workers = hardware_workers();
     /// Row cap for every view table (0 = unlimited).
     std::size_t top_n = 10;
     /// Sort key for every view table.
@@ -208,8 +288,9 @@ class Analyzer {
     bool salvage = false;
     /// Thresholds for the advice view (kViewAdvice).
     AdvisorOptions advisor;
-    /// Called after each profile file is folded during the stream stage.
-    /// Invoked from worker threads — must be thread-safe.
+    /// Called after each profile file is folded during the stream stage,
+    /// on the folding thread (the caller of run), with `done` counting
+    /// 1, 2, ... up to `total`.
     std::function<void(std::size_t done, std::size_t total)> progress;
 
     /// Adds views to the current bitmask and returns *this:
@@ -230,8 +311,8 @@ class Analyzer {
   /// file, or yields no readable profile (errors name the file at
   /// fault). Corrupt profiles are handled per Options::corrupt_policy
   /// (skipped and counted by default). A poisoned shard (see
-  /// fold_shard) costs its worker a re-fold of the shards before it in
-  /// its range, never a different aggregate or a doubled count.
+  /// fold_shard) costs a re-fold of the shards folded whole before it,
+  /// never a different aggregate or a doubled count.
   AnalysisResult run(const std::filesystem::path& dir) const;
 
  private:

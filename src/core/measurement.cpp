@@ -225,25 +225,28 @@ fs::path quarantine_profile_file(const fs::path& dir, const fs::path& file) {
 std::optional<fs::path> claim_profile_file(const fs::path& dir,
                                            const fs::path& file) {
   const fs::path cdir = dir / kIngestedDirName;
-  const auto fail = [&](const std::error_code& ec) {
-    return std::runtime_error("cannot claim " + file.string() + " into " +
-                              cdir.string() + ": " + ec.message());
-  };
-  std::error_code ec;
-  fs::create_directories(cdir, ec);
-  if (ec) throw fail(ec);
   const fs::path dest = cdir / file.filename();
-  fs::rename(file, dest, ec);
-  if (!ec) return dest;
   // ENOENT names either end of the rename. Only a source that is gone
   // means another claimer (or a cleanup) moved the file first: losing
   // that race is a normal outcome, not an error.
-  std::error_code stat_ec;
-  if (ec == std::errc::no_such_file_or_directory &&
-      fs::symlink_status(file, stat_ec).type() == fs::file_type::not_found) {
+  const auto source_gone = [&] {
+    std::error_code ec;
+    return fs::symlink_status(file, ec).type() == fs::file_type::not_found;
+  };
+  // The rename comes first: `ingested/` exists for every claim but the
+  // first, so a claim costs one rename, not a stat and a rename.
+  std::error_code ec;
+  fs::rename(file, dest, ec);
+  if (ec == std::errc::no_such_file_or_directory && !source_gone()) {
+    fs::create_directories(cdir, ec);
+    if (!ec) fs::rename(file, dest, ec);
+  }
+  if (!ec) return dest;
+  if (ec == std::errc::no_such_file_or_directory && source_gone()) {
     return std::nullopt;
   }
-  throw fail(ec);
+  throw std::runtime_error("cannot claim " + file.string() + " into " +
+                           cdir.string() + ": " + ec.message());
 }
 
 binfmt::StructureData read_structure_file(const fs::path& dir) {

@@ -98,7 +98,7 @@ std::filesystem::path quarantine_profile_file(
     const std::filesystem::path& dir, const std::filesystem::path& file);
 
 /// Claims `file` for ingestion by moving it into `dir`'s `ingested/`
-/// subdirectory (created on first use) and returns its new path — or
+/// subdirectory and returns its new path — or
 /// std::nullopt when `file` itself is gone (a concurrent claimer or
 /// cleanup won the race; not an error). The ingestion daemon calls this
 /// only after the shard's contribution has been durably checkpointed,
@@ -108,7 +108,9 @@ std::filesystem::path quarantine_profile_file(
 /// failure — `ingested/` cannot be created, is a dangling link, or the
 /// move fails while `file` is still there — because a shard that stays
 /// listed after its manifest entry is dropped would be folded again on
-/// every poll.
+/// every poll. `ingested/` is created only when the rename fails for
+/// want of it (the first claim, or one after it was removed), so a
+/// claim is one rename.
 std::optional<std::filesystem::path> claim_profile_file(
     const std::filesystem::path& dir, const std::filesystem::path& file);
 

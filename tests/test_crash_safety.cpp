@@ -491,13 +491,13 @@ TEST(CrashSafety, SalvageModeFoldsTheValidPrefixIntoTheMerge) {
     EXPECT_EQ(r.records_salvaged, kept);
     EXPECT_EQ(r.records_dropped, dropped);
     // Salvage accounting: the salvaged file's bytes were read and its
-    // prefix merged, so they count as streamed work, and the shard
+    // prefix merged, so they count as streamed work, and the reader
     // table covers salvaged files alongside fully-validated ones.
     std::uint64_t profile_bytes = 0;
     std::size_t shard_files = 0;
     std::uint64_t shard_bytes = 0;
     for (const auto& f : files) profile_bytes += fs::file_size(f);
-    for (const auto& s : r.shards) {
+    for (const auto& s : r.readers) {
       shard_files += s.files;
       shard_bytes += s.bytes;
     }

@@ -28,6 +28,7 @@
 #include "obs/registry.h"
 #include "support/dcpf.h"
 #include "support/rng.h"
+#include "support/threads.h"
 #include "verify/invariants.h"
 
 namespace dcprof::analysis {
@@ -472,9 +473,13 @@ TEST(Ingest, PoisonShardRollsBackToCheckpointAndRecovers) {
     opts.claim = false;
     opts.checkpoint_every = 2;  // a durable checkpoint precedes the poison
     opts.max_files_per_poll = bound;
+    const std::size_t baseline = test::live_threads();
     IngestService service(dir.path, opts);
     while (service.poll_once() != 0) {
     }
+    // The rollback returned from its poll with readers still ahead of
+    // the poison shard; none of them outlives the poll.
+    EXPECT_TRUE(test::threads_settle_to(baseline));
 
     const IngestStats st = service.stats();
     EXPECT_EQ(st.files, 7u);
@@ -489,6 +494,49 @@ TEST(Ingest, PoisonShardRollsBackToCheckpointAndRecovers) {
     ASSERT_NE(service.merged(), nullptr);
     EXPECT_EQ(serialized(*service.merged()),
               batch_merged_bytes(pristine.path));
+  }
+}
+
+// The read-ahead reads each poll's shards on helper threads, never past
+// the poll's bound. At every bound — 1 leaves no room to read ahead, so
+// it is the serial fold — a claiming drain ends with the same checkpoint
+// bytes (counters, manifest, aggregate), its aggregate byte-identical to
+// the batch fold's.
+TEST(Ingest, BoundedPollsGiveTheSerialAggregateAndCheckpoints) {
+  TempDir dir;
+  TempDir pristine;
+  constexpr std::size_t kShards = 90;
+  write_fleet(pristine.path, kShards);
+  const std::string batch = batch_merged_bytes(pristine.path);
+  const fs::path ck = dir.path / "state" / "ingest.dcck";
+  std::optional<std::string> serial;
+  for (const std::size_t bound : {1, 7, 64, 0}) {
+    SCOPED_TRACE("max_files_per_poll " + std::to_string(bound));
+    fs::remove_all(dir.path);
+    write_fleet(dir.path, kShards);
+    fs::create_directories(ck.parent_path());
+    IngestOptions opts = opts_for(dir.path);
+    opts.checkpoint = ck;
+    opts.checkpoint_every = 4;
+    opts.max_files_per_poll = bound;
+    IngestService service(dir.path, opts);
+    std::size_t polls = 0;
+    while (service.poll_once() != 0) ++polls;
+    if (bound != 0) {
+      EXPECT_EQ(polls, (kShards + bound - 1) / bound);
+    }
+    service.checkpoint();
+    EXPECT_EQ(service.stats().files, kShards);
+    EXPECT_EQ(count_files(dir.path / core::kIngestedDirName, ".dcpf"),
+              kShards);
+    ASSERT_NE(service.merged(), nullptr);
+    EXPECT_EQ(serialized(*service.merged()), batch);
+    const std::string bytes = core::read_file(ck);
+    if (!serial) {
+      serial = bytes;
+    } else {
+      EXPECT_EQ(bytes, *serial);
+    }
   }
 }
 
@@ -571,7 +619,9 @@ TEST(Ingest, CorruptShardThrowsUnderStrictPolicy) {
   IngestOptions opts = opts_for(dir.path);
   opts.corrupt_policy = CorruptPolicy::kStrict;
   IngestService service(dir.path, opts);
+  const std::size_t baseline = test::live_threads();
   EXPECT_THROW(service.poll_once(), std::runtime_error);
+  EXPECT_TRUE(test::threads_settle_to(baseline));  // no reader outlives it
 }
 
 TEST(Ingest, EmptyShardFileIsCorrupt) {

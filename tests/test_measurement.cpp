@@ -270,5 +270,27 @@ TEST(Measurement, ClaimRaceHasOneWinnerAndNoError) {
   EXPECT_FALSE(second.has_value());
 }
 
+// A claim renames first and creates ingested/ only when the rename
+// fails for want of it: a claim made after ingested/ was removed
+// recreates it, and the lost-race rule still holds.
+TEST(Measurement, ClaimAfterIngestedDirRemovedRecreatesIt) {
+  TempDir dir;
+  fs::create_directories(dir.path);
+  const fs::path a = dir.path / "profile-0-0.dcpf";
+  const fs::path b = dir.path / "profile-0-1.dcpf";
+  write_file_atomic(a, "shard a");
+  write_file_atomic(b, "shard b");
+  ASSERT_TRUE(claim_profile_file(dir.path, a).has_value());
+  fs::remove_all(dir.path / kIngestedDirName);
+
+  const auto claimed = claim_profile_file(dir.path, b);
+  ASSERT_TRUE(claimed.has_value());
+  EXPECT_EQ(*claimed, dir.path / kIngestedDirName / "profile-0-1.dcpf");
+  EXPECT_EQ(read_file(*claimed), "shard b");
+  EXPECT_FALSE(fs::exists(b));
+  fs::remove_all(dir.path / kIngestedDirName);
+  EXPECT_FALSE(claim_profile_file(dir.path, b).has_value());
+}
+
 }  // namespace
 }  // namespace dcprof::core

@@ -516,32 +516,36 @@ TEST(Telemetry, AnalyzerEmitsSpansPerStageAndPerWorker) {
   obs::Tracer::set_enabled(false);
 
   EXPECT_EQ(beats.load(), r.files_read + r.files_skipped);
-  ASSERT_EQ(r.shards.size(), 2u);
-  EXPECT_EQ(r.shards[0].files + r.shards[1].files, r.files_read);
+  // Two workers: one read-ahead thread beside the folding caller.
+  EXPECT_EQ(r.workers_used, 2);
+  ASSERT_EQ(r.readers.size(), 1u);
+  EXPECT_EQ(r.readers[0].files, r.files_read);
   EXPECT_FALSE(r.overhead_report.empty());
   EXPECT_NE(r.overhead_report.find("stream"), std::string::npos);
+  EXPECT_NE(r.overhead_report.find("reader 0"), std::string::npos);
+  EXPECT_NE(r.overhead_report.find("merge"), std::string::npos);
 
   std::ostringstream out;
   obs::Tracer::global().write_json(out);
   const std::string json = out.str();
   EXPECT_TRUE(JsonParser(json).parse()) << json;
   for (const char* span : {"analyze.run", "analyze.discover",
-                           "analyze.stream", "analyze.combine",
-                           "analyze.views", "analyze.shard",
-                           "analyze.file"}) {
+                           "analyze.stream", "analyze.views",
+                           "analyze.read_ahead", "analyze.file"}) {
     EXPECT_NE(json.find(std::string("\"name\":\"") + span + "\""),
               std::string::npos)
         << "missing span " << span;
   }
-  // One track (thread) per stream worker, named for Perfetto.
-  EXPECT_NE(json.find("analyze-worker-0"), std::string::npos);
-  EXPECT_NE(json.find("analyze-worker-1"), std::string::npos);
+  // One track (thread) per read-ahead thread, named for Perfetto.
+  EXPECT_NE(json.find("read-ahead-0"), std::string::npos);
+  EXPECT_EQ(json.find("read-ahead-1"), std::string::npos);
 
   // Stage counters and the residency gauge landed in the registry.
   const obs::Snapshot snap = obs::Registry::global().snapshot();
   ASSERT_NE(snap.find("analyze.stage_us{stage=stream}"), nullptr);
-  ASSERT_NE(snap.find("analyze.shard_merge_us{shard=0}"), nullptr);
-  ASSERT_NE(snap.find("analyze.shard_merge_us{shard=1}"), nullptr);
+  ASSERT_NE(snap.find("analyze.merge_us"), nullptr);
+  ASSERT_NE(snap.find("analyze.read_us{reader=0}"), nullptr);
+  EXPECT_EQ(snap.find("analyze.read_us{reader=1}"), nullptr);
   const obs::SnapshotEntry* gauge = snap.find("analyze.resident_profiles");
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->max, r.peak_resident_profiles);

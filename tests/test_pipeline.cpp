@@ -1,7 +1,8 @@
 // Streaming analysis pipeline: Analyzer::run must produce a merged
-// profile byte-identical to the load-all reduce() path while holding at
-// most workers+1 profiles resident, and skip-and-count corrupt, poisoned
-// and vanished files. Also checks that the profiler's attach_pmu /
+// profile byte-identical to the load-all reduce() path while holding one
+// profile resident, at any worker count, and skip-and-count corrupt,
+// poisoned and vanished files; the read-ahead behind it hands images
+// over in listing order and leaves no reader running. Also checks that the profiler's attach_pmu /
 // attach_allocator hooks deliver samples.
 #include "analysis/pipeline.h"
 
@@ -19,6 +20,7 @@
 #include "core/profiler.h"
 #include "rt/team.h"
 #include "support/dcpf.h"
+#include "support/threads.h"
 
 namespace dcprof::analysis {
 namespace {
@@ -570,6 +572,202 @@ TEST(Pipeline, PoisonedShardIsRefoldedAroundUnderEveryPolicy) {
       }
     }
   }
+}
+
+/// Flips one payload byte, so the CRC32C check fails.
+void flip_bit(const fs::path& path) {
+  std::string bytes = read_profile_bytes(path);
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// A 12-shard directory with a truncated shard (2), a bit-flipped one (5)
+/// and a poisoned one (8), every kind of bad shard after a good one.
+std::vector<std::string> make_bad_dir(const fs::path& dir) {
+  write_synthetic_dir(dir, 12);
+  const auto files = core::list_profile_files(dir);
+  truncate_file(files[2]);
+  flip_bit(files[5]);
+  core::write_file_atomic(files[8],
+                          test::poisoned_shard(read_profile_bytes(files[8])));
+  return files;
+}
+
+/// Everything a run reports that must not depend on its worker count.
+std::string run_digest(const AnalysisResult& r) {
+  std::ostringstream out;
+  out << serialized(r.merged) << '\n' << r.files_read << ' '
+      << r.files_skipped << ' ' << r.files_salvaged << ' '
+      << r.records_salvaged << ' ' << r.records_dropped << ' '
+      << r.bytes_streamed << '\n';
+  for (const auto& list : {r.skipped, r.quarantined, r.salvaged}) {
+    for (const auto& line : list) out << line << '\n';
+    out << "--\n";
+  }
+  for (const auto& t : r.threads) {
+    out << t.rank << '/' << t.tid << '=' << t.metrics[Metric::kLatency]
+        << '\n';
+  }
+  for (const auto& v : r.variables) {
+    out << v.name << ' ' << v.metrics[Metric::kLatency] << '\n';
+  }
+  for (const auto& f : r.functions) {
+    out << f.func << ' ' << f.metrics[Metric::kLatency] << '\n';
+  }
+  out << r.summary.grand[Metric::kLatency] << '\n';
+  return std::move(out).str();
+}
+
+// The read-ahead changes who reads, never what folds: at every worker
+// count the aggregate, the views, the thread rows and every skip,
+// quarantine and salvage list equal the serial fold's, under each
+// policy, for truncated, bit-flipped and poisoned shards. Quarantine
+// moves files, so each run gets a fresh directory.
+TEST(Pipeline, ReadAheadMatchesTheSerialFoldAtEveryWorkerCount) {
+  struct Mode {
+    const char* name;
+    CorruptPolicy policy;
+    bool salvage;
+  };
+  for (const Mode mode : {Mode{"skip", CorruptPolicy::kSkip, false},
+                          Mode{"quarantine", CorruptPolicy::kQuarantine,
+                               false},
+                          Mode{"salvage", CorruptPolicy::kSkip, true}}) {
+    SCOPED_TRACE(mode.name);
+    std::string serial;
+    for (const int workers : {1, 2, 3, 8}) {
+      SCOPED_TRACE(std::to_string(workers) + " workers");
+      TempDir dir;
+      make_bad_dir(dir.path);
+      Analyzer::Options opts;
+      opts.workers = workers;
+      opts.corrupt_policy = mode.policy;
+      opts.salvage = mode.salvage;
+      opts.views = kViewAll & ~kViewOverhead;
+      opts.top_n = 0;
+      std::vector<std::size_t> calls;
+      opts.progress = [&](std::size_t done, std::size_t) {
+        calls.push_back(done);
+      };
+      const AnalysisResult r = Analyzer(opts).run(dir.path);
+      EXPECT_EQ(r.workers_used, workers);
+      EXPECT_EQ(r.peak_resident_profiles, 1u);
+      EXPECT_EQ(r.files_skipped, 3u);
+      EXPECT_EQ(r.files_quarantined,
+                mode.policy == CorruptPolicy::kQuarantine ? 3u : 0u);
+      std::size_t read = 0;
+      for (const ReaderStat& s : r.readers) read += s.files;
+      EXPECT_EQ(read, 12u);
+      EXPECT_EQ(r.readers.size(), static_cast<std::size_t>(
+                                      std::max(workers - 1, 1)));
+      std::vector<std::size_t> once(12);
+      for (std::size_t i = 0; i < once.size(); ++i) once[i] = i + 1;
+      EXPECT_EQ(calls, once);  // on the caller, strictly increasing
+      // Skip lines name files by path, and each run has its own
+      // directory: compare with the directory's path cut out.
+      std::string digest = run_digest(r);
+      const std::string path = dir.path.string();
+      for (std::size_t at; (at = digest.find(path)) != std::string::npos;) {
+        digest.erase(at, path.size());
+      }
+      if (workers == 1) {
+        serial = digest;
+      } else {
+        EXPECT_EQ(digest, serial);
+      }
+    }
+  }
+}
+
+// kStrict stops at the first bad shard with readers still ahead of it,
+// and the throw leaves none of them running.
+TEST(Pipeline, StrictThrowLeavesNoReaderRunning) {
+  TempDir dir;
+  const auto files = make_bad_dir(dir.path);
+  const std::size_t baseline = test::live_threads();
+  for (const int workers : {2, 8}) {
+    Analyzer::Options opts;
+    opts.workers = workers;
+    opts.corrupt_policy = CorruptPolicy::kStrict;
+    try {
+      Analyzer(opts).run(dir.path);
+      FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(name_of(files[2])),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(test::threads_settle_to(baseline)) << workers << " workers";
+  }
+}
+
+// The read-ahead alone, with a window smaller than its reader count: the
+// images come out in listing order, each equal to a serial read_shard of
+// its file — a listed file deleted before the read included — and
+// folding them gives the serial fold's aggregate and outcomes.
+TEST(ReadAhead, WindowSmallerThanReadersKeepsListingOrder) {
+  TempDir dir;
+  std::vector<std::string> files = make_bad_dir(dir.path);
+  // Listed, then gone before any reader gets to it.
+  files.insert(files.begin() + 4, (dir.path / "profile-0-99.dcpf").string());
+  std::vector<ShardImage> serial;
+  for (const auto& f : files) serial.push_back(read_shard(f));
+  ASSERT_TRUE(serial[4].vanished);
+  const auto fold_all = [&](ReadAhead& reads, std::string* outcomes) {
+    std::optional<ThreadProfile> agg;
+    for (const auto& f : files) {
+      const ShardFold r =
+          fold_shard(dir.path, f, reads.next(), agg, CorruptPolicy::kSkip,
+                     /*salvage=*/true);
+      *outcomes += std::to_string(static_cast<int>(r.outcome)) + r.error +
+                   std::to_string(r.bytes) + ';';
+    }
+    return serialized(*agg);
+  };
+  std::string serial_outcomes;
+  ReadAhead one(files, 1);
+  const std::string expected = fold_all(one, &serial_outcomes);
+  EXPECT_EQ(one.finish().size(), 1u);
+  for (const int workers : {2, 4, 8}) {
+    for (const std::size_t window : {1u, 2u}) {
+      SCOPED_TRACE(std::to_string(workers) + " workers, window " +
+                   std::to_string(window));
+      {
+        ReadAhead reads(files, workers, window);
+        EXPECT_EQ(reads.workers(), workers);
+        for (std::size_t i = 0; i < files.size(); ++i) {
+          const ShardImage image = reads.next();
+          EXPECT_EQ(image.bytes, serial[i].bytes) << i;
+          EXPECT_EQ(image.error, serial[i].error) << i;
+          EXPECT_EQ(image.vanished, serial[i].vanished) << i;
+        }
+        std::size_t read = 0;
+        for (const ReaderStat& s : reads.finish()) read += s.files;
+        EXPECT_EQ(read, files.size());  // nothing read twice or past the end
+      }
+      ReadAhead reads(files, workers, window);
+      std::string outcomes;
+      EXPECT_EQ(fold_all(reads, &outcomes), expected);
+      EXPECT_EQ(outcomes, serial_outcomes);
+    }
+  }
+}
+
+// A caller that leaves early (a throw, a poison rollback, a bounded
+// poll) destroys its ReadAhead with readers blocked on a full window and
+// others mid-claim: the destructor must stop and join them all.
+TEST(ReadAhead, DestructionStopsReadersWaitingOnAFullWindow) {
+  TempDir dir;
+  write_synthetic_dir(dir.path, 40);
+  const auto files = core::list_profile_files(dir.path);
+  const std::size_t baseline = test::live_threads();
+  for (const std::size_t taken : {0u, 1u, 7u}) {
+    ReadAhead reads(files, 8, 2);
+    for (std::size_t i = 0; i < taken; ++i) {
+      EXPECT_TRUE(reads.next().error.empty());
+    }
+  }
+  EXPECT_TRUE(test::threads_settle_to(baseline));
 }
 
 // --- measurement.h streaming primitives -------------------------------

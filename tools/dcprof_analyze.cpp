@@ -15,8 +15,8 @@
 // writes folded-stack flamegraph text (flamegraph.pl / speedscope
 // input); --export-var restricts both exports to one variable's
 // subtrees. --trace-out records the pipeline's own execution (one span
-// per stage, one track per stream worker) as Chrome trace_event JSON
-// for Perfetto; --metrics-json dumps the self-telemetry registry;
+// per stage and per fold, one track per read-ahead thread) as Chrome
+// trace_event JSON for Perfetto; --metrics-json dumps the self-telemetry registry;
 // --progress prints a heartbeat line as profiles are folded;
 // --overhead prints the analyzer's self-overhead report (kViewOverhead).
 // --whatif re-runs the named workload, with the team size of the
@@ -26,8 +26,11 @@
 // an unwritable path is a hard error.
 //
 // Streams a measurement directory (per-thread profile files + a
-// structure file) through the analysis::Analyzer pipeline — profiles
-// are merged as they are read, so memory stays bounded by --workers —
+// structure file) through the analysis::Analyzer pipeline — --workers
+// host threads (default: one per hardware thread), all but one reading
+// and checking shards ahead while the last merges them as they arrive,
+// in listing order, so memory stays one aggregate plus a bounded window
+// of shard images —
 // and prints the storage-class summary, the data-centric variable view,
 // the hot-access view, the code-centric flat view, the memory-level /
 // reuse-distance / stride views (v4 profiles), and (with --advice)
@@ -107,7 +110,10 @@ int main(int argc, char** argv) {
   p.positional("measurement-dir", &dir, "directory written by dcprof_measure");
   p.option("--metric", &metric_name, "metric to sort views by",
            "samples|latency|rdram");
-  p.option("--workers", &workers, "stream-merge worker threads");
+  p.option("--workers", &workers,
+           "stream-stage host threads, the folding thread included; the "
+           "rest read and check shards ahead (default: one per hardware "
+           "thread)");
   p.option("--top", &top_n, "rows per view");
   p.option("--top-down", &top_down_class, "also print a top-down CCT view",
            "heap|static|stack|unknown");
@@ -200,10 +206,10 @@ int main(int argc, char** argv) {
       dir.c_str(), r.workers_used, r.workers_used == 1 ? "" : "s");
   std::printf(
       "merged: %s samples; peak resident profiles %zu; "
-      "discover/stream/combine %.1f/%.1f/%.1f ms\n",
+      "discover/stream/merge %.1f/%.1f/%.1f ms\n",
       analysis::format_count(r.merged.total_samples()).c_str(),
       r.peak_resident_profiles, r.timings.discover_ms, r.timings.stream_ms,
-      r.timings.combine_ms);
+      r.merge_ms);
   if (r.transient_retries > 0) {
     std::printf("recovered %zu file(s) on re-read (transient I/O)\n",
                 r.transient_retries);

@@ -8,8 +8,10 @@
 //
 // Watches the given measurement directories and folds every arriving
 // `.dcpf` shard into one incremental aggregate (analysis::IngestService):
-// each shard is read whole, framing-checked and merged by the batch
-// Analyzer's own fold (analysis::fold_shard), the running state
+// each shard is read whole and framing-checked ahead on helper threads
+// (one host thread per hardware thread in all) and merged in listing
+// order by the batch Analyzer's own fold (analysis::ReadAhead,
+// analysis::fold_shard), the running state
 // checkpoints atomically every --checkpoint-every folds, and
 // durably-checkpointed shards are retired into <dir>/ingested/. Kill the
 // daemon at any point and restart it with the same --checkpoint: it
