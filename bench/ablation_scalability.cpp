@@ -118,11 +118,13 @@ int main() {
   // ways: a load-all read (every profile materialized via
   // list_profile_files + read_profile_file, then reduce; peak residency
   // = N) versus the Analyzer, which folds profiles into one aggregate
-  // as its read-ahead threads hand them over (peak residency 1).
+  // as its read-ahead threads hand them over (peak residency 1, plus at
+  // most the read-ahead's window of shard images).
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "dcprof-ablation-a2c";
   analysis::Table stream_table({"profiles", "mode", "wall (ms)",
-                                "peak resident profiles"});
+                                "peak resident profiles",
+                                "peak resident images"});
   for (std::size_t count : {64, 128}) {
     std::vector<core::ThreadProfile> inputs;
     inputs.reserve(count);
@@ -151,7 +153,7 @@ int main() {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.2f", load_ms);
     stream_table.add_row({std::to_string(count), "load-all + reduce", buf,
-                          std::to_string(loaded)});
+                          std::to_string(loaded), "-"});
 
     for (const int workers : {1, 4}) {
       analysis::Analyzer::Options opts;
@@ -170,15 +172,17 @@ int main() {
       stream_table.add_row(
           {std::to_string(count),
            "streaming, " + std::to_string(workers) + " worker(s)", buf,
-           std::to_string(r.peak_resident_profiles)});
+           std::to_string(r.peak_resident_profiles),
+           std::to_string(r.peak_resident_images)});
     }
   }
   std::error_code ec;
   fs::remove_all(dir, ec);
   std::printf("%s\n", stream_table.render().c_str());
   std::printf("(the streaming pipeline merges each profile as it is "
-              "read: peak residency stays at one profile at any worker "
-              "count instead of growing with the directory, so analysis "
-              "memory no longer scales with rank x thread count)\n");
+              "read: peak residency stays at one profile, plus a few "
+              "shard images per read-ahead thread, instead of growing "
+              "with the directory, so analysis memory no longer scales "
+              "with rank x thread count)\n");
   return 0;
 }

@@ -205,10 +205,10 @@ std::size_t IngestService::poll_once() {
 }
 
 bool IngestService::ingest_file(const fs::path& dir, const fs::path& file,
-                                ShardImage image) {
+                                const ShardImage& image) {
   ShardFold r;
   try {
-    r = fold_shard(dir, file, std::move(image), merged_,
+    r = fold_shard(dir, file, image, merged_,
                    opts_.corrupt_policy, /*salvage=*/false);
   } catch (...) {
     // kStrict: the shard may have died part-way through its merge.

@@ -10,8 +10,9 @@
 //   fold       the Analyzer's own stream (analysis/pipeline.h): a
 //              ReadAhead runs read_shard (read the file whole, one
 //              CRC32C framing check with one re-read retry) on
-//              hardware_workers() - 1 helper threads, never past the
-//              poll's max_files_per_poll bound, while poll_once folds
+//              hardware_workers() - 1 helper threads (at most
+//              kMaxReaders), never past the poll's max_files_per_poll
+//              bound, while poll_once folds
 //              each image in listing order with fold_shard
 //              (merge_serialized straight off its payload) — so the
 //              aggregate is byte-identical to a one-shot Analyzer::run
@@ -140,7 +141,8 @@ class IngestService {
   /// and records the outcome; returns true when the shard was folded (vs
   /// skipped/quarantined/vanished).
   bool ingest_file(const std::filesystem::path& dir,
-                   const std::filesystem::path& file, ShardImage image);
+                   const std::filesystem::path& file,
+                   const ShardImage& image);
   void note_skip(const std::filesystem::path& file, const std::string& why);
   /// Makes `listing_` the sorted listing of dirs_[i] (empty when the
   /// directory is missing).

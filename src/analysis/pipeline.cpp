@@ -86,7 +86,9 @@ std::string render_overhead(const AnalysisResult& r) {
       << r.bytes_streamed / 1024.0 << " KB)\n"
       << "      merge             " << r.merge_ms << " ms  (folding thread)\n"
       << "    views               " << r.timings.views_ms << " ms\n"
-      << "  peak resident profiles  " << r.peak_resident_profiles << "\n";
+      << "  peak resident profiles  " << r.peak_resident_profiles << "\n"
+      << "  peak resident images    " << r.peak_resident_images << "  ("
+      << r.image_buffer_bytes / 1024.0 << " KB of image buffers)\n";
   for (std::size_t k = 0; k < r.readers.size(); ++k) {
     const ReaderStat& s = r.readers[k];
     out << "  reader " << k << "  " << s.files << " files, "
@@ -104,22 +106,26 @@ std::optional<CorruptPolicy> parse_corrupt_policy(std::string_view name) {
   return std::nullopt;
 }
 
-ShardImage read_shard(const fs::path& file) {
-  ShardImage image;
+void read_shard(const fs::path& file, ShardImage& image) {
+  image.read = false;
+  image.error.clear();
+  image.retried = false;
+  image.vanished = false;
   // One re-read before a shard is declared corrupt: a transient I/O
   // error (torn read, racing writer) passes the second time; real
   // corruption fails again.
   for (int attempt = 0; attempt < 2; ++attempt) {
     try {
-      image.bytes = core::read_file(file);
-      image.error = core::ThreadProfile::check_framing(*image.bytes);
+      core::read_file(file, image.bytes);
+      image.read = true;
+      image.error = core::ThreadProfile::check_framing(image.bytes);
     } catch (const std::exception& e) {
-      image.bytes.reset();
+      image.read = false;
       std::error_code ec;
       if (!fs::exists(file, ec)) {
         image.vanished = true;
         image.error = "vanished after listing";
-        return image;
+        return;
       }
       image.error = e.what();
     }
@@ -128,24 +134,23 @@ ShardImage read_shard(const fs::path& file) {
       break;
     }
   }
-  return image;
 }
 
 ShardFold fold_shard(const fs::path& dir, const fs::path& file,
-                     ShardImage image,
+                     const ShardImage& image,
                      std::optional<core::ThreadProfile>& agg,
                      CorruptPolicy policy, bool salvage) {
   ShardFold r;
-  r.error = std::move(image.error);
+  r.error = image.error;
   r.retried = image.retried;
   if (image.vanished) {
     r.outcome = FoldOutcome::kVanished;
     return r;
   }
-  const std::optional<std::string>& bytes = image.bytes;
+  const std::string& bytes = image.bytes;
   bool poisoned = false;
   if (r.error.empty()) {
-    const std::string_view payload = core::sealed_payload(*bytes);
+    const std::string_view payload = core::sealed_payload(bytes);
     try {
       if (!agg) {
         agg = core::ThreadProfile::read_payload(payload);  // only on success
@@ -153,7 +158,7 @@ ShardFold fold_shard(const fs::path& dir, const fs::path& file,
       } else {
         r.row = merge_serialized(*agg, payload);
       }
-      r.bytes = bytes->size();
+      r.bytes = bytes.size();
       return r;
     } catch (const std::exception& e) {
       // Checksum-intact but structurally malformed: a buggy writer, not
@@ -167,11 +172,11 @@ ShardFold fold_shard(const fs::path& dir, const fs::path& file,
     throw std::runtime_error(file.string() + ": " + r.error);
   }
   r.outcome = poisoned ? FoldOutcome::kPoisoned : FoldOutcome::kSkipped;
-  if (salvage && bytes) {
+  if (salvage && image.read) {
     // A poisoned merge has already folded exactly this prefix (see
     // merge_serialized); otherwise nothing of the shard is in `agg` yet.
     core::ThreadProfile prefix =
-        core::ThreadProfile::read_salvage(*bytes, r.salvage);
+        core::ThreadProfile::read_salvage(bytes, r.salvage);
     if (!poisoned && r.salvage.records_kept > 0) {
       if (!agg) {
         agg = std::move(prefix);
@@ -180,7 +185,7 @@ ShardFold fold_shard(const fs::path& dir, const fs::path& file,
       }
     }
     r.outcome = FoldOutcome::kSalvaged;
-    r.bytes = bytes->size();
+    r.bytes = bytes.size();
   }
   if (policy == CorruptPolicy::kQuarantine) {
     try {
@@ -201,19 +206,17 @@ int hardware_workers() {
 /// One image place of the window: file k lives in slot k % window.
 struct ReadAhead::Slot {
   std::atomic<std::size_t> filled{0};  ///< k + 1 once file k's image is in
-  ShardImage image;
+  ShardImage image;          ///< its buffer is kept from file to file
   std::exception_ptr error;  ///< what read_shard threw instead
 };
 
-ReadAhead::ReadAhead(std::span<const std::string> files, int workers,
-                     std::size_t window)
-    : files_(files),
-      window_(std::max<std::size_t>(window, 1)),
-      slots_(std::make_unique<Slot[]>(window_)) {
-  const std::size_t readers =
-      static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
-          workers, 1, std::max<std::ptrdiff_t>(1, files.size()))) -
-      1;
+ReadAhead::ReadAhead(std::span<const std::string> files, int workers)
+    : files_(files) {
+  const std::size_t readers = std::min<std::size_t>(
+      {static_cast<std::size_t>(std::max(workers, 1)) - 1,
+       files.empty() ? 0 : files.size() - 1, kMaxReaders});
+  window_ = std::max<std::size_t>(readers * kImagesPerReader, 1);
+  slots_ = std::make_unique<Slot[]>(window_);
   stats_.resize(std::max<std::size_t>(readers, 1));
   threads_.reserve(readers);
   try {
@@ -232,8 +235,8 @@ void ReadAhead::stop() {
   stop_.store(true, std::memory_order_relaxed);
   // Free every slot, so a reader waiting for one wakes, sees stop_ and
   // leaves.
-  taken_.store(files_.size(), std::memory_order_release);
-  taken_.notify_all();
+  released_.store(files_.size(), std::memory_order_release);
+  released_.notify_all();
   for (std::thread& t : threads_) {
     if (t.joinable()) t.join();
   }
@@ -249,17 +252,25 @@ void ReadAhead::read_loop(std::size_t reader) {
   for (;;) {
     const std::size_t k = claimed_.fetch_add(1, std::memory_order_relaxed);
     if (k >= files_.size()) return;
-    // Slot k % window is free once the caller has taken file k - window.
-    for (std::size_t t = taken_.load(std::memory_order_acquire);
-         k >= t + window_; t = taken_.load(std::memory_order_acquire)) {
-      taken_.wait(t, std::memory_order_acquire);
+    // Slot k % window is free once the caller has handed back file
+    // k - window.
+    std::size_t released = released_.load(std::memory_order_acquire);
+    for (; k >= released + window_;
+         released = released_.load(std::memory_order_acquire)) {
+      released_.wait(released, std::memory_order_acquire);
     }
     if (stop_.load(std::memory_order_relaxed)) return;
+    // Files released..k are all held now: read, being read or folded.
+    const std::size_t held = k + 1 - released;
+    for (std::size_t peak = peak_images_.load(std::memory_order_relaxed);
+         held > peak && !peak_images_.compare_exchange_weak(
+                            peak, held, std::memory_order_relaxed);) {
+    }
     Slot& slot = slots_[k % window_];
     const auto t0 = Clock::now();
     try {
-      slot.image = read_shard(files_[k]);
-      if (slot.image.bytes) stat.bytes += slot.image.bytes->size();
+      read_shard(files_[k], slot.image);
+      if (slot.image.read) stat.bytes += slot.image.bytes.size();
     } catch (...) {
       slot.error = std::current_exception();
     }
@@ -270,44 +281,52 @@ void ReadAhead::read_loop(std::size_t reader) {
   }
 }
 
-ShardImage ReadAhead::next() {
-  const std::size_t k = taken_.load(std::memory_order_relaxed);
+const ShardImage& ReadAhead::next() {
+  const std::size_t k = next_++;
   if (threads_.empty()) {
-    taken_.store(k + 1, std::memory_order_relaxed);
+    ShardImage& image = slots_[0].image;
     const auto t0 = Clock::now();
-    ShardImage image = read_shard(files_[k]);
+    read_shard(files_[k], image);
     ReaderStat& stat = stats_[0];
     stat.busy_ms += ms_since(t0);
     ++stat.files;
-    if (image.bytes) stat.bytes += image.bytes->size();
+    if (image.read) stat.bytes += image.bytes.size();
+    peak_images_.store(1, std::memory_order_relaxed);
     return image;
+  }
+  // Hand back file k - 1's slot, for file k - 1 + window. Waking the
+  // readers once per quarter window, not per image, keeps the folding
+  // thread off the futex on most calls.
+  released_.store(k, std::memory_order_release);
+  if (k % std::max<std::size_t>(window_ / 4, 1) == 0) {
+    released_.notify_all();
   }
   Slot& slot = slots_[k % window_];
   std::size_t filled = slot.filled.load(std::memory_order_acquire);
   if (filled != k + 1) {
     // About to wait: first wake the readers waiting for a slot, since
     // the one that owns file k may be among them.
-    taken_.notify_all();
+    released_.notify_all();
     for (; filled != k + 1;
          filled = slot.filled.load(std::memory_order_acquire)) {
       slot.filled.wait(filled, std::memory_order_acquire);
     }
   }
-  ShardImage image = std::move(slot.image);
-  const std::exception_ptr error = std::exchange(slot.error, nullptr);
-  taken_.store(k + 1, std::memory_order_release);
-  // Waking the readers once per quarter window, not per image, keeps
-  // the folding thread off the futex on most takes.
-  if ((k + 1) % std::max<std::size_t>(window_ / 4, 1) == 0) {
-    taken_.notify_all();
-  }
-  if (error) std::rethrow_exception(error);
-  return image;
+  if (slot.error) std::rethrow_exception(std::exchange(slot.error, nullptr));
+  return slot.image;
 }
 
 std::vector<ReaderStat> ReadAhead::finish() {
   stop();
   return stats_;
+}
+
+std::uint64_t ReadAhead::image_bytes() const {
+  std::uint64_t bytes = 0;
+  for (std::size_t k = 0; k < window_; ++k) {
+    bytes += slots_[k].image.bytes.capacity();
+  }
+  return bytes;
 }
 
 AnalysisContext AnalysisResult::context() const {
@@ -359,13 +378,12 @@ AnalysisResult Analyzer::run(const fs::path& dir) const {
     ReadAhead reads(files, options_.workers);
     result.workers_used = reads.workers();
     for (std::size_t i = 0; i < files.size(); ++i) {
-      ShardImage image = reads.next();
+      const ShardImage& image = reads.next();
       OBS_SPAN_V("analyze.file", "index", i);
       const auto t_fold = Clock::now();
       const bool had_profile = merged.has_value();
       const ShardFold r =
-          fold_shard(dir, files[i], std::move(image), merged, policy,
-                     salvage);
+          fold_shard(dir, files[i], image, merged, policy, salvage);
       if (r.retried) ++result.transient_retries;
       switch (r.outcome) {
         case FoldOutcome::kFolded:
@@ -383,13 +401,15 @@ AnalysisResult Analyzer::run(const fs::path& dir) const {
               files[i] + ": kept " + std::to_string(r.salvage.records_kept) +
               ", dropped " + std::to_string(r.salvage.records_dropped));
           break;
-        case FoldOutcome::kPoisoned:
+        case FoldOutcome::kPoisoned: {
           // Part of files[i] reached the aggregate: rebuild it from the
           // whole shards before it. Published files are immutable, so
           // each must fold whole again (kStrict: no side effects).
           merged.reset();
+          ShardImage again;
           for (const std::size_t j : whole) {
-            if (fold_shard(dir, files[j], read_shard(files[j]), merged,
+            read_shard(files[j], again);
+            if (fold_shard(dir, files[j], again, merged,
                            CorruptPolicy::kStrict, false)
                     .outcome != FoldOutcome::kFolded) {
               throw std::runtime_error(files[j] +
@@ -397,6 +417,7 @@ AnalysisResult Analyzer::run(const fs::path& dir) const {
             }
           }
           break;
+        }
         case FoldOutcome::kVanished:
           if (policy == CorruptPolicy::kStrict) {
             throw std::runtime_error(files[i] + ": " + r.error);
@@ -417,6 +438,8 @@ AnalysisResult Analyzer::run(const fs::path& dir) const {
       if (options_.progress) options_.progress(i + 1, files.size());
     }
     result.readers = reads.finish();
+    result.peak_resident_images = reads.peak_images();
+    result.image_buffer_bytes = reads.image_bytes();
     result.files_skipped = result.skipped.size();
     result.files_quarantined = result.quarantined.size();
     reg.counter("analyze.merge_us").add(us_of(result.merge_ms));

@@ -10,11 +10,12 @@
 //              analysis/merge.h) into one aggregate, in listing order
 //   views      compute the selected presentation tables
 //
-// Residency is one deserialized profile (the aggregate) plus at most
-// kReadAheadWindow shard images, whatever the thread count or directory
-// size — which is what lets analysis scale to rank*thread counts whose
-// profiles do not fit in memory (the paper's parallel reduction, recast
-// as an out-of-core fold). The merged output is byte-identical to
+// Residency is one deserialized profile (the aggregate) plus the
+// read-ahead's window of shard images (kImagesPerReader per reader, at
+// most kMaxReaders readers), each in a buffer its slot keeps and reuses,
+// whatever the directory size — which is what lets analysis scale to
+// rank*thread counts whose profiles do not fit in memory (the paper's
+// parallel reduction, recast as an out-of-core fold). The merged output is byte-identical to
 // `reduce` over every profile read via `core::list_profile_files` +
 // `core::read_profile_file` in listed order.
 #pragma once
@@ -94,9 +95,12 @@ struct ShardFold {
   ThreadRow row;               ///< rank, tid and node total (kFolded)
 };
 
-/// A shard's read half, as read_shard hands it to fold_shard.
+/// A shard's read half, as read_shard fills it for fold_shard.
 struct ShardImage {
-  std::optional<std::string> bytes;  ///< the file whole, if it could be read
+  /// The file whole, when `read`. read_shard refills this buffer, so an
+  /// image reused shard after shard allocates only for a larger one.
+  std::string bytes;
+  bool read = false;  ///< `bytes` holds the file, intact or not
   /// Why the image failed its framing check twice, or "vanished after
   /// listing"; empty when the image is intact.
   std::string error;
@@ -105,11 +109,12 @@ struct ShardImage {
 };
 
 /// The read half of the one validate-and-fold path for a `.dcpf` shard:
-/// reads `file` whole (core::read_file) and runs
-/// ThreadProfile::check_framing, re-reading once if either fails. A
-/// file that is gone (a racing claim or quarantine) is reported
-/// vanished. Touches nothing but `file`, so any thread may run it.
-ShardImage read_shard(const std::filesystem::path& file);
+/// reads `file` whole into `image` (core::read_file, keeping the
+/// capacity of image.bytes) and runs ThreadProfile::check_framing,
+/// re-reading once if either fails. A file that is gone (a racing claim
+/// or quarantine) is reported vanished. Touches nothing but `file` and
+/// `image`, so any thread may run it.
+void read_shard(const std::filesystem::path& file, ShardImage& image);
 
 /// The fold half, shared by the Analyzer's stream stage and the
 /// ingestion daemon. Folds `image` (read_shard of `file`) straight off
@@ -128,7 +133,8 @@ ShardImage read_shard(const std::filesystem::path& file);
 /// poisoned merge already holds exactly the salvaged prefix
 /// (merge_serialized's contract), so it reports kSalvaged instead.
 ShardFold fold_shard(const std::filesystem::path& dir,
-                     const std::filesystem::path& file, ShardImage image,
+                     const std::filesystem::path& file,
+                     const ShardImage& image,
                      std::optional<core::ThreadProfile>& agg,
                      CorruptPolicy policy, bool salvage);
 
@@ -136,9 +142,16 @@ ShardFold fold_shard(const std::filesystem::path& dir,
 /// least 1: the host threads a stream stage uses by default.
 int hardware_workers();
 
-/// Shard images a ReadAhead holds at most: read, or being read, and not
-/// yet taken by the folding thread.
-inline constexpr std::size_t kReadAheadWindow = 64;
+/// Shard images a ReadAhead holds per reader thread: read, being read
+/// or being folded. Its window is this many slots per reader, each slot
+/// keeping its image buffer from shard to shard.
+inline constexpr std::size_t kImagesPerReader = 4;
+
+/// Reader threads a ReadAhead starts at most. One thread folds every
+/// image, and on the fleet corpus three readers already read and check
+/// shards faster than it merges them, so more would only wait for
+/// slots; the cap also bounds the window, at any thread count.
+inline constexpr std::size_t kMaxReaders = 16;
 
 /// One read_shard thread's work in a ReadAhead.
 struct ReaderStat {
@@ -148,18 +161,20 @@ struct ReaderStat {
 };
 
 /// The bounded read-ahead both folds stream through. `workers` counts
-/// the host threads, the caller included (clamped to [1, files]): the
-/// other `workers - 1` threads claim files one at a time and run
-/// read_shard on them, never more than `window` images ahead of the
-/// caller, who takes the images with next() in listing order and folds
-/// them. With one worker next() reads on the caller: the serial fold,
-/// through the same code. The destructor stops and joins the readers
-/// wherever the caller left off, so a throw or an early return leaves
-/// none running; a reader never reads a file outside `files`.
+/// the host threads, the caller included: the other `workers - 1`
+/// (clamped to the file count less one and to kMaxReaders) claim files
+/// one at a time and run read_shard on them into a ring of
+/// kImagesPerReader slots per reader, while the caller takes the images
+/// with next() in listing order and folds them. A slot's buffer is
+/// reused for every file it holds, so the images take the window's
+/// largest shards' bytes, allocated once. With one worker next() reads
+/// on the caller into one slot: the serial fold, through the same code.
+/// The destructor stops and joins the readers wherever the caller left
+/// off, so a throw or an early return leaves none running; a reader
+/// never reads a file outside `files`.
 class ReadAhead {
  public:
-  ReadAhead(std::span<const std::string> files, int workers,
-            std::size_t window = kReadAheadWindow);
+  ReadAhead(std::span<const std::string> files, int workers);
   ~ReadAhead();
   ReadAhead(const ReadAhead&) = delete;
   ReadAhead& operator=(const ReadAhead&) = delete;
@@ -167,13 +182,29 @@ class ReadAhead {
   /// Host threads in use, the caller included.
   int workers() const { return static_cast<int>(threads_.size()) + 1; }
 
-  /// read_shard of the next file in listing order: files[k] on the k-th
-  /// call, waiting for its reader if need be. At most files.size() calls.
-  ShardImage next();
+  /// Slots: the images held at most, the one being folded included.
+  std::size_t window() const { return window_; }
 
-  /// Joins the readers and returns what each read (one entry, the
-  /// caller's, with one worker).
+  /// read_shard of the next file in listing order: files[k] on the k-th
+  /// call, waiting for its reader if need be. The image lives in its
+  /// slot until the next call, which hands the slot back for file
+  /// k + window(). At most files.size() calls.
+  const ShardImage& next();
+
+  /// Joins the readers (the last image next() returned is then no longer
+  /// valid) and returns what each read (one entry, the caller's, with
+  /// one worker).
   std::vector<ReaderStat> finish();
+
+  /// High-water of images held at once: read, being read or being
+  /// folded (at most window()).
+  std::size_t peak_images() const {
+    return peak_images_.load(std::memory_order_relaxed);
+  }
+
+  /// After finish(): the bytes the slots' image buffers reached (a
+  /// buffer is reused, never shrunk, so this is their high-water).
+  std::uint64_t image_bytes() const;
 
  private:
   struct Slot;
@@ -181,10 +212,14 @@ class ReadAhead {
   void stop();
 
   std::span<const std::string> files_;
-  std::size_t window_;
+  std::size_t window_ = 1;
   std::unique_ptr<Slot[]> slots_;
+  std::size_t next_ = 0;                 ///< next() calls so far
   std::atomic<std::size_t> claimed_{0};  ///< files handed to readers
-  std::atomic<std::size_t> taken_{0};    ///< images the caller has taken
+  /// Images the caller has handed back: slot k % window_ is free for
+  /// file k once k < released_ + window_.
+  std::atomic<std::size_t> released_{0};
+  std::atomic<std::size_t> peak_images_{0};
   std::atomic<bool> stop_{false};
   std::vector<ReaderStat> stats_;
   std::vector<std::thread> threads_;
@@ -230,6 +265,11 @@ struct AnalysisResult {
   /// High-water of deserialized profiles: 1, the aggregate, at any
   /// worker count.
   std::size_t peak_resident_profiles = 0;
+  /// High-water of shard images the read-ahead held at once (at most
+  /// its window), and the bytes its reused image buffers reached. With
+  /// the aggregate, that is the stream stage's residency.
+  std::size_t peak_resident_images = 0;
+  std::uint64_t image_buffer_bytes = 0;
   int workers_used = 0;  ///< stream-stage host threads, the caller included
   StageTimings timings;
   /// What each read_shard thread of the stream stage did (one entry, the
@@ -263,9 +303,10 @@ class Analyzer {
  public:
   struct Options {
     /// Host threads of the stream stage, the folding thread included:
-    /// `workers - 1` of them read ahead (clamped to the file count). The
-    /// aggregate is the same at any count; residency is the aggregate
-    /// plus at most kReadAheadWindow images. 1 is the serial fold.
+    /// `workers - 1` of them read ahead (clamped to the file count and to
+    /// kMaxReaders). The aggregate is the same at any count; residency
+    /// is the aggregate plus kImagesPerReader images per reader. 1 is
+    /// the serial fold.
     int workers = hardware_workers();
     /// Row cap for every view table (0 = unlimited).
     std::size_t top_n = 10;

@@ -103,12 +103,22 @@ void write_file_atomic(const fs::path& path, std::string_view bytes) {
 }
 
 std::string read_file(const fs::path& path) {
+  std::string bytes;
+  read_file(path, bytes);
+  return bytes;
+}
+
+void read_file(const fs::path& path, std::string& bytes) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) throw_errno("cannot open", path);
   const FdCloser closer(fd);
   struct stat st = {};
   if (::fstat(fd, &st) != 0) throw_errno("cannot stat", path);
-  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+  const auto size = static_cast<std::size_t>(st.st_size);
+  // A larger file gets a buffer of its own size: growing this one would
+  // copy its bytes and could double its capacity.
+  if (size > bytes.capacity()) std::string().swap(bytes);
+  bytes.resize(size);
   std::size_t got = 0;
   while (got < bytes.size()) {
     const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
@@ -120,7 +130,6 @@ std::string read_file(const fs::path& path) {
     got += static_cast<std::size_t>(n);
   }
   bytes.resize(got);
-  return bytes;
 }
 
 std::uint64_t write_measurement_dir(const fs::path& dir,

@@ -53,6 +53,11 @@ void write_file_atomic(const std::filesystem::path& path,
 /// std::runtime_error naming the file on any failure.
 std::string read_file(const std::filesystem::path& path);
 
+/// read_file into `bytes`, keeping its capacity: a caller that reads
+/// many files into one buffer allocates only for a larger file. What
+/// `bytes` holds after a throw is unspecified.
+void read_file(const std::filesystem::path& path, std::string& bytes);
+
 /// Writes profiles + structure into `dir` (created if absent), each file
 /// via `write_file_atomic`. Returns the total bytes written.
 std::uint64_t write_measurement_dir(const std::filesystem::path& dir,

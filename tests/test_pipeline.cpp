@@ -178,6 +178,17 @@ TEST(Pipeline, PeakResidencyStaysBoundedOnLargeDirectories) {
   EXPECT_EQ(r.files_read, 64u);
   EXPECT_LE(r.peak_resident_profiles, 5u);  // workers + 1
   EXPECT_EQ(r.workers_used, 4);
+  // Beside the aggregate, at most the read-ahead's window of images, in
+  // buffers that each grew to at most twice the largest shard.
+  const std::size_t window = 3 * kImagesPerReader;
+  EXPECT_GE(r.peak_resident_images, 1u);
+  EXPECT_LE(r.peak_resident_images, window);
+  std::uintmax_t largest = 0;
+  for (const auto& f : core::list_profile_files(dir.path)) {
+    largest = std::max(largest, fs::file_size(f));
+  }
+  EXPECT_GE(r.image_buffer_bytes, largest);
+  EXPECT_LE(r.image_buffer_bytes, window * 2 * largest);
   EXPECT_GT(r.bytes_streamed, 0u);
   EXPECT_GE(r.timings.total_ms, 0.0);
 }
@@ -652,6 +663,8 @@ TEST(Pipeline, ReadAheadMatchesTheSerialFoldAtEveryWorkerCount) {
       const AnalysisResult r = Analyzer(opts).run(dir.path);
       EXPECT_EQ(r.workers_used, workers);
       EXPECT_EQ(r.peak_resident_profiles, 1u);
+      EXPECT_LE(r.peak_resident_images,
+                std::max<std::size_t>((workers - 1) * kImagesPerReader, 1));
       EXPECT_EQ(r.files_skipped, 3u);
       EXPECT_EQ(r.files_quarantined,
                 mode.policy == CorruptPolicy::kQuarantine ? 3u : 0u);
@@ -701,17 +714,21 @@ TEST(Pipeline, StrictThrowLeavesNoReaderRunning) {
   }
 }
 
-// The read-ahead alone, with a window smaller than its reader count: the
-// images come out in listing order, each equal to a serial read_shard of
-// its file — a listed file deleted before the read included — and
-// folding them gives the serial fold's aggregate and outcomes.
-TEST(ReadAhead, WindowSmallerThanReadersKeepsListingOrder) {
+// The read-ahead alone, its window wrapping round (4 slots under 2
+// workers, 8 under 3) or not (28 under 8): the images come out in
+// listing order, each equal to a serial read_shard of its file — a
+// listed file deleted before the read included — though each slot
+// reuses one buffer, and folding them gives the serial fold's aggregate
+// and outcomes.
+TEST(ReadAhead, ImagesComeInListingOrderAcrossWindowWraps) {
   TempDir dir;
   std::vector<std::string> files = make_bad_dir(dir.path);
   // Listed, then gone before any reader gets to it.
   files.insert(files.begin() + 4, (dir.path / "profile-0-99.dcpf").string());
-  std::vector<ShardImage> serial;
-  for (const auto& f : files) serial.push_back(read_shard(f));
+  std::vector<ShardImage> serial(files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    read_shard(files[i], serial[i]);
+  }
   ASSERT_TRUE(serial[4].vanished);
   const auto fold_all = [&](ReadAhead& reads, std::string* outcomes) {
     std::optional<ThreadProfile> agg;
@@ -726,30 +743,62 @@ TEST(ReadAhead, WindowSmallerThanReadersKeepsListingOrder) {
   };
   std::string serial_outcomes;
   ReadAhead one(files, 1);
+  EXPECT_EQ(one.window(), 1u);
   const std::string expected = fold_all(one, &serial_outcomes);
   EXPECT_EQ(one.finish().size(), 1u);
-  for (const int workers : {2, 4, 8}) {
-    for (const std::size_t window : {1u, 2u}) {
-      SCOPED_TRACE(std::to_string(workers) + " workers, window " +
-                   std::to_string(window));
-      {
-        ReadAhead reads(files, workers, window);
-        EXPECT_EQ(reads.workers(), workers);
-        for (std::size_t i = 0; i < files.size(); ++i) {
-          const ShardImage image = reads.next();
+  EXPECT_EQ(one.peak_images(), 1u);
+  for (const int workers : {2, 3, 8}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    {
+      ReadAhead reads(files, workers);
+      EXPECT_EQ(reads.workers(), workers);
+      EXPECT_EQ(reads.window(), (workers - 1) * kImagesPerReader);
+      for (std::size_t i = 0; i < files.size(); ++i) {
+        const ShardImage& image = reads.next();
+        EXPECT_EQ(image.read, serial[i].read) << i;
+        if (image.read) {
           EXPECT_EQ(image.bytes, serial[i].bytes) << i;
-          EXPECT_EQ(image.error, serial[i].error) << i;
-          EXPECT_EQ(image.vanished, serial[i].vanished) << i;
         }
-        std::size_t read = 0;
-        for (const ReaderStat& s : reads.finish()) read += s.files;
-        EXPECT_EQ(read, files.size());  // nothing read twice or past the end
+        EXPECT_EQ(image.error, serial[i].error) << i;
+        EXPECT_EQ(image.vanished, serial[i].vanished) << i;
       }
-      ReadAhead reads(files, workers, window);
-      std::string outcomes;
-      EXPECT_EQ(fold_all(reads, &outcomes), expected);
-      EXPECT_EQ(outcomes, serial_outcomes);
+      std::size_t read = 0;
+      for (const ReaderStat& s : reads.finish()) read += s.files;
+      EXPECT_EQ(read, files.size());  // nothing read twice or past the end
+      EXPECT_GE(reads.peak_images(), 1u);
+      EXPECT_LE(reads.peak_images(), reads.window());
     }
+    ReadAhead reads(files, workers);
+    std::string outcomes;
+    EXPECT_EQ(fold_all(reads, &outcomes), expected);
+    EXPECT_EQ(outcomes, serial_outcomes);
+  }
+}
+
+// The window is kImagesPerReader slots per reader, and readers stop at
+// kMaxReaders whatever the worker count asks, so no reader can find the
+// window too small to hold its image, and the images stay bounded.
+TEST(ReadAhead, ReadersAreCappedAndTheWindowGrowsWithThem) {
+  TempDir dir;
+  write_synthetic_dir(dir.path, 40);
+  const auto files = core::list_profile_files(dir.path);
+  std::uintmax_t largest = 0;
+  for (const auto& f : files) largest = std::max(largest, fs::file_size(f));
+  for (const int workers : {1, 2, 5, 17, 40}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    ReadAhead reads(files, workers);
+    const std::size_t readers =
+        std::min<std::size_t>(workers - 1, kMaxReaders);
+    EXPECT_EQ(reads.workers(), static_cast<int>(readers) + 1);
+    EXPECT_EQ(reads.window(), std::max<std::size_t>(
+                                  readers * kImagesPerReader, 1));
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      EXPECT_TRUE(reads.next().error.empty()) << i;
+    }
+    EXPECT_EQ(reads.finish().size(), std::max<std::size_t>(readers, 1));
+    EXPECT_LE(reads.peak_images(), reads.window());
+    EXPECT_GE(reads.image_bytes(), largest);
+    EXPECT_LE(reads.image_bytes(), reads.window() * 2 * largest);
   }
 }
 
@@ -762,7 +811,8 @@ TEST(ReadAhead, DestructionStopsReadersWaitingOnAFullWindow) {
   const auto files = core::list_profile_files(dir.path);
   const std::size_t baseline = test::live_threads();
   for (const std::size_t taken : {0u, 1u, 7u}) {
-    ReadAhead reads(files, 8, 2);
+    ReadAhead reads(files, 3);
+    ASSERT_LT(reads.window(), files.size());
     for (std::size_t i = 0; i < taken; ++i) {
       EXPECT_TRUE(reads.next().error.empty());
     }

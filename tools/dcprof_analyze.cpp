@@ -112,8 +112,8 @@ int main(int argc, char** argv) {
            "samples|latency|rdram");
   p.option("--workers", &workers,
            "stream-stage host threads, the folding thread included; the "
-           "rest read and check shards ahead (default: one per hardware "
-           "thread)");
+           "rest (at most 16) read and check shards ahead, 4 images each "
+           "(default: one per hardware thread)");
   p.option("--top", &top_n, "rows per view");
   p.option("--top-down", &top_down_class, "also print a top-down CCT view",
            "heap|static|stack|unknown");
@@ -205,11 +205,11 @@ int main(int argc, char** argv) {
       r.files_read, analysis::format_count(r.bytes_streamed).c_str(),
       dir.c_str(), r.workers_used, r.workers_used == 1 ? "" : "s");
   std::printf(
-      "merged: %s samples; peak resident profiles %zu; "
+      "merged: %s samples; peak resident profiles %zu, images %zu; "
       "discover/stream/merge %.1f/%.1f/%.1f ms\n",
       analysis::format_count(r.merged.total_samples()).c_str(),
-      r.peak_resident_profiles, r.timings.discover_ms, r.timings.stream_ms,
-      r.merge_ms);
+      r.peak_resident_profiles, r.peak_resident_images,
+      r.timings.discover_ms, r.timings.stream_ms, r.merge_ms);
   if (r.transient_retries > 0) {
     std::printf("recovered %zu file(s) on re-read (transient I/O)\n",
                 r.transient_retries);
