@@ -473,7 +473,7 @@ TEST(Ingest, PoisonShardRollsBackToCheckpointAndRecovers) {
     opts.claim = false;
     opts.checkpoint_every = 2;  // a durable checkpoint precedes the poison
     opts.max_files_per_poll = bound;
-    const std::size_t baseline = test::live_threads();
+    const std::size_t baseline = test::thread_baseline();
     IngestService service(dir.path, opts);
     while (service.poll_once() != 0) {
     }
@@ -616,10 +616,15 @@ TEST(Ingest, CorruptShardThrowsUnderStrictPolicy) {
   TempDir dir;
   write_structure(dir.path);
   core::write_file_atomic(dir.path / "profile-0000-0.dcpf", "garbage");
+  // More good shards after it than any read-ahead window holds, so at
+  // the throw readers are ahead of it, some waiting for a slot.
+  for (std::uint64_t i = 1; i <= kMaxReaders * kImagesPerReader + 8; ++i) {
+    write_shard(dir.path, i);
+  }
   IngestOptions opts = opts_for(dir.path);
   opts.corrupt_policy = CorruptPolicy::kStrict;
   IngestService service(dir.path, opts);
-  const std::size_t baseline = test::live_threads();
+  const std::size_t baseline = test::thread_baseline();
   EXPECT_THROW(service.poll_once(), std::runtime_error);
   EXPECT_TRUE(test::threads_settle_to(baseline));  // no reader outlives it
 }

@@ -697,7 +697,7 @@ TEST(Pipeline, ReadAheadMatchesTheSerialFoldAtEveryWorkerCount) {
 TEST(Pipeline, StrictThrowLeavesNoReaderRunning) {
   TempDir dir;
   const auto files = make_bad_dir(dir.path);
-  const std::size_t baseline = test::live_threads();
+  const std::size_t baseline = test::thread_baseline();
   for (const int workers : {2, 8}) {
     Analyzer::Options opts;
     opts.workers = workers;
@@ -809,7 +809,7 @@ TEST(ReadAhead, DestructionStopsReadersWaitingOnAFullWindow) {
   TempDir dir;
   write_synthetic_dir(dir.path, 40);
   const auto files = core::list_profile_files(dir.path);
-  const std::size_t baseline = test::live_threads();
+  const std::size_t baseline = test::thread_baseline();
   for (const std::size_t taken : {0u, 1u, 7u}) {
     ReadAhead reads(files, 3);
     ASSERT_LT(reads.window(), files.size());
